@@ -6,7 +6,7 @@ event-driven Monte Carlo with a tilted scenario estimator (`mc`), and a CLI
 harness (`cli`).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .model import RHO, SQRT2, ModelParams, RateQuery, alpha_from_velocity, velocity_from_alpha
 from .rates import (

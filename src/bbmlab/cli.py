@@ -3,8 +3,9 @@
 The CLI computes nothing itself; every number in an output file comes from
 an operation in rates, varopt, fkpp or mc.  Each run writes a CSV plus a
 sibling manifest (<out>.manifest.json) recording the fully resolved config,
-package version, seed and timings; `replay` reruns a manifest and verifies
-the CSV body is byte-identical.
+package version, seed, run statistics and timings; `replay` reruns a
+manifest written by the same package version and verifies the CSV body is
+byte-identical.
 
 Exit codes: 0 ok, 2 config-invalid, 3 solver-instability, 4 particle-cap,
 5 domain-overflow, 6 check-failed (fit --check and replay mismatches).
@@ -85,6 +86,9 @@ class ExperimentConfig:
                 raise ConfigError("lower-deviation kinds require alphas < 1")
         if self.kind == "rate" and not self.alphas and not self.alpha_grid:
             raise ConfigError("rate requires --alphas or --alpha-grid")
+        grid = self.alpha_grid
+        if grid is not None and not (len(grid) == 3 and grid[2] >= 1 and float(grid[2]).is_integer()):
+            raise ConfigError("alpha_grid must be [min, max, count] with an integer count >= 1")
         if self.kind == "tau_opt":
             if self.v is None and not self.alphas:
                 raise ConfigError("tau_opt requires --v or --alphas")
@@ -111,10 +115,12 @@ def _params(cfg: ExperimentConfig) -> ModelParams:
     return ModelParams(sigma2=cfg.sigma2)
 
 
-# -- experiment runners (one per kind, each returns CSV lines) -----------------
+# -- experiment runners (one per kind, each returns CSV lines and run stats) ----
+
+Output = tuple[list[str], dict]
 
 
-def _run_rate(cfg: ExperimentConfig) -> list[str]:
+def _run_rate(cfg: ExperimentConfig) -> Output:
     alphas = list(cfg.alphas)
     if cfg.alpha_grid:
         lo, hi, count = cfg.alpha_grid
@@ -128,10 +134,10 @@ def _run_rate(cfg: ExperimentConfig) -> list[str]:
         lines.append(
             ",".join([fmt_float(a), fmt_float(val.rate), val.branch_tag.name, fmt_float(chen)])
         )
-    return lines
+    return lines, {}
 
 
-def _run_tau_opt(cfg: ExperimentConfig) -> list[str]:
+def _run_tau_opt(cfg: ExperimentConfig) -> Output:
     params = _params(cfg)
     vs = [cfg.v] if cfg.v is not None else [a * params.critical_velocity for a in cfg.alphas]
     ts = cfg.t_list if cfg.t_list is not None else [cfg.t]
@@ -149,10 +155,10 @@ def _run_tau_opt(cfg: ExperimentConfig) -> list[str]:
                               opt.log_value, opt.empirical_rate, ref)
                 )
             )
-    return lines
+    return lines, {}
 
 
-def _run_fkpp_rate(cfg: ExperimentConfig) -> list[str]:
+def _run_fkpp_rate(cfg: ExperimentConfig) -> Output:
     params = _params(cfg)
     t_final = cfg.t_final if cfg.t_final is not None else max(cfg.t_list)
     probes = [(a, t) for a in cfg.alphas for t in cfg.t_list]
@@ -160,10 +166,15 @@ def _run_fkpp_rate(cfg: ExperimentConfig) -> list[str]:
         params, t_final, probes=probes, dx=cfg.dx, dt=cfg.dt,
         smoothing_eps=cfg.eps, track_front=False,
     )
-    return fkpp.probe_csv_lines(result)
+    stats = {
+        "grid_points": result.grid.n_points,
+        "steps": result.steps,
+        "max_violation": result.max_violation,
+    }
+    return fkpp.probe_csv_lines(result), stats
 
 
-def _run_mc_tail(cfg: ExperimentConfig) -> list[str]:
+def _run_mc_tail(cfg: ExperimentConfig) -> Output:
     params = _params(cfg)
     config = mc.SimConfig(params=params, t=cfg.t, seed=cfg.seed)
     rows = []
@@ -171,10 +182,10 @@ def _run_mc_tail(cfg: ExperimentConfig) -> list[str]:
         x = a * params.critical_velocity * cfg.t
         est = mc.estimate_tail(config, x, cfg.n_trials, n_workers=cfg.workers)
         rows.append(("naive_tail", a, cfg.t, x, est))
-    return mc.estimate_csv_lines(rows)
+    return mc.estimate_csv_lines(rows), {}
 
 
-def _run_scenario_lb(cfg: ExperimentConfig) -> list[str]:
+def _run_scenario_lb(cfg: ExperimentConfig) -> Output:
     params = _params(cfg)
     config = mc.SimConfig(params=params, t=cfg.t, seed=cfg.seed)
     rows = []
@@ -188,7 +199,7 @@ def _run_scenario_lb(cfg: ExperimentConfig) -> list[str]:
             scen = mc.ScenarioConfig(tau=scen.tau, drift=cfg.drift, threshold=scen.threshold)
         est = mc.scenario_estimate(config, scen, cfg.n_trials, n_workers=cfg.workers)
         rows.append(("scenario_lb", a, cfg.t, scen.threshold, est))
-    return mc.estimate_csv_lines(rows)
+    return mc.estimate_csv_lines(rows), {}
 
 
 def _read_probe_csv(path: str) -> dict[float, tuple[list[float], list[float]]]:
@@ -217,7 +228,7 @@ FIT_CSV_HEADER = (
 )
 
 
-def _run_fit(cfg: ExperimentConfig) -> list[str]:
+def _run_fit(cfg: ExperimentConfig) -> Output:
     series = _read_probe_csv(cfg.input)
     lines = [FIT_CSV_HEADER]
     prefactor_ref = -rates.prefactor_exponent()
@@ -254,7 +265,7 @@ def _run_fit(cfg: ExperimentConfig) -> list[str]:
         )
     if cfg.check and any_fail:
         raise _CheckFailed(lines)
-    return lines
+    return lines, {}
 
 
 class _CheckFailed(Exception):
@@ -263,13 +274,13 @@ class _CheckFailed(Exception):
         self.lines = lines
 
 
-def _run_entry_for_sweep(entry_dict: dict) -> list[str]:
+def _run_entry_for_sweep(entry_dict: dict) -> Output:
     cfg = _config_from_dict(entry_dict)
     cfg.validate()
     return _RUNNERS[cfg.kind](cfg)
 
 
-def _run_sweep(cfg: ExperimentConfig) -> list[str]:
+def _run_sweep(cfg: ExperimentConfig) -> Output:
     entries = cfg.entries or []
     kinds = {e.get("kind") for e in entries}
     if len(kinds) != 1:
@@ -284,12 +295,13 @@ def _run_sweep(cfg: ExperimentConfig) -> list[str]:
     else:
         results = [_run_entry_for_sweep(e) for e in entries]
     # concatenate bodies in config order under the first header
-    lines = [results[0][0]]
-    for block in results:
+    blocks = [block for block, _ in results]
+    lines = [blocks[0][0]]
+    for block in blocks:
         if block[0] != lines[0]:
             raise ConfigError("sweep entries produced differing headers")
         lines.extend(block[1:])
-    return lines
+    return lines, {"entries": [stats for _, stats in results]}
 
 
 _RUNNERS = {
@@ -331,16 +343,16 @@ def run(cfg: ExperimentConfig) -> int:
         raise ConfigError("an output path is required (--out)")
     started = time.time()
     try:
-        lines = _RUNNERS[cfg.kind](cfg)
+        lines, stats = _RUNNERS[cfg.kind](cfg)
     except _CheckFailed as exc:
-        _write_outputs(cfg, exc.lines, started)
+        _write_outputs(cfg, exc.lines, {}, started)
         _emit_error("acceptance-fail", "fit check failed (relative slope error above tolerance)")
         return EXIT_CHECK_FAILED
-    _write_outputs(cfg, lines, started)
+    _write_outputs(cfg, lines, stats, started)
     return EXIT_OK
 
 
-def _write_outputs(cfg: ExperimentConfig, lines: list[str], started: float) -> None:
+def _write_outputs(cfg: ExperimentConfig, lines: list[str], stats: dict, started: float) -> None:
     body = "\n".join(lines) + "\n"
     out_dir = os.path.dirname(os.path.abspath(cfg.out))
     os.makedirs(out_dir, exist_ok=True)
@@ -352,6 +364,7 @@ def _write_outputs(cfg: ExperimentConfig, lines: list[str], started: float) -> N
         "seed": cfg.seed,
         "csv_path": os.path.basename(cfg.out),
         "csv_sha256": sha256_text(body),
+        "stats": stats,
         "timings": {"wall_s": time.time() - started},
     }
     with open(cfg.out + ".manifest.json", "w") as fh:
@@ -362,12 +375,20 @@ def _write_outputs(cfg: ExperimentConfig, lines: list[str], started: float) -> N
 def _replay(manifest_path: str, out: str | None) -> int:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    recorded = manifest.get("version")
+    if recorded != __version__:
+        _emit_error(
+            "acceptance-fail",
+            f"replay refused: manifest written by bbmlab {recorded}, "
+            f"this is bbmlab {__version__}; rerun it with the version that wrote it",
+        )
+        return EXIT_CHECK_FAILED
     cfg = _config_from_dict(manifest["config"])
     cfg.out = out or (manifest_path[: -len(".manifest.json")] + ".replay.csv")
     cfg.validate()
     started = time.time()
-    lines = _RUNNERS[cfg.kind](cfg)
-    _write_outputs(cfg, lines, started)
+    lines, stats = _RUNNERS[cfg.kind](cfg)
+    _write_outputs(cfg, lines, stats, started)
     new_sha = sha256_text("\n".join(lines) + "\n")
     if new_sha != manifest["csv_sha256"]:
         _emit_error(
@@ -446,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="slope fits of -ln u with pass/fail report")
     common(sp)
-    sp.add_argument("--input", default=None, help="probe CSV from fkpp-rate or mc-tail")
+    sp.add_argument("--input", default=None, help="probe CSV from fkpp-rate")
     sp.add_argument("--check", action="store_true", default=None,
                     help="exit 6 when any relative slope error exceeds tolerance")
 

@@ -1,28 +1,42 @@
-"""Log-domain finite-difference solver for the rightmost-particle CDF front.
+"""Log-domain solver for the rightmost-particle CDF front.
 
-The CDF u(x, t) of the rightmost position solves a semilinear
-reaction-diffusion equation; we evolve L = ln u instead, where the equation
-becomes  L_t = (sigma2/2)(L_xx + L_x^2) + e^L - 1.  The quantities of
-interest sit near e^{-200}, far below what a linear-domain solver retains.
+The CDF u(x, t) of the rightmost position solves the semilinear
+reaction-diffusion equation u_t = (sigma2/2) u_xx + beta (u^2 - u); we store
+L = ln u instead, because the quantities of interest sit near e^{-200}, far
+below what a linear-domain field retains.
 
 Scheme notes (these are constraints, not history):
-  * Diffusion is Crank-Nicolson on a tridiagonal system; the quadratic
-    transport term and the reaction are explicit with a two-stage
-    (predictor/corrector) evaluation, so the overall step is second order.
-  * The transport slope is centered where the per-cell jump is mild and
-    one-sided toward the right (the upwind side: tail characteristics move
-    left) where it is steep; the blend keeps the update monotone.
-  * The transport term carries a CFL limit that the nominal dt violates
-    while the smoothed step relaxes, so advances subcycle on an adaptive
-    sub-step until the field flattens enough.  With subcycling disabled a
-    per-step jump above MAX_STEP_JUMP raises SolverInstabilityError.
-  * L is a CDF in x: nondecreasing.  Each substep measures the pre-repair
-    violation; anything above MONO_TOL invalidates the run, below it the
-    field is re-monotonized by a running maximum.
-  * The initial profile ln(Phi(x/eps)) is clipped at tail_floor; values
-    below are smaller than every measurable target by hundreds of e-folds
-    and their exact shape cannot influence the probes (tail characteristics
-    point outward and the excess mass is ~ e^{tail_floor}).
+  * Each step of size h is a Strang splitting R(h/2) H(h) R(h/2) of two
+    sub-flows of the u-equation, each solved exactly: H, the heat flow, and
+    R, the logistic flow L <- L - log1p(-expm1(beta h) expm1(L)).  Both are
+    monotone maps that fix u = 1, so the field stays nondecreasing and <= 0
+    without repair or step-size limits; the splitting error is O(h^2).
+    Inside one advance the adjacent half-steps of R fuse.
+  * H convolves u with a positive lattice kernel of sum 1.  Where L < -1
+    this is a log-sum-exp over each window, shifted by the window maximum so
+    deep tails neither underflow nor lose relative precision.
+  * Where L >= -1, H convolves 1 - u = -expm1(L) instead.  u = 1 is an
+    unstable state of R, which multiplies 1 - u by e^{beta h} per step; a
+    log-space sum there rounds at 1e-16 absolute, not relative to 1 - u, and
+    R grows that noise like e^t, into monotonicity defects or a slide of the
+    whole leading edge off u = 1.
+  * The kernel's variance must be exactly sigma2 h: every step adds it, so a
+    per-step deficit accumulates over thousands of short steps (between
+    closely spaced events).  A sampled Gaussian is exact to 2e-7 once
+    sigma sqrt(h) >= dx but loses 14% of the variance at sigma sqrt(h) =
+    dx/2; below dx the kernel is the discrete heat kernel e^{-2r} I_k(2r),
+    r = sigma2 h / (2 dx^2), whose variance is exact at any h.
+  * Beyond the grid, u is held at u(x_min) on the left and at 1 on the
+    right; probes keep 20 sigma sqrt(t) from x_min, so the left edge cannot
+    reach them.
+  * A non-finite value or a monotonicity defect above MONO_TOL after any step
+    raises SolverInstabilityError; smaller defects are rounding, recorded as
+    max_violation and left in place.
+  * The initial profile ln(Phi(x/eps)) is clipped at tail_floor, which
+    raises u by at most e^{tail_floor}.  Both sub-flows are order preserving
+    and Lipschitz in u (H with constant 1, R with e^{beta h}), so the excess
+    stays below e^{tail_floor + beta t}: hundreds of e-folds under every
+    probe at the default floor of -700.
 """
 
 from __future__ import annotations
@@ -32,20 +46,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.special import logsumexp
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import ive, logsumexp
 
 from .model import ModelParams
 from .varopt import log_normal_cdf
 
 _LN_HALF = math.log(0.5)
 
-MAX_STEP_JUMP = 10.0    # |dL| above this in a full-dt step means dt is too large
-MONO_TOL = 1e-9         # pre-repair monotonicity violations above this abort the run
+DEFAULT_DT = 0.02
+MONO_TOL = 1e-9  # a monotonicity defect above this aborts the run
 
 
 class SolverInstabilityError(RuntimeError):
-    """The time stepper produced non-finite, jumpy, or non-monotone output."""
+    """The time stepper produced non-finite or non-monotone output."""
 
 
 class DomainOverflowError(ValueError):
@@ -66,7 +80,7 @@ class InsufficientSamplesError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform spatial grid and nominal time step."""
+    """Uniform spatial grid and splitting step."""
 
     x_min: float
     x_max: float
@@ -101,8 +115,8 @@ class Grid:
 
 
 def default_dt(dx: float, sigma2: float) -> float:
-    """Nominal step: quarter of the diffusive limit, capped at 0.01."""
-    return min(0.25 * dx * dx / sigma2, 0.01)
+    """Default splitting step; the exact sub-flows impose no diffusive bound."""
+    return DEFAULT_DT
 
 
 @dataclass
@@ -112,10 +126,11 @@ class LogField:
     L: np.ndarray
     time: float
     grid: Grid
-    max_violation: float = 0.0  # worst pre-repair monotonicity defect so far
+    max_violation: float = 0.0  # worst monotonicity defect so far
+    steps: int = 0  # splitting steps taken so far
 
     def copy(self) -> "LogField":
-        return LogField(self.L.copy(), self.time, self.grid, self.max_violation)
+        return LogField(self.L.copy(), self.time, self.grid, self.max_violation, self.steps)
 
     def validate(self, pinned_right: bool = True) -> None:
         if self.L.shape != (self.grid.n_points,):
@@ -155,196 +170,88 @@ def init_field(grid: Grid, smoothing_eps: float, tail_floor: float = -700.0) -> 
 
 @dataclass
 class Stepper:
-    """Advances a LogField in time under fixed model parameters."""
+    """Advances a LogField in time by Strang splitting of exact sub-flows."""
 
     params: ModelParams
     grid: Grid
     reaction: bool = True
-    cfl_subcycle: bool = True
-    cfl_safety: float = 0.5
 
-    def __post_init__(self) -> None:
-        # Keeps the Crank-Nicolson update sign-definite (explicit half positive).
-        if self.grid.dt > self.grid.dx ** 2 / self.params.sigma2 * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt={self.grid.dt!r} exceeds the diffusive margin "
-                f"dx^2/sigma2={self.grid.dx ** 2 / self.params.sigma2!r}"
-            )
-        self._nu = 0.5 * self.params.sigma2
-        self._dx = self.grid.dx
-        n = self.grid.n_points
-        # scratch buffers; the stepper is not thread-safe across one instance
-        self._fwd = np.empty(n)
-        self._ctr = np.empty(n)
-        self._gap = np.empty(n)
-        self._gr = np.empty(n)
-        self._tmp = np.empty(n)
-        self._g1 = np.empty(n)
-        self._g2 = np.empty(n)
-        self._gm = np.empty(n)
-        self._rhs = np.empty(n - 2)
-        self._rhs_tmp = np.empty(n - 2)
-        self._fact_cache: dict[float, tuple] = {}
+    def _kernel(self, h: float) -> np.ndarray:
+        """Positive lattice kernel of sum 1 and variance sigma2 * h."""
+        s = math.sqrt(self.params.sigma2 * h) / self.grid.dx  # std dev in cells
+        w = max(int(math.ceil(12.0 * s)), 8)
+        k = np.arange(-w, w + 1, dtype=float)
+        if s >= 1.0:
+            K = np.exp(-0.5 * (k / s) ** 2)
+        else:
+            # discrete heat kernel: exact variance where a sampled Gaussian has too little
+            K = ive(np.abs(k), s * s)
+        return K / K.sum()
 
-    # -- explicit terms ----------------------------------------------------
+    def _heat(self, L: np.ndarray, K: np.ndarray) -> np.ndarray:
+        """Exact lattice heat flow of u = e^L: u <- K * u, with u = 1 beyond x_max."""
+        n, w = L.size, K.size // 2
+        P = np.concatenate([np.full(w, L[0]), L, np.zeros(w)])
+        out = np.empty(n)
+        i1 = int(np.searchsorted(L, -1.0))
+        if i1 > 0:
+            # log-sum-exp over each window, shifted by the window maximum (its
+            # right end, since L is nondecreasing) so nothing overflows
+            m = P[2 * w: i1 + 2 * w]
+            E = sliding_window_view(P[: i1 + 2 * w], K.size) - m[:, None]
+            np.exp(E, out=E)
+            np.log(E @ K, out=out[:i1])
+            out[:i1] += m
+        if i1 < n:
+            # near u = 1 convolve 1 - u, which keeps its relative precision
+            c = np.convolve(-np.expm1(P[i1:]), K, "valid")
+            np.log1p(-c, out=out[i1:])
+        return np.minimum(out, 0.0, out=out)
 
-    def _explicit_rhs(self, F: np.ndarray, out: np.ndarray) -> np.ndarray:
-        dx = self._dx
-        fwd, ctr, gap, gr = self._fwd, self._ctr, self._gap, self._gr
-        np.subtract(F[1:], F[:-1], out=fwd[:-1])
-        fwd[:-1] *= 1.0 / dx
-        fwd[-1] = 0.0
-        np.subtract(F[2:], F[:-2], out=ctr[1:-1])
-        ctr[1:-1] *= 0.5 / dx
-        ctr[0] = fwd[0]
-        ctr[-1] = 0.0
-        # per-point steepness: the larger adjacent jump, in L units
-        np.multiply(fwd, dx, out=gr)
-        gap[0] = gr[0]
-        np.maximum(gr[1:], gr[:-1], out=gap[1:])
-        # blend weight: 0 (centered) below a jump of 0.5, 1 (upwind) above 2
-        gap -= 0.5
-        gap *= 1.0 / 1.5
-        np.clip(gap, 0.0, 1.0, out=gap)
-        np.subtract(fwd, ctr, out=fwd)
-        fwd *= gap
-        np.add(ctr, fwd, out=out)  # slope = ctr + w*(fwd - ctr)
-        np.multiply(out, out, out=out)
-        out *= self._nu
-        if self.reaction:
-            # expm1 is -1 to machine precision below L = -40; skip the deep tail
-            i0 = int(np.searchsorted(F, -40.0))
-            beta = self.params.branch_rate
-            if i0 > 0:
-                out[:i0] -= beta
-            if i0 < F.size:
-                e = np.expm1(F[i0:])
-                e *= beta
-                out[i0:] += e
-        return out
-
-    # -- Crank-Nicolson diffusion solve ------------------------------------
-
-    def _factors(self, dt_s: float):
-        entry = self._fact_cache.get(dt_s)
-        if entry is None:
-            r = 0.5 * self._nu * dt_s / self._dx ** 2
-            n_i = self.grid.n_points - 2
-            dl = np.full(n_i - 1, -r)
-            d = np.full(n_i, 1.0 + 2.0 * r)
-            du = np.full(n_i - 1, -r)
-            dlf, df, duf, du2, ipiv, info = lapack.dgttrf(dl, d, du)
-            if info != 0:
-                raise SolverInstabilityError(f"tridiagonal factorization failed (info={info})")
-            if len(self._fact_cache) >= 16:
-                self._fact_cache.clear()
-            entry = ((dlf, df, duf, du2, ipiv), r)
-            self._fact_cache[dt_s] = entry
-        return entry
-
-    def _cn_solve(self, L_old: np.ndarray, G: np.ndarray, left_val: float, dt_s: float) -> np.ndarray:
-        (dlf, df, duf, du2, ipiv), r = self._factors(dt_s)
-        rhs, tmp = self._rhs, self._rhs_tmp
-        np.add(L_old[:-2], L_old[2:], out=rhs)
-        rhs *= r
-        np.multiply(L_old[1:-1], 1.0 - 2.0 * r, out=tmp)
-        rhs += tmp
-        np.multiply(G[1:-1], dt_s, out=tmp)
-        rhs += tmp
-        rhs[0] += r * left_val  # new left value, eliminated from the system
-        # new right value is the Dirichlet zero; contributes nothing
-        sol, info = lapack.dgttrs(dlf, df, duf, du2, ipiv, rhs)
-        if info != 0:
-            raise SolverInstabilityError(f"tridiagonal solve failed (info={info})")
-        out = np.empty_like(L_old)
-        out[0] = left_val
-        out[-1] = 0.0
-        out[1:-1] = sol
-        return out
-
-    def _substep(self, L: np.ndarray, dt_s: float) -> np.ndarray:
-        nu, dx2 = self._nu, self._dx ** 2
-        g1 = self._explicit_rhs(L, self._g1)
-        # left boundary: explicit update with the curvature copied from i=1
-        c1 = (L[0] - 2.0 * L[1] + L[2]) / dx2
-        b1 = nu * c1 + g1[0]
-        left1 = L[0] + dt_s * b1
-        L1 = self._cn_solve(L, g1, left1, dt_s)
-        g2 = self._explicit_rhs(L1, self._g2)
-        c2 = (L1[0] - 2.0 * L1[1] + L1[2]) / dx2
-        b2 = nu * c2 + g2[0]
-        left2 = L[0] + 0.5 * dt_s * (b1 + b2)
-        np.add(g1, g2, out=self._gm)
-        self._gm *= 0.5
-        return self._cn_solve(L, self._gm, left2, dt_s)
-
-    # -- time marching ------------------------------------------------------
+    def _react(self, L: np.ndarray, h: float) -> None:
+        """Exact logistic flow du/dt = beta (u^2 - u) over time h, in place."""
+        if not self.reaction:
+            return
+        a = math.expm1(self.params.branch_rate * h)
+        # expm1(L) is -1 to machine precision below L = -40: a plain shift there
+        i0 = int(np.searchsorted(L, -40.0))
+        L[:i0] -= math.log1p(a)
+        e = np.expm1(L[i0:])
+        e *= -a
+        L[i0:] -= np.log1p(e)
 
     def advance(self, fld: LogField, amount: float, end_time: float | None = None) -> LogField:
-        """Advance by `amount` time units (chunked by grid.dt and the CFL limit)."""
+        """Advance by `amount` in ceil(amount / grid.dt) equal Strang steps."""
         if amount < 0.0:
             raise ValueError("cannot advance backwards")
         fld.validate(pinned_right=False)
         L = fld.L.copy()
         worst = fld.max_violation
-        dt, dx, sigma2 = self.grid.dt, self._dx, self.params.sigma2
-        remaining = float(amount)
-        budget = 20000 + 100 * int(math.ceil(remaining / dt))
-        nsub = 0
-        diff = self._tmp[: L.size - 1]
-        while remaining > 0.0:
-            # snap the final chunk so float residue cannot spawn micro-substeps
-            chunk = remaining if remaining <= dt * (1.0 + 1e-9) else dt
-            np.subtract(L[1:], L[:-1], out=diff)
-            s_max = float(diff.max(initial=0.0)) / dx
-            cfl_limited = False
-            dt_s = chunk
-            if self.cfl_subcycle and s_max > 0.0:
-                dt_cfl = self.cfl_safety * dx / (sigma2 * s_max)
-                if dt_cfl < chunk:
-                    dt_s = dt_cfl
-                    cfl_limited = True
-            L_new = self._substep(L, dt_s)
-            if not math.isfinite(float(L_new[0])) or not np.all(np.isfinite(L_new)):
-                raise SolverInstabilityError("non-finite values after a substep")
-            if not cfl_limited:
-                np.subtract(L_new, L, out=self._tmp)
-                np.abs(self._tmp, out=self._tmp)
-                jump = float(self._tmp.max())
-                if jump > MAX_STEP_JUMP:
+        n = max(1, math.ceil(amount / self.grid.dt - 1e-9)) if amount > 0.0 else 0
+        if n:
+            h = amount / n
+            K = self._kernel(h)
+            # R(h/2) H(h) R(h/2) per step; adjacent reaction half-steps fuse
+            self._react(L, 0.5 * h)
+            for i in range(n):
+                L = self._heat(L, K)
+                self._react(L, h if i < n - 1 else 0.5 * h)
+                if not np.all(np.isfinite(L)):
+                    raise SolverInstabilityError("non-finite values after a step")
+                viol = float(np.max(L[:-1] - L[1:], initial=0.0))
+                if viol > MONO_TOL:
                     raise SolverInstabilityError(
-                        f"|dL| = {jump:.3g} in one step of dt = {dt_s:.3g}; reduce dt"
+                        f"monotonicity violated by {viol:.3e} (tolerance {MONO_TOL:g})"
                     )
-            np.subtract(L_new[:-1], L_new[1:], out=diff)
-            viol = float(diff.max(initial=0.0))
-            if viol > MONO_TOL:
-                raise SolverInstabilityError(
-                    f"monotonicity violated by {viol:.3e} (tolerance {MONO_TOL:g})"
-                )
-            if viol > 0.0:
-                np.maximum.accumulate(L_new, out=L_new)
                 worst = max(worst, viol)
-            np.minimum(L_new, 0.0, out=L_new)
-            L = L_new
-            remaining -= dt_s
-            nsub += 1
-            if nsub > budget:
-                raise SolverInstabilityError("subcycle budget exhausted; field too steep")
         t_new = fld.time + amount if end_time is None else end_time
-        return LogField(L=L, time=t_new, grid=self.grid, max_violation=worst)
+        return LogField(L=L, time=t_new, grid=self.grid, max_violation=worst, steps=fld.steps + n)
 
 
-def step(
-    fld: LogField,
-    params: ModelParams | None = None,
-    *,
-    reaction: bool = True,
-    cfl_subcycle: bool = True,
-) -> LogField:
-    """Advance a field by one nominal grid.dt."""
+def step(fld: LogField, params: ModelParams | None = None, *, reaction: bool = True) -> LogField:
+    """Advance a field by one grid.dt."""
     params = params if params is not None else ModelParams()
-    stepper = Stepper(params=params, grid=fld.grid, reaction=reaction, cfl_subcycle=cfl_subcycle)
-    return stepper.advance(fld, fld.grid.dt)
+    return Stepper(params=params, grid=fld.grid, reaction=reaction).advance(fld, fld.grid.dt)
 
 
 # -- measurements ------------------------------------------------------------
@@ -495,6 +402,8 @@ class SolveResult:
     grid: Grid
     smoothing_eps: float
     params: ModelParams
+    steps: int  # splitting steps taken
+    max_violation: float  # worst monotonicity defect seen (at most MONO_TOL)
 
     def tail_for(self, alpha: float) -> TailSeries:
         for series in self.tails:
@@ -524,7 +433,9 @@ def solve(
     sigma2)*t by linear interpolation of L.  The domain is auto-sized so
     every probe stays at least 20 sigma sqrt(t) above the left edge (and
     the x bounds can be overridden, at which point that margin is checked
-    and DomainOverflowError raised if violated).
+    and DomainOverflowError raised if violated).  dt is the splitting step:
+    each interval between consecutive probe, snapshot and front-sample times
+    is split into ceil(interval / dt) equal steps.
     """
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be nonnegative, got {t_final!r}")
@@ -613,7 +524,7 @@ def solve(
         )
     return SolveResult(
         front=front, tails=tails, snapshots=snapshots, grid=grid,
-        smoothing_eps=eps, params=params,
+        smoothing_eps=eps, params=params, steps=fld.steps, max_violation=fld.max_violation,
     )
 
 

@@ -252,7 +252,9 @@ def scenario_estimate(
     logw = np.concatenate([p[0] for p in parts])
     hit = np.concatenate([p[1] for p in parts])
 
-    w = np.exp(logw)
+    # weights relative to the largest, so neither ess nor stderr underflows
+    shift = float(logw.max())
+    w = np.exp(logw - shift)
     ess = float(w.sum() ** 2 / (w * w).sum())
     if hit.any():
         log_p = float(logsumexp(logw[hit])) - math.log(n_trials)
@@ -260,7 +262,7 @@ def scenario_estimate(
     else:
         log_p, p_hat = -math.inf, 0.0
     values = w * hit
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
+    stderr = float(np.std(values, ddof=1) / math.sqrt(n_trials)) * math.exp(shift)
     return Estimate(
         p_hat=p_hat, stderr=stderr, n_trials=n_trials, log_p_hat=log_p, ess=ess,
         seed=config.seed,

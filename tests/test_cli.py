@@ -2,9 +2,10 @@ import json
 import math
 
 import pytest
+from scipy.special import logsumexp
 
-from bbmlab import cli
-from bbmlab.model import RHO, SQRT2
+from bbmlab import cli, fkpp, mc
+from bbmlab.model import RHO, SQRT2, ModelParams
 
 
 def run_cli(args):
@@ -30,6 +31,12 @@ class TestRate:
         out = tmp_path / "curve.csv"
         assert run_cli(["rate", "--alpha-grid", -3, 0.99, 50, "--out", out]) == 0
         assert len(read(out).splitlines()) == 51
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5])
+    def test_alpha_grid_count_must_be_positive_integer(self, tmp_path, count):
+        out = tmp_path / "curve.csv"
+        assert run_cli(["rate", "--alpha-grid", 0, 0.5, count, "--out", out]) == 2
+        assert not out.exists()
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "rate.csv"
@@ -151,6 +158,22 @@ class TestMcSubcommands:
         assert run_cli(args) == 0
         assert read(tmp_path / "s1.csv") == read(tmp_path / "s2.csv")
 
+    def test_scenario_stderr_survives_weight_underflow(self, tmp_path):
+        # the hits' weights are near e^-420, whose squares underflow
+        out = tmp_path / "deep.csv"
+        assert run_cli(["scenario-lb", "--alpha", -1, "--t", 200, "--n-trials", 100,
+                        "--seed", 7, "--out", out]) == 0
+        header, row = read(out).splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert float(cols["p_hat"]) > 0.0
+        assert float(cols["stderr"]) > 0.0
+        params = ModelParams()
+        config = mc.SimConfig(params=params, t=200.0, seed=7)
+        scen = mc.ScenarioConfig.for_alpha(-1.0, params, 200.0)
+        logw, _ = mc._scenario_chunk((config, scen, 0, 100))
+        ess = math.exp(2.0 * logsumexp(logw) - logsumexp(2.0 * logw))
+        assert float(cols["ess"]) == pytest.approx(ess, rel=1e-12)
+
 
 class TestFkppAndFit:
     def test_probe_csv_then_fit_roundtrip(self, tmp_path):
@@ -199,6 +222,23 @@ class TestFkppAndFit:
         bad = tmp_path / "bad.csv"
         bad.write_text("foo,bar\n1,2\n")
         assert run_cli(["fit", "--input", bad, "--out", tmp_path / "f.csv"]) == 2
+
+    def test_fit_rejects_mc_tail_csv(self, tmp_path, capsys):
+        mc_csv = tmp_path / "mc.csv"
+        assert run_cli(["mc-tail", "--alphas", 0, "--t", 2, "--n-trials", 200, "--seed", 1,
+                        "--out", mc_csv]) == 0
+        capsys.readouterr()
+        assert run_cli(["fit", "--input", mc_csv, "--out", tmp_path / "f.csv"]) == 2
+        assert "missing columns ['ln_u']" in capsys.readouterr().err
+
+    def test_manifest_records_solver_stats(self, tmp_path):
+        probe = tmp_path / "probe.csv"
+        assert run_cli(["fkpp-rate", "--alphas", 0, "--t-list", 1, 2, "--dx", 0.2,
+                        "--out", probe]) == 0
+        stats = json.loads(read(str(probe) + ".manifest.json"))["stats"]
+        assert stats["steps"] == 100  # t = 2 in steps of the default 0.02
+        assert 0.0 <= stats["max_violation"] <= fkpp.MONO_TOL
+        assert stats["grid_points"] > 0
 
     def test_fit_insufficient_samples(self, tmp_path):
         probe = tmp_path / "probe.csv"
@@ -266,3 +306,17 @@ class TestSweepAndReplay:
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         assert run_cli(["replay", "--manifest", manifest_path]) == 6
+
+    def test_replay_refuses_other_version(self, tmp_path, capsys):
+        out = tmp_path / "rate.csv"
+        run_cli(["rate", "--alphas", 0, "--out", out])
+        manifest_path = str(out) + ".manifest.json"
+        manifest = json.loads(read(manifest_path))
+        manifest["version"] = "0.0.1"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        assert run_cli(["replay", "--manifest", manifest_path]) == 6
+        err = capsys.readouterr().err
+        assert "0.0.1" in err and cli.__version__ in err
+        assert not (tmp_path / "rate.csv.replay.csv").exists()

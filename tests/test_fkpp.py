@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbmlab.model import SQRT2, ModelParams
 from bbmlab import fkpp, mc
+from bbmlab.rates import bramson_centering
 from bbmlab.varopt import log_normal_cdf
 
 P1 = ModelParams(sigma2=1.0)
@@ -32,11 +34,6 @@ class TestGrid:
         assert g.n_points == 12
         xs = g.xs()
         assert xs[0] == g.x_min and xs[-1] == pytest.approx(g.x_max, rel=1e-12)
-
-    def test_stepper_rejects_diffusive_violation(self):
-        g = fkpp.Grid.build(-5.0, 5.0, 0.1, 0.02)  # dt > dx^2/sigma2 = 0.01
-        with pytest.raises(ValueError):
-            fkpp.Stepper(params=P1, grid=g)
 
 
 class TestInitField:
@@ -110,23 +107,6 @@ class TestStep:
         u_ref = np.exp(log_normal_cdf(xs[sel]))
         assert float(np.max(np.abs(u_num - u_ref))) <= 1e-6
 
-    def test_instability_signal_without_subcycling(self):
-        # a steep (but monotone) profile advected at full dt trips the
-        # per-step jump limit once subcycling is disabled
-        g = fkpp.Grid.build(-10.0, 10.0, 0.1, 0.0025)
-        xs = g.xs()
-        L = np.minimum(0.0, 200.0 * xs)  # slope 200: advection jump ~ 50 per dt
-        fld = fkpp.LogField(L=L, time=0.0, grid=g)
-        with pytest.raises(fkpp.SolverInstabilityError):
-            fkpp.step(fld, cfl_subcycle=False)
-
-    def test_subcycle_budget_guards_runaway(self):
-        g = fkpp.Grid.build(-10.0, 10.0, 1.0, 0.01)
-        xs = g.xs()
-        fld = fkpp.LogField(L=np.minimum(0.0, 1e9 * xs), time=0.0, grid=g)
-        with pytest.raises(fkpp.SolverInstabilityError):
-            fkpp.step(fld)
-
     def test_rejects_non_monotone_input(self):
         g = small_grid()
         L = np.linspace(-5.0, 0.0, g.n_points)
@@ -140,6 +120,107 @@ class TestStep:
         L[5] = L[6] + 1e-12  # within tolerance: repaired, not fatal
         out = fkpp.step(fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g))
         assert np.all(np.diff(out.L) >= 0.0)
+
+
+class TestSplitting:
+    """Invariants of the Strang splitting of exact heat and logistic sub-flows."""
+
+    def test_second_order_in_h(self):
+        # the benchmark's probes (four rays, t = 4..20, dx = eps = 0.05)
+        # against a run at h/8 of the finest h; Strang error is O(h^2)
+        probes = [(a, t) for a in (0.05, -0.3, -0.9, -1.8) for t in (4.0, 8.0, 12.0, 16.0, 20.0)]
+
+        def log_u(h):
+            res = fkpp.solve(P1, 20.0, probes=probes, dx=0.05, dt=h, smoothing_eps=0.05,
+                             track_front=False)
+            return np.concatenate([s.log_u for s in res.tails])
+
+        hs = (0.08, 0.04, fkpp.DEFAULT_DT)
+        ref = log_u(hs[-1] / 8.0)
+        errs = [float(np.max(np.abs(log_u(h) - ref) / np.abs(ref))) for h in hs]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse >= 3.0 * fine, errs
+        assert errs[-1] <= 1e-4, errs
+
+    def test_heat_variance_exact_for_short_steps(self):
+        # events every 0.0005 make sigma sqrt(h) smaller than dx, where a
+        # sampled Gaussian would lose 29% of the variance per step
+        dx = 0.05
+        g = fkpp.Grid.build(-30.0, 15.0, dx, fkpp.DEFAULT_DT)
+        fld = fkpp.init_field(g, smoothing_eps=dx)
+        stepper = fkpp.Stepper(params=P1, grid=g, reaction=False)
+        for _ in range(20000):
+            fld = stepper.advance(fld, 0.0005)
+        assert fld.time == pytest.approx(10.0, rel=1e-9)
+        xs = g.xs()
+        sel = (xs >= -20.0) & (xs <= 5.0)
+        ref = log_normal_cdf(xs[sel] / math.sqrt(dx * dx + 10.0))
+        assert float(np.max(np.abs(fld.L[sel] - ref) / np.abs(ref))) <= 1e-2
+
+    def test_heat_exact_for_resolved_steps(self):
+        dx = 0.05
+        g = fkpp.Grid.build(-30.0, 15.0, dx, fkpp.DEFAULT_DT)
+        fld = fkpp.init_field(g, smoothing_eps=dx)
+        fld = fkpp.Stepper(params=P1, grid=g, reaction=False).advance(fld, 10.0)
+        xs = g.xs()
+        sel = (xs >= -20.0) & (xs <= 5.0)
+        ref = log_normal_cdf(xs[sel] / math.sqrt(dx * dx + 10.0))
+        assert float(np.max(np.abs(fld.L[sel] - ref) / np.abs(ref))) <= 1e-10
+
+    @pytest.mark.parametrize("h", [0.01, 0.25, 1.0])
+    def test_reaction_is_exact_logistic_flow(self, h):
+        # a constant field feels no heat flow far from the pinned right edge
+        # (whose pull on x <= -40 is below e^-900 by t = 2), so it must follow
+        # ln u(t) = L0 - ln(1 - (e^t - 1)(u0 - 1)) exactly
+        g = fkpp.Grid.build(-80.0, 20.0, 0.2, h)
+        xs = g.xs()
+        for L0 in (-300.0, -5.0, LN_HALF, -1e-6):
+            fld = fkpp.LogField(L=np.full(g.n_points, L0), time=0.0, grid=g)
+            out = fkpp.Stepper(params=P1, grid=g).advance(fld, 2.0)
+            exact = L0 - math.log1p(-math.expm1(2.0) * math.expm1(L0))
+            mid = out.L[xs <= -40.0]
+            assert float(np.max(np.abs(mid - exact))) <= 1e-12 * abs(exact), (h, L0)
+
+    @pytest.mark.parametrize("h", [0.05, fkpp.DEFAULT_DT])
+    def test_no_noise_growth_where_u_is_one(self, h):
+        # ahead of the front u = 1 is an unstable state of the reaction:
+        # rounding noise in 1 - u grows like e^t unless 1 - u keeps its
+        # relative precision, and either breaks monotonicity or drags the
+        # whole field off u = 1
+        res = fkpp.solve(P1, 80.0, probes=[], dx=0.1, dt=h, front_samples=40,
+                         snapshot_times=[80.0])
+        assert res.steps == round(80.0 / h)
+        assert res.max_violation <= 1e-12
+        res.snapshots[80.0].validate()  # still pinned at u = 1 on the right
+        assert abs(res.front.position_at(80.0) - bramson_centering(80.0)) <= 2.5
+
+    @pytest.mark.parametrize("dx,dt,slope", [(0.1, 0.0025, 200.0), (1.0, 0.01, 1e9)])
+    def test_steep_step_needs_no_subcycling(self, dx, dt, slope):
+        # profiles that once tripped the step-jump limit or exhausted the
+        # subcycle budget: exact sub-flows take them in one step
+        g = fkpp.Grid.build(-10.0, 10.0, dx, dt)
+        fld = fkpp.LogField(L=np.minimum(0.0, slope * g.xs()), time=0.0, grid=g)
+        out = fkpp.step(fld)
+        assert out.steps == 1
+        assert np.all(np.isfinite(out.L)) and np.all(out.L <= 0.0)
+        assert np.all(np.diff(out.L) >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        jumps=st.lists(st.floats(0.0, 60.0), min_size=8, max_size=60),
+        top=st.floats(-5.0, 0.0),
+        h=st.floats(1e-3, 1.0),
+        amount=st.floats(0.0, 1.0),
+    )
+    def test_advance_keeps_monotone_and_nonpositive(self, jumps, top, h, amount):
+        L = np.cumsum(jumps)
+        L += top - L[-1]
+        n = L.size
+        g = fkpp.Grid(x_min=-0.2 * (n // 2), x_max=0.2 * (n - 1 - n // 2), dx=0.2, dt=h)
+        out = fkpp.Stepper(params=P1, grid=g).advance(fkpp.LogField(L=L, time=0.0, grid=g), amount)
+        assert np.all(out.L <= 0.0)
+        assert np.all(np.diff(out.L) >= -1e-12 * max(1.0, float(np.max(np.abs(L)))))
+        assert out.max_violation <= fkpp.MONO_TOL
 
 
 class TestMeasurements:
