@@ -8,7 +8,7 @@ harness (`cli`).
 
 __version__ = "0.2.0"
 
-from .model import RHO, SQRT2, ModelParams, RateQuery, alpha_from_velocity, velocity_from_alpha
+from .model import RHO, SQRT2, ModelParams, alpha_from_velocity, velocity_from_alpha
 from .rates import (
     RateValue,
     Regime,
@@ -27,7 +27,6 @@ __all__ = [
     "RHO",
     "SQRT2",
     "ModelParams",
-    "RateQuery",
     "alpha_from_velocity",
     "velocity_from_alpha",
     "RateValue",

@@ -1,7 +1,9 @@
 """Command-line harness: rate tables, tau optimization, PDE and MC runs, fits.
 
 The CLI computes nothing itself; every number in an output file comes from
-an operation in rates, varopt, fkpp or mc.  Each run writes a CSV plus a
+an operation in rates, varopt, fkpp or mc.  The CLI alone knows the CSV
+formats: one header constant per output, rows written by
+serialize.csv_lines.  Each run writes a CSV plus a
 sibling manifest (<out>.manifest.json) recording the fully resolved config,
 package version, seed, run statistics and timings; `replay` reruns a
 manifest written by the same package version and verifies the CSV body is
@@ -26,7 +28,7 @@ import numpy as np
 from . import __version__
 from .model import ModelParams
 from . import fkpp, mc, rates, varopt
-from .serialize import fmt_float, sha256_text
+from .serialize import csv_lines, sha256_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,8 +113,22 @@ class ExperimentConfig:
         return out
 
 
-def _params(cfg: ExperimentConfig) -> ModelParams:
-    return ModelParams(sigma2=cfg.sigma2)
+# -- CSV schemas: one header per output, rows written by serialize.csv_lines ----
+
+RATE_CSV_HEADER = "alpha,psi,branch_tag,chen_lower_bound"
+TAU_CSV_HEADER = "v,sigma2,t,tau_star,tau_fraction,log_value,empirical_rate,phi"
+PROBE_CSV_HEADER = "alpha,t,x_probe,ln_u,dx,dt,eps"
+ESTIMATE_CSV_HEADER = "estimator,alpha,t,x,n_trials,p_hat,log_p_hat,stderr,ess,seed"
+FIT_CSV_HEADER = (
+    "alpha,a,b,c,se_a,se_b,se_c,psi_reference,relative_slope_error,"
+    "prefactor_b_reference,prefactor_sign_consistent,status"
+)
+
+
+def _estimate_row(name: str, alpha: float, t: float, x: float, est: mc.Estimate) -> tuple:
+    # str(seed): a config file may give the seed as a float, which is written as given
+    return (name, alpha, t, x, est.n_trials, est.p_hat, est.log_p_hat, est.stderr, est.ess,
+            str(est.seed))
 
 
 # -- experiment runners (one per kind, each returns CSV lines and run stats) ----
@@ -127,68 +143,67 @@ def _run_rate(cfg: ExperimentConfig) -> Output:
         count = int(count)
         step = (hi - lo) / (count - 1) if count > 1 else 0.0
         alphas += [lo + i * step for i in range(count)]
-    lines = ["alpha,psi,branch_tag,chen_lower_bound"]
+    rows = []
     for a in alphas:
         val = rates.psi(a)
         chen = rates.chen_lower_bound(a) if a < 1.0 else float("nan")
-        lines.append(
-            ",".join([fmt_float(a), fmt_float(val.rate), val.branch_tag.name, fmt_float(chen)])
-        )
-    return lines, {}
+        rows.append((a, val.rate, val.branch_tag.name, chen))
+    return csv_lines(RATE_CSV_HEADER, rows), {}
 
 
 def _run_tau_opt(cfg: ExperimentConfig) -> Output:
-    params = _params(cfg)
+    params = ModelParams(sigma2=cfg.sigma2)
     vs = [cfg.v] if cfg.v is not None else [a * params.critical_velocity for a in cfg.alphas]
     ts = cfg.t_list if cfg.t_list is not None else [cfg.t]
-    lines = ["v,sigma2,t,tau_star,tau_fraction,log_value,empirical_rate,phi"]
+    rows = []
     for v in vs:
         ref = rates.phi(v, params).rate
         for t in ts:
             opt = varopt.maximize(
                 varopt.ObjectiveSpec(v=v, t=float(t), sigma2=cfg.sigma2, margin=cfg.margin)
             )
-            lines.append(
-                ",".join(
-                    fmt_float(x)
-                    for x in (v, cfg.sigma2, t, opt.tau_star, opt.tau_star / t,
-                              opt.log_value, opt.empirical_rate, ref)
-                )
-            )
-    return lines, {}
+            rows.append((v, cfg.sigma2, t, opt.tau_star, opt.tau_star / t,
+                         opt.log_value, opt.empirical_rate, ref))
+    return csv_lines(TAU_CSV_HEADER, rows), {}
 
 
 def _run_fkpp_rate(cfg: ExperimentConfig) -> Output:
-    params = _params(cfg)
+    params = ModelParams(sigma2=cfg.sigma2)
     t_final = cfg.t_final if cfg.t_final is not None else max(cfg.t_list)
     probes = [(a, t) for a in cfg.alphas for t in cfg.t_list]
     result = fkpp.solve(
         params, t_final, probes=probes, dx=cfg.dx, dt=cfg.dt,
         smoothing_eps=cfg.eps, track_front=False,
     )
+    grid = result.grid
+    rows = [
+        (series.alpha, t, xp, lu, grid.dx, grid.dt, result.smoothing_eps)
+        for series in result.tails
+        for t, xp, lu in zip(series.times, series.x_probe, series.log_u)
+    ]
     stats = {
-        "grid_points": result.grid.n_points,
+        "grid_points": grid.n_points,
         "steps": result.steps,
         "max_violation": result.max_violation,
     }
-    return fkpp.probe_csv_lines(result), stats
+    return csv_lines(PROBE_CSV_HEADER, rows), stats
 
 
 def _run_mc_tail(cfg: ExperimentConfig) -> Output:
-    params = _params(cfg)
+    params = ModelParams(sigma2=cfg.sigma2)
     config = mc.SimConfig(params=params, t=cfg.t, seed=cfg.seed)
-    rows = []
-    for a in cfg.alphas:
-        x = a * params.critical_velocity * cfg.t
-        est = mc.estimate_tail(config, x, cfg.n_trials, n_workers=cfg.workers)
-        rows.append(("naive_tail", a, cfg.t, x, est))
-    return mc.estimate_csv_lines(rows), {}
+    xs = [a * params.critical_velocity * cfg.t for a in cfg.alphas]
+    # one set of trials serves every threshold
+    ests = mc.estimate_tail(config, xs, cfg.n_trials, n_workers=cfg.workers)
+    rows = [_estimate_row("naive_tail", a, cfg.t, x, est)
+            for a, x, est in zip(cfg.alphas, xs, ests)]
+    return csv_lines(ESTIMATE_CSV_HEADER, rows), {}
 
 
 def _run_scenario_lb(cfg: ExperimentConfig) -> Output:
-    params = _params(cfg)
+    params = ModelParams(sigma2=cfg.sigma2)
     config = mc.SimConfig(params=params, t=cfg.t, seed=cfg.seed)
-    rows = []
+    rows, estimates = [], []
     for a in cfg.alphas:
         scen = mc.ScenarioConfig.for_alpha(
             a, params, cfg.t, late_branch_fraction=cfg.late_branch_fraction
@@ -198,8 +213,9 @@ def _run_scenario_lb(cfg: ExperimentConfig) -> Output:
         if cfg.drift is not None:
             scen = mc.ScenarioConfig(tau=scen.tau, drift=cfg.drift, threshold=scen.threshold)
         est = mc.scenario_estimate(config, scen, cfg.n_trials, n_workers=cfg.workers)
-        rows.append(("scenario_lb", a, cfg.t, scen.threshold, est))
-    return mc.estimate_csv_lines(rows), {}
+        rows.append(_estimate_row("scenario_lb", a, cfg.t, scen.threshold, est))
+        estimates.append({"alpha": a, "ess": est.ess, "low_ess": est.low_ess})
+    return csv_lines(ESTIMATE_CSV_HEADER, rows), {"estimates": estimates}
 
 
 def _read_probe_csv(path: str) -> dict[float, tuple[list[float], list[float]]]:
@@ -222,15 +238,9 @@ def _read_probe_csv(path: str) -> dict[float, tuple[list[float], list[float]]]:
     return series
 
 
-FIT_CSV_HEADER = (
-    "alpha,a,b,c,se_a,se_b,se_c,psi_reference,relative_slope_error,"
-    "prefactor_b_reference,prefactor_sign_consistent,status"
-)
-
-
 def _run_fit(cfg: ExperimentConfig) -> Output:
     series = _read_probe_csv(cfg.input)
-    lines = [FIT_CSV_HEADER]
+    rows = []
     prefactor_ref = -rates.prefactor_exponent()
     any_fail = False
     for a in sorted(series):
@@ -253,16 +263,9 @@ def _run_fit(cfg: ExperimentConfig) -> Output:
         any_fail = any_fail or status == "FAIL"
         # soft diagnostic only: the conjectured prefactor fixes the sign of b
         sign_consistent = (fit.b < 0.0) == (prefactor_ref < 0.0)
-        lines.append(
-            ",".join(
-                [
-                    fmt_float(a), fmt_float(fit.a), fmt_float(fit.b), fmt_float(fit.c),
-                    fmt_float(fit.se_a), fmt_float(fit.se_b), fmt_float(fit.se_c),
-                    fmt_float(psi_ref), fmt_float(rel), fmt_float(prefactor_ref),
-                    str(sign_consistent), status,
-                ]
-            )
-        )
+        rows.append((a, fit.a, fit.b, fit.c, fit.se_a, fit.se_b, fit.se_c, psi_ref, rel,
+                     prefactor_ref, sign_consistent, status))
+    lines = csv_lines(FIT_CSV_HEADER, rows)
     if cfg.check and any_fail:
         raise _CheckFailed(lines)
     return lines, {}

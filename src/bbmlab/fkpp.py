@@ -54,7 +54,7 @@ from .varopt import log_normal_cdf
 
 _LN_HALF = math.log(0.5)
 
-DEFAULT_DT = 0.02
+DEFAULT_DT = 0.02  # splitting step; the exact sub-flows impose no diffusive bound
 MONO_TOL = 1e-9  # a monotonicity defect above this aborts the run
 
 
@@ -112,11 +112,6 @@ class Grid:
         """Grid with x_max snapped up to the dx lattice based at x_min."""
         n_cells = max(7, int(math.ceil((x_max - x_min) / dx - 1e-9)))
         return cls(x_min=x_min, x_max=x_min + n_cells * dx, dx=dx, dt=dt)
-
-
-def default_dt(dx: float, sigma2: float) -> float:
-    """Default splitting step; the exact sub-flows impose no diffusive bound."""
-    return DEFAULT_DT
 
 
 @dataclass
@@ -248,12 +243,6 @@ class Stepper:
         return LogField(L=L, time=t_new, grid=self.grid, max_violation=worst, steps=fld.steps + n)
 
 
-def step(fld: LogField, params: ModelParams | None = None, *, reaction: bool = True) -> LogField:
-    """Advance a field by one grid.dt."""
-    params = params if params is not None else ModelParams()
-    return Stepper(params=params, grid=fld.grid, reaction=reaction).advance(fld, fld.grid.dt)
-
-
 # -- measurements ------------------------------------------------------------
 
 
@@ -325,10 +314,7 @@ class FrontTrace:
         t = self.times[sel]
         if t.size < 8:
             raise InsufficientSamplesError("need at least 8 front samples in the window")
-        X = np.column_stack([t, np.log(t), np.ones_like(t)])
-        beta, _, rank, _ = np.linalg.lstsq(X, self.positions[sel], rcond=None)
-        if rank < 3:
-            raise RankDeficientFitError("front fit design matrix is rank deficient")
+        beta, _, _ = _fit_t_log_t(t, self.positions[sel])
         return float(beta[0]), float(beta[1]), float(beta[2])
 
 
@@ -340,7 +326,6 @@ class TailSeries:
     times: np.ndarray
     log_u: np.ndarray
     x_probe: np.ndarray
-    fit: "TailFit | None" = None
 
 
 @dataclass(frozen=True)
@@ -354,41 +339,34 @@ class TailFit:
     se_b: float
     se_c: float
     residual_norm: float
-    with_log_term: bool
 
 
-def fit_tail_series(series: TailSeries, with_log_term: bool = True) -> TailFit:
-    """Least-squares fit of -ln u against {t, ln t, 1} (or {t, 1})."""
+def fit_tail_series(series: TailSeries) -> TailFit:
+    """Least-squares fit of -ln u against {t, ln t, 1}."""
     t = np.asarray(series.times, dtype=float)
     y = -np.asarray(series.log_u, dtype=float)
     if t.size < 5:
         raise InsufficientSamplesError(f"need at least 5 samples, got {t.size}")
     if float(np.max(t)) < 4.0 * float(np.min(t)) - 1e-12:
         raise InsufficientSamplesError("samples must span at least a factor 4 in t")
-    if with_log_term:
-        X = np.column_stack([t, np.log(t), np.ones_like(t)])
-    else:
-        X = np.column_stack([t, np.ones_like(t)])
+    beta, se, rss = _fit_t_log_t(t, y)
+    a, b, c = (float(v) for v in beta)
+    se_a, se_b, se_c = (float(v) for v in se)
+    return TailFit(a=a, b=b, c=c, se_a=se_a, se_b=se_b, se_c=se_c, residual_norm=math.sqrt(rss))
+
+
+def _fit_t_log_t(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Least squares of y against {t, ln t, 1}: coefficients, their standard
+    errors and the residual sum of squares.  Callers supply more than three
+    samples."""
+    X = np.column_stack([t, np.log(t), np.ones_like(t)])
     beta, _, rank, sv = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1] or sv[-1] <= 1e-12 * sv[0]:
-        raise RankDeficientFitError("tail fit design matrix is rank deficient")
+    if rank < 3 or sv[-1] <= 1e-12 * sv[0]:
+        raise RankDeficientFitError("{t, ln t, 1} design matrix is rank deficient")
     resid = y - X @ beta
     rss = float(resid @ resid)
-    dof = t.size - X.shape[1]
-    s2 = rss / dof if dof > 0 else float("nan")
-    cov = s2 * np.linalg.inv(X.T @ X)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    if with_log_term:
-        a, b, c = (float(v) for v in beta)
-        se_a, se_b, se_c = (float(v) for v in se)
-    else:
-        a, c = (float(v) for v in beta)
-        b, se_b = 0.0, 0.0
-        se_a, se_c = float(se[0]), float(se[1])
-    return TailFit(
-        a=a, b=b, c=c, se_a=se_a, se_b=se_b, se_c=se_c,
-        residual_norm=math.sqrt(rss), with_log_term=with_log_term,
-    )
+    cov = rss / (t.size - 3) * np.linalg.inv(X.T @ X)
+    return beta, np.sqrt(np.maximum(np.diag(cov), 0.0)), rss
 
 
 # -- full solve ---------------------------------------------------------------
@@ -453,7 +431,7 @@ def solve(
             raise ValueError(f"snapshot time {ts!r} outside [0, {t_final!r}]")
 
     if dt is None:
-        dt = default_dt(dx, params.sigma2)
+        dt = DEFAULT_DT
     v_min = min([0.0] + [a * crit for a, _ in probes])
     root_t = math.sqrt(t_final) if t_final > 0.0 else 0.0
     lo = x_min if x_min is not None else min(v_min * t_final - 20.0 * sigma * root_t - 10.0 * sigma, -10.0 * sigma)
@@ -526,29 +504,3 @@ def solve(
         front=front, tails=tails, snapshots=snapshots, grid=grid,
         smoothing_eps=eps, params=params, steps=fld.steps, max_violation=fld.max_violation,
     )
-
-
-# -- tabular output -----------------------------------------------------------
-
-PROBE_CSV_HEADER = "alpha,t,x_probe,ln_u,dx,dt,eps"
-
-
-def probe_csv_lines(result: SolveResult) -> list[str]:
-    """One CSV row per tail sample: alpha,t,x_probe,ln_u,dx,dt,eps."""
-    from .serialize import fmt_float
-
-    lines = [PROBE_CSV_HEADER]
-    for series in result.tails:
-        for t, xp, lu in zip(series.times, series.x_probe, series.log_u):
-            lines.append(
-                ",".join(
-                    fmt_float(v)
-                    for v in (series.alpha, t, xp, lu, result.grid.dx, result.grid.dt, result.smoothing_eps)
-                )
-            )
-    return lines
-
-
-def write_probe_csv(path, result: SolveResult) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(probe_csv_lines(result)) + "\n")

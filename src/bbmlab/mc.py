@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -59,8 +58,12 @@ class Estimate:
 
     @property
     def low_ess(self) -> bool:
-        """Effective sample size below 1% of the trial count."""
-        return self.ess < 0.01 * self.n_trials
+        """Effective sample size below 10, or below 1% of the trial count.
+
+        Fewer than 10 effective samples cannot support a standard error; the
+        ESS is at least 1, so a bare 1% rule never fires at 100 trials or fewer.
+        """
+        return self.ess < max(10.0, 0.01 * self.n_trials)
 
 
 @dataclass(frozen=True)
@@ -140,12 +143,6 @@ def _simulate_xmax_one(
                 f"population exceeded max_particles={max_particles} at t={t}"
             )
     return x_max, n_final
-
-
-def simulate_xmax(config: SimConfig) -> tuple[float, int]:
-    """Single realization using trial index 0 of the config's stream."""
-    rng = _trial_rng(config.seed, 0)
-    return _simulate_xmax_one(rng, config.params, config.t, config.max_particles)
 
 
 # -- trial batches -------------------------------------------------------------
@@ -291,38 +288,3 @@ def first_branch_times(seed: int, n_trials: int, branch_rate: float = 1.0) -> np
     for i in range(n_trials):
         out[i] = _trial_rng(seed, i).standard_exponential(1)[0] * inv_rate
     return out
-
-
-# -- tabular output -------------------------------------------------------------
-
-ESTIMATE_CSV_HEADER = "estimator,alpha,t,x,n_trials,p_hat,log_p_hat,stderr,ess,seed"
-
-
-def estimate_csv_lines(rows: Sequence[tuple[str, float, float, float, Estimate]]) -> list[str]:
-    """Rows of (estimator name, alpha, t, x, Estimate) as CSV lines."""
-    from .serialize import fmt_float
-
-    lines = [ESTIMATE_CSV_HEADER]
-    for name, alpha, t, x, est in rows:
-        lines.append(
-            ",".join(
-                [
-                    name,
-                    fmt_float(alpha),
-                    fmt_float(t),
-                    fmt_float(x),
-                    str(est.n_trials),
-                    fmt_float(est.p_hat),
-                    fmt_float(est.log_p_hat),
-                    fmt_float(est.stderr),
-                    fmt_float(est.ess),
-                    str(est.seed),
-                ]
-            )
-        )
-    return lines
-
-
-def write_estimates_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(estimate_csv_lines(rows)) + "\n")

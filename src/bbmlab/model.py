@@ -50,28 +50,6 @@ class ModelParams:
         return math.sqrt(2.0 * self.sigma2)
 
 
-@dataclass(frozen=True)
-class RateQuery:
-    """A velocity in both normalized (alpha) and raw (v) form."""
-
-    alpha: float
-    v: float
-
-    @classmethod
-    def from_alpha(cls, alpha: float, params: ModelParams) -> "RateQuery":
-        return cls(alpha=alpha, v=velocity_from_alpha(alpha, params))
-
-    @classmethod
-    def from_velocity(cls, v: float, params: ModelParams) -> "RateQuery":
-        return cls(alpha=alpha_from_velocity(v, params), v=v)
-
-    def consistent_with(self, params: ModelParams, rel_tol: float = 1e-12) -> bool:
-        """Whether alpha and v describe the same velocity under params."""
-        return math.isclose(
-            self.v, self.alpha * params.critical_velocity, rel_tol=rel_tol, abs_tol=1e-300
-        )
-
-
 def alpha_from_velocity(v: float, params: ModelParams) -> float:
     """Normalized velocity alpha = v / sqrt(2 sigma2)."""
     return v / params.critical_velocity

@@ -148,6 +148,7 @@ class TestMcSubcommands:
         assert lines[0].startswith("estimator,alpha,t,x,")
         cells = lines[1].split(",")
         assert cells[0] == "naive_tail"
+        assert cells[1:5] == ["0", "2", "0", "300"] and cells[9] == "42"
         assert 0.0 < float(cells[5]) < 1.0
 
     def test_scenario_row_and_reproducibility(self, tmp_path):
@@ -175,6 +176,50 @@ class TestMcSubcommands:
         assert float(cols["ess"]) == pytest.approx(ess, rel=1e-12)
 
 
+    @pytest.mark.parametrize("alpha,t,low", [(-1, 200, True), (0, 8, False)])
+    def test_scenario_manifest_flags_low_ess(self, tmp_path, alpha, t, low):
+        # at t = 200 one trial carries all the weight (ess 1.000004 of 100);
+        # at t = 8 the ess is 26.5, enough to support a stderr
+        out = tmp_path / "lb.csv"
+        assert run_cli(["scenario-lb", "--alpha", alpha, "--t", t, "--n-trials", 100,
+                        "--seed", 7, "--out", out]) == 0
+        header, row = read(out).splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        stats = json.loads(read(str(out) + ".manifest.json"))["stats"]
+        assert stats["estimates"] == [
+            {"alpha": float(alpha), "ess": float(cols["ess"]), "low_ess": low}
+        ]
+
+
+class TestCsvSchemas:
+    ESTIMATE = "estimator,alpha,t,x,n_trials,p_hat,log_p_hat,stderr,ess,seed"
+
+    @pytest.mark.parametrize("argv,header", [
+        (["rate", "--alphas", 0, 1.5], "alpha,psi,branch_tag,chen_lower_bound"),
+        (["tau-opt", "--v", 0, "--t-list", 10, 20],
+         "v,sigma2,t,tau_star,tau_fraction,log_value,empirical_rate,phi"),
+        (["fkpp-rate", "--alphas", 0, -0.5, "--t-list", 1, 2, "--dx", 0.2],
+         "alpha,t,x_probe,ln_u,dx,dt,eps"),
+        (["mc-tail", "--alphas", 0, 0.5, "--t", 1, "--n-trials", 100], ESTIMATE),
+        (["scenario-lb", "--alphas", 0, -1, "--t", 1, "--n-trials", 100], ESTIMATE),
+        (["fit", "--input", "PROBE"],
+         "alpha,a,b,c,se_a,se_b,se_c,psi_reference,relative_slope_error,"
+         "prefactor_b_reference,prefactor_sign_consistent,status"),
+    ], ids=["rate", "tau-opt", "fkpp-rate", "mc-tail", "scenario-lb", "fit"])
+    def test_header_matches_readme(self, tmp_path, argv, header):
+        probe = tmp_path / "probe.csv"
+        probe.write_text("alpha,t,x_probe,ln_u,dx,dt,eps\n" + "".join(
+            f"0,{t},0,{-0.83 * t + 0.6 * math.log(t)},0.1,0.02,0.1\n" for t in (5, 10, 20, 40, 80)
+        ))
+        out = tmp_path / "out.csv"
+        argv = [probe if a == "PROBE" else a for a in argv]
+        assert run_cli([*argv, "--out", out]) == 0
+        lines = read(out).splitlines()
+        assert lines[0] == header
+        assert len(lines) >= 2
+        assert all(len(ln.split(",")) == header.count(",") + 1 for ln in lines[1:])
+
+
 class TestFkppAndFit:
     def test_probe_csv_then_fit_roundtrip(self, tmp_path):
         probe = tmp_path / "probe.csv"
@@ -183,6 +228,8 @@ class TestFkppAndFit:
              "--out", probe]
         )
         assert code == 0
+        rows = [ln.split(",") for ln in read(probe).splitlines()[1:]]
+        assert [(float(r[0]), float(r[1])) for r in rows] == [(0.0, t) for t in (2, 4, 6, 8, 10)]
         fit_out = tmp_path / "fit.csv"
         assert run_cli(["fit", "--input", probe, "--out", fit_out]) == 0
         header, row = read(fit_out).splitlines()

@@ -13,8 +13,8 @@ P1 = ModelParams(sigma2=1.0)
 LN_HALF = math.log(0.5)
 
 
-def small_grid(dx=0.2, span=10.0, sigma2=1.0):
-    return fkpp.Grid.build(-span, span, dx, fkpp.default_dt(dx, sigma2))
+def small_grid(dx=0.2, span=10.0):
+    return fkpp.Grid.build(-span, span, dx, fkpp.DEFAULT_DT)
 
 
 class TestGrid:
@@ -71,7 +71,7 @@ class TestStep:
     def test_u_equal_one_is_fixed_point(self):
         g = small_grid()
         fld = fkpp.LogField(L=np.zeros(g.n_points), time=0.0, grid=g)
-        out = fkpp.step(fld)
+        out = fkpp.Stepper(P1, g).advance(fld, g.dt)
         assert np.max(np.abs(out.L)) == 0.0
         assert out.time == pytest.approx(g.dt)
 
@@ -80,7 +80,7 @@ class TestStep:
         # logistic-in-u solution du/dt = u^2 - u from u = 1/2
         g = small_grid()
         fld = fkpp.LogField(L=np.full(g.n_points, LN_HALF), time=0.0, grid=g)
-        out = fkpp.step(fld)
+        out = fkpp.Stepper(P1, g).advance(fld, g.dt)
         dt = g.dt
         u_exact = 0.5 * math.exp(-dt) / (0.5 + 0.5 * math.exp(-dt))
         mid = g.n_points // 2
@@ -95,7 +95,7 @@ class TestStep:
         # smoothing layer at t = 0 is checked at its own scale elsewhere.
         dx = 0.005
         t0 = 0.25
-        g = fkpp.Grid.build(-11.0, 8.0, dx, fkpp.default_dt(dx, 1.0))
+        g = fkpp.Grid.build(-11.0, 8.0, dx, fkpp.DEFAULT_DT)
         xs = g.xs()
         fld = fkpp.LogField(
             L=np.minimum(log_normal_cdf(xs / math.sqrt(t0)), 0.0), time=t0, grid=g
@@ -111,14 +111,16 @@ class TestStep:
         g = small_grid()
         L = np.linspace(-5.0, 0.0, g.n_points)
         L[5] = L[6] + 1e-8  # violation above tolerance
+        fld = fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g)
         with pytest.raises(ValueError):
-            fkpp.step(fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g))
+            fkpp.Stepper(P1, g).advance(fld, g.dt)
 
-    def test_repairs_sub_tolerance_wiggle(self):
+    def test_tolerates_sub_tolerance_wiggle(self):
         g = small_grid()
         L = np.linspace(-5.0, 0.0, g.n_points)
-        L[5] = L[6] + 1e-12  # within tolerance: repaired, not fatal
-        out = fkpp.step(fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g))
+        L[5] = L[6] + 1e-12  # within tolerance: accepted as input, not fatal
+        fld = fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g)
+        out = fkpp.Stepper(P1, g).advance(fld, g.dt)
         assert np.all(np.diff(out.L) >= 0.0)
 
 
@@ -200,7 +202,7 @@ class TestSplitting:
         # subcycle budget: exact sub-flows take them in one step
         g = fkpp.Grid.build(-10.0, 10.0, dx, dt)
         fld = fkpp.LogField(L=np.minimum(0.0, slope * g.xs()), time=0.0, grid=g)
-        out = fkpp.step(fld)
+        out = fkpp.Stepper(P1, g).advance(fld, g.dt)
         assert out.steps == 1
         assert np.all(np.isfinite(out.L)) and np.all(out.L <= 0.0)
         assert np.all(np.diff(out.L) >= 0.0)
@@ -266,14 +268,6 @@ class TestTailFit:
         assert fit.b == pytest.approx(-0.6213, abs=1e-9)
         assert fit.c == pytest.approx(1.0, abs=1e-8)
         assert fit.residual_norm < 1e-9
-
-    def test_without_log_term(self):
-        t = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
-        y = 2.0 * t + 3.0
-        fit = fkpp.fit_tail_series(self._series(t, y), with_log_term=False)
-        assert fit.a == pytest.approx(2.0, abs=1e-10)
-        assert fit.b == 0.0
-        assert fit.c == pytest.approx(3.0, abs=1e-9)
 
     def test_requires_five_samples_spanning_factor_four(self):
         with pytest.raises(fkpp.InsufficientSamplesError):
@@ -374,11 +368,3 @@ class TestSolve:
         x = res.front.positions
         late = t >= 1.0
         assert np.all(np.diff(x[late]) > 0.0)
-
-    def test_probe_csv_format(self):
-        res = fkpp.solve(P1, 1.0, probes=[(0.0, 1.0)], dx=0.2, track_front=False)
-        lines = fkpp.probe_csv_lines(res)
-        assert lines[0] == "alpha,t,x_probe,ln_u,dx,dt,eps"
-        cells = lines[1].split(",")
-        assert len(cells) == 7
-        assert float(cells[0]) == 0.0 and float(cells[1]) == 1.0

@@ -7,7 +7,6 @@ from bbmlab.model import (
     RHO,
     SQRT2,
     ModelParams,
-    RateQuery,
     alpha_from_velocity,
     velocity_from_alpha,
 )
@@ -51,11 +50,3 @@ def test_params_validation():
     p = ModelParams(sigma2=4.0)
     assert p.sigma == 2.0
     assert p.critical_velocity == pytest.approx(math.sqrt(8.0), rel=1e-15)
-
-
-def test_rate_query_consistency():
-    params = ModelParams(sigma2=1.5)
-    q = RateQuery.from_alpha(0.7, params)
-    assert q.consistent_with(params)
-    assert RateQuery.from_velocity(q.v, params).alpha == pytest.approx(0.7, rel=1e-12)
-    assert not RateQuery(alpha=0.7, v=123.0).consistent_with(params)
