@@ -2,11 +2,11 @@
 
 Closed-form rate evaluators (`rates`), the variational delayed-branching
 optimizer (`varopt`), a log-domain front-equation solver (`fkpp`), exact
-event-driven Monte Carlo with a tilted scenario estimator (`mc`), and a CLI
-harness (`cli`).
+event-driven Monte Carlo with a conditional scenario estimator (`mc`), and a
+CLI harness (`cli`).
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .model import RHO, SQRT2, ModelParams, alpha_from_velocity, velocity_from_alpha
 from .rates import (

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,6 +48,27 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _is_number_list(x) -> bool:
+    return isinstance(x, list) and all(map(_is_number, x))
+
+
+# type check per numeric field; None is also accepted where None is the default
+_FIELD_TYPES = {
+    **dict.fromkeys(("n_trials", "seed", "workers"), (_is_int, "an integer")),
+    **dict.fromkeys(("sigma2", "v", "t", "t_final", "dx", "dt", "eps", "margin", "tau"),
+                    (_is_number, "a number")),
+    **dict.fromkeys(("alphas", "t_list", "alpha_grid"), (_is_number_list, "a list of numbers")),
+}
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -65,8 +86,6 @@ class ExperimentConfig:
     eps: float | None = None
     margin: float = -1.0
     tau: float | None = None
-    drift: float | None = None
-    late_branch_fraction: float = 0.95
     workers: int = 1
     input: str | None = None
     check: bool = False
@@ -76,6 +95,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            check, expected = _FIELD_TYPES.get(f.name, (None, None))
+            if check and not check(value) and not (value is None and f.default is None):
+                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
         if self.sigma2 <= 0:
             raise ConfigError("sigma2 must be positive")
         if self.t_list is not None:
@@ -126,9 +150,8 @@ FIT_CSV_HEADER = (
 
 
 def _estimate_row(name: str, alpha: float, t: float, x: float, est: mc.Estimate) -> tuple:
-    # str(seed): a config file may give the seed as a float, which is written as given
     return (name, alpha, t, x, est.n_trials, est.p_hat, est.log_p_hat, est.stderr, est.ess,
-            str(est.seed))
+            est.seed)
 
 
 # -- experiment runners (one per kind, each returns CSV lines and run stats) ----
@@ -205,13 +228,9 @@ def _run_scenario_lb(cfg: ExperimentConfig) -> Output:
     config = mc.SimConfig(params=params, t=cfg.t, seed=cfg.seed)
     rows, estimates = [], []
     for a in cfg.alphas:
-        scen = mc.ScenarioConfig.for_alpha(
-            a, params, cfg.t, late_branch_fraction=cfg.late_branch_fraction
-        )
+        scen = mc.ScenarioConfig.for_alpha(a, params, cfg.t)
         if cfg.tau is not None:
-            scen = mc.ScenarioConfig(tau=cfg.tau, drift=scen.drift, threshold=scen.threshold)
-        if cfg.drift is not None:
-            scen = mc.ScenarioConfig(tau=scen.tau, drift=cfg.drift, threshold=scen.threshold)
+            scen = mc.ScenarioConfig(tau=cfg.tau, threshold=scen.threshold)
         est = mc.scenario_estimate(config, scen, cfg.n_trials, n_workers=cfg.workers)
         rows.append(_estimate_row("scenario_lb", a, cfg.t, scen.threshold, est))
         estimates.append({"alpha": a, "ess": est.ess, "low_ess": est.low_ess})
@@ -458,12 +477,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mc-tail", help="naive Monte Carlo tail estimate")
     common(sp, trials=True)
 
-    sp = sub.add_parser("scenario-lb", help="tilted no-early-branching lower bound")
+    sp = sub.add_parser("scenario-lb", help="no-early-branching lower bound")
     common(sp, trials=True)
     sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--drift", type=float, default=None)
-    sp.add_argument("--late-branch-fraction", type=float, dest="late_branch_fraction",
-                    default=None)
 
     sp = sub.add_parser("sweep", help="run a list of config entries, one CSV")
     common(sp)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -68,32 +68,25 @@ class Estimate:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Forced no-branch window, tilt drift, and the target threshold."""
+    """Forced no-branch window and the target threshold."""
 
     tau: float
-    drift: float
     threshold: float
 
     @classmethod
-    def for_alpha(
-        cls,
-        alpha: float,
-        params: ModelParams,
-        t: float,
-        late_branch_fraction: float = 0.95,
-    ) -> "ScenarioConfig":
+    def for_alpha(cls, alpha: float, params: ModelParams, t: float) -> "ScenarioConfig":
         """Defaults from the closed-form scenario geometry.
 
         Below the kink the optimal no-branch window is the whole horizon,
-        which leaves no room for the post-branch tree; late_branch_fraction
-        sets the finite-horizon compromise used there.
+        which leaves no time for the post-branch tree; there the tree keeps
+        the last min(0.05 t, 0.4) time units, short enough that it need not
+        deviate itself at large t.
         """
-        geom = scenario_geometry(alpha, params)
         if alpha >= -RHO:
-            tau = geom.tau_fraction * t
+            tau = scenario_geometry(alpha, params).tau_fraction * t
         else:
-            tau = late_branch_fraction * t
-        return cls(tau=tau, drift=geom.drift, threshold=alpha * params.critical_velocity * t)
+            tau = t - min(0.05 * t, 0.4)
+        return cls(tau=tau, threshold=alpha * params.critical_velocity * t)
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -160,24 +153,6 @@ def _xmax_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     return xm, nf
 
 
-def _scenario_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    config, scen, lo, hi = args
-    params = config.params
-    sigma = params.sigma
-    rem = config.t - scen.tau
-    logw = np.empty(hi - lo)
-    hit = np.empty(hi - lo, dtype=bool)
-    base = -params.branch_rate * scen.tau + scen.drift ** 2 * scen.tau / (2.0 * params.sigma2)
-    scale = sigma * math.sqrt(scen.tau)
-    for i in range(lo, hi):
-        rng = _trial_rng(config.seed, i)
-        y = scen.drift * scen.tau + scale * rng.standard_normal()
-        xm, _ = _simulate_xmax_one(rng, params, rem, config.max_particles)
-        logw[i - lo] = base - scen.drift * y / params.sigma2
-        hit[i - lo] = (y + xm) <= scen.threshold
-    return logw, hit
-
-
 def _chunks(n_trials: int, n_workers: int) -> list[tuple[int, int]]:
     size = max(1, -(-n_trials // max(1, n_workers * 4)))
     return [(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
@@ -234,34 +209,33 @@ def scenario_estimate(
 ) -> Estimate:
     """Unbiased estimate of P(x_max <= threshold, no branching before tau).
 
-    Each trial tilts the pre-branch displacement to N(drift*tau, sigma2*tau),
-    runs a fresh untilted tree over the remaining horizon, and weighs the
-    indicator by exp(-tau) times the exact Gaussian likelihood ratio.  The
-    estimated functional is a certified lower bound on the plain tail
-    probability at the same threshold.
+    The first particle survives to tau with probability exp(-beta tau), and
+    its displacement y ~ N(0, sigma2 tau) is independent of the maximum xm of
+    the tree it then spawns over the remaining horizon, so
+    P(y + xm <= threshold | xm) = Phi((threshold - xm) / (sigma sqrt(tau))).
+    Each trial samples one such tree and contributes exp(-beta tau) times that
+    conditional probability, so every trial adds positive mass.  The ESS is
+    taken over these per-trial values.  The estimated functional is a
+    certified lower bound on the plain tail probability at the same threshold.
     """
     if n_trials < 100:
         raise ValueError("n_trials must be >= 100")
     if not 0.0 < scen.tau <= config.t:
         raise ValueError(f"tau must lie in (0, t], got tau={scen.tau!r}, t={config.t!r}")
-    jobs = [(config, scen, lo, hi) for lo, hi in _chunks(n_trials, n_workers)]
-    parts = _run_chunked(_scenario_chunk, jobs, n_workers)
-    logw = np.concatenate([p[0] for p in parts])
-    hit = np.concatenate([p[1] for p in parts])
+    params = config.params
+    xm, _ = sample_xmax(replace(config, t=config.t - scen.tau), n_trials, n_workers)
+    logv = -params.branch_rate * scen.tau + log_normal_cdf(
+        (scen.threshold - xm) / (params.sigma * math.sqrt(scen.tau))
+    )
 
-    # weights relative to the largest, so neither ess nor stderr underflows
-    shift = float(logw.max())
-    w = np.exp(logw - shift)
-    ess = float(w.sum() ** 2 / (w * w).sum())
-    if hit.any():
-        log_p = float(logsumexp(logw[hit])) - math.log(n_trials)
-        p_hat = math.exp(log_p)
-    else:
-        log_p, p_hat = -math.inf, 0.0
-    values = w * hit
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n_trials)) * math.exp(shift)
+    # values relative to the largest, so neither ess nor stderr underflows
+    shift = float(logv.max())
+    v = np.exp(logv - shift)
+    ess = float(v.sum() ** 2 / (v * v).sum())
+    log_p = float(logsumexp(logv)) - math.log(n_trials)
+    stderr = float(np.std(v, ddof=1) / math.sqrt(n_trials)) * math.exp(shift)
     return Estimate(
-        p_hat=p_hat, stderr=stderr, n_trials=n_trials, log_p_hat=log_p, ess=ess,
+        p_hat=math.exp(log_p), stderr=stderr, n_trials=n_trials, log_p_hat=log_p, ess=ess,
         seed=config.seed,
     )
 

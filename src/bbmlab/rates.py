@@ -114,7 +114,7 @@ def bramson_centering(t: float) -> float:
 
 
 def scenario_geometry(alpha: float, params: ModelParams) -> ScenarioGeometry:
-    """Optimal first-branch fraction, pre-branch endpoint and tilt drift.
+    """Optimal first-branch fraction, pre-branch endpoint and drift.
 
     For alpha >= -(sqrt(2)-1) the first branch is delayed to (1-alpha)/sqrt(2)
     of the horizon and the particle drifts to -(sqrt(2)-1)(1-alpha)*sigma*t,

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from bbmlab import cli, fkpp, mc
 from bbmlab.model import RHO, SQRT2, ModelParams
+from bbmlab.varopt import log_normal_cdf
 
 
 def run_cli(args):
@@ -85,6 +86,20 @@ class TestValidation:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": "rate", "bogus": 1}))
         assert run_cli(["rate", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        # the retired scenario knobs are unknown fields too
+        for name in ("drift", "late_branch_fraction"):
+            path.write_text(json.dumps({"alphas": [-1.0], "t": 2.0, name: 0.9}))
+            assert run_cli(["scenario-lb", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("field", [{"n_trials": 100.0}, {"workers": 1.5}, {"t": "8"},
+                                       {"seed": 7.0}], ids=lambda f: "-".join(f))
+    def test_numeric_config_field_types(self, tmp_path, capsys, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t": 1.0, "n_trials": 100, **field}))
+        out = tmp_path / "x.csv"
+        assert run_cli(["mc-tail", "--config", path, "--alpha", 0, "--out", out]) == 2
+        assert f"{next(iter(field))} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_particle_cap_exit_code(self, tmp_path):
         cfg = {"kind": "mc_tail", "alphas": [0.0], "t": 9.0, "n_trials": 100, "seed": 3}
@@ -160,7 +175,7 @@ class TestMcSubcommands:
         assert read(tmp_path / "s1.csv") == read(tmp_path / "s2.csv")
 
     def test_scenario_stderr_survives_weight_underflow(self, tmp_path):
-        # the hits' weights are near e^-420, whose squares underflow
+        # the per-trial values are near e^-404, whose squares underflow
         out = tmp_path / "deep.csv"
         assert run_cli(["scenario-lb", "--alpha", -1, "--t", 200, "--n-trials", 100,
                         "--seed", 7, "--out", out]) == 0
@@ -169,20 +184,36 @@ class TestMcSubcommands:
         assert float(cols["p_hat"]) > 0.0
         assert float(cols["stderr"]) > 0.0
         params = ModelParams()
-        config = mc.SimConfig(params=params, t=200.0, seed=7)
         scen = mc.ScenarioConfig.for_alpha(-1.0, params, 200.0)
-        logw, _ = mc._scenario_chunk((config, scen, 0, 100))
-        ess = math.exp(2.0 * logsumexp(logw) - logsumexp(2.0 * logw))
+        xm, _ = mc.sample_xmax(mc.SimConfig(params=params, t=200.0 - scen.tau, seed=7), 100)
+        logv = -scen.tau + log_normal_cdf((scen.threshold - xm) / math.sqrt(scen.tau))
+        ess = math.exp(2.0 * logsumexp(logv) - logsumexp(2.0 * logv))
         assert float(cols["ess"]) == pytest.approx(ess, rel=1e-12)
 
-
-    @pytest.mark.parametrize("alpha,t,low", [(-1, 200, True), (0, 8, False)])
-    def test_scenario_manifest_flags_low_ess(self, tmp_path, alpha, t, low):
-        # at t = 200 one trial carries all the weight (ess 1.000004 of 100);
-        # at t = 8 the ess is 26.5, enough to support a stderr
-        out = tmp_path / "lb.csv"
-        assert run_cli(["scenario-lb", "--alpha", alpha, "--t", t, "--n-trials", 100,
+    def test_scenario_deep_below_kink_above_floor(self, tmp_path):
+        # no branching at all and ending below the threshold is one way to
+        # realize the event: -t + ln Phi(thr / sqrt t) floors ln q
+        out = tmp_path / "deep.csv"
+        assert run_cli(["scenario-lb", "--alpha", -1, "--t", 200, "--n-trials", 100,
                         "--seed", 7, "--out", out]) == 0
+        header, row = read(out).splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        floor = -200.0 + log_normal_cdf(-SQRT2 * 200.0 / math.sqrt(200.0))
+        rel_se = float(cols["stderr"]) / float(cols["p_hat"])
+        assert float(cols["log_p_hat"]) >= floor - 3.0 * rel_se
+        stats = json.loads(read(str(out) + ".manifest.json"))["stats"]
+        assert stats["estimates"][0]["low_ess"] is False
+
+    @pytest.mark.parametrize("alpha,t,tau,low", [(-1, 200, 190, True), (0, 8, None, False)],
+                             ids=["-1-200-True", "0-8-False"])
+    def test_scenario_manifest_flags_low_ess(self, tmp_path, alpha, t, tau, low):
+        # at t = 200 a tree over the last 10 time units must deviate itself,
+        # and two trials carry the mass (ess 2.3 of 100); at t = 8 the ess is
+        # 75, enough to support a stderr
+        out = tmp_path / "lb.csv"
+        tau_flag = [] if tau is None else ["--tau", tau]
+        assert run_cli(["scenario-lb", "--alpha", alpha, "--t", t, *tau_flag,
+                        "--n-trials", 100, "--seed", 7, "--out", out]) == 0
         header, row = read(out).splitlines()
         cols = dict(zip(header.split(","), row.split(",")))
         stats = json.loads(read(str(out) + ".manifest.json"))["stats"]

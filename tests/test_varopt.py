@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbmlab.model import RHO, SQRT2
 from bbmlab.rates import phi
@@ -45,6 +46,20 @@ class TestLogNormalCdf:
         zs = np.linspace(-40.0, 8.0, 20001)
         vals = log_normal_cdf(zs)
         assert np.all(np.diff(vals) >= 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(allow_nan=False), b=st.floats(allow_nan=False))
+    def test_nondecreasing_over_all_floats(self, a, b):
+        lo, hi = sorted((a, b))
+        # below about -1.9e154 the correctly rounded value is -inf
+        with np.errstate(over="ignore", divide="ignore"):
+            assert log_normal_cdf(lo) <= log_normal_cdf(hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=st.floats(min_value=-1e154, allow_infinity=False))
+    def test_finite_down_to_minus_1e154(self, z):
+        # below about -1.9e154 the true value, about -z^2/2, is not a float
+        assert math.isfinite(log_normal_cdf(z))
 
     def test_complement_consistency(self):
         # exp(lnPhi(z)) + exp(lnPhi(-z)) == 1 within 1e-12 for |z| <= 8
