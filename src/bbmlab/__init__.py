@@ -6,7 +6,7 @@ event-driven Monte Carlo with a conditional scenario estimator (`mc`), and a
 CLI harness (`cli`).
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .model import RHO, SQRT2, ModelParams, alpha_from_velocity, velocity_from_alpha
 from .rates import (

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -100,16 +101,18 @@ class ExperimentConfig:
             check, expected = _FIELD_TYPES.get(f.name, (None, None))
             if check and not check(value) and not (value is None and f.default is None):
                 raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
-        if self.sigma2 <= 0:
-            raise ConfigError("sigma2 must be positive")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ConfigError("sigma2 must be finite and positive")
         if self.t_list is not None:
             if len(self.t_list) == 0:
                 raise ConfigError("t_list must not be empty")
             if any(b <= a for a, b in zip(self.t_list, self.t_list[1:])):
                 raise ConfigError("t_list must be strictly increasing")
         if self.kind in ("fkpp_rate", "mc_tail", "scenario_lb"):
-            if any(a >= 1.0 for a in self.alphas):
-                raise ConfigError("lower-deviation kinds require alphas < 1")
+            if not all(math.isfinite(a) and a < 1.0 for a in self.alphas):
+                raise ConfigError("lower-deviation kinds require finite alphas < 1")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.kind == "rate" and not self.alphas and not self.alpha_grid:
             raise ConfigError("rate requires --alphas or --alpha-grid")
         grid = self.alpha_grid

@@ -13,8 +13,16 @@ Scheme notes (these are constraints, not history):
     without repair or step-size limits; the splitting error is O(h^2).
     Inside one advance the adjacent half-steps of R fuse.
   * H convolves u with a positive lattice kernel of sum 1.  Where L < -1
-    this is a log-sum-exp over each window, shifted by the window maximum so
-    deep tails neither underflow nor lose relative precision.
+    this is a log-sum-exp, one exp per grid point: the outputs are cut into
+    blocks that share one shift, the largest window maximum in the block,
+    and a block ends before that maximum would lie more than _SPAN = 500
+    e-folds above the center value of its first output (a window steeper
+    than that is a block of one, shifted by its own maximum).  Since L is
+    nondecreasing, every output's own center term is then at least e^-500
+    and nothing it depends on underflows, whatever the step h.  Bounding
+    only the spread of the window maxima is not enough: for a kernel that
+    is nearly a delta (h <= 1e-16) the sum is the center term alone, which
+    can lie hundreds of e-folds below its window maximum and underflow.
   * Where L >= -1, H convolves 1 - u = -expm1(L) instead.  u = 1 is an
     unstable state of R, which multiplies 1 - u by e^{beta h} per step; a
     log-space sum there rounds at 1e-16 absolute, not relative to 1 - u, and
@@ -29,6 +37,18 @@ Scheme notes (these are constraints, not history):
   * Beyond the grid, u is held at u(x_min) on the left and at 1 on the
     right; probes keep 20 sigma sqrt(t) from x_min, so the left edge cannot
     reach them.
+  * Every grid contains x = 0: Grid.build snaps x_min down to a multiple of
+    dx, so the initial step is sampled at the same phase whatever t_final,
+    the probes or explicit bounds.  A probe's value then depends on the rest
+    of the solve only through the event times before it, which set the
+    splitting steps, and through the domain edges, by less than 1e-12.
+  * The domain is sized by what is read.  With probes or snapshots x_min is
+    v_min t - 20 sigma sqrt(t) - 10 sigma, v_min the lowest probe velocity
+    or 0; a front-only solve reads nothing left of its front and starts at
+    -10 sigma.  x_max is sqrt(2 sigma2) t + 20 sigma: 1 - u decays like
+    e^{-sqrt 2 (x - front)/sigma} ahead of the front, so u = 1 to rounding
+    at x_max (ln u = -1.4e-16 there at t = 80, dx = 0.1) and doubling that
+    margin moves no probe by 1e-12.
   * A non-finite value or a monotonicity defect above MONO_TOL after any step
     raises SolverInstabilityError; smaller defects are rounding, recorded as
     max_violation and left in place.
@@ -46,7 +66,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ive, logsumexp
 
 from .model import ModelParams
@@ -56,6 +75,7 @@ _LN_HALF = math.log(0.5)
 
 DEFAULT_DT = 0.02  # splitting step; the exact sub-flows impose no diffusive bound
 MONO_TOL = 1e-9  # a monotonicity defect above this aborts the run
+_SPAN = 500.0  # e-folds from a heat block's shift down to its lowest center value
 
 
 class SolverInstabilityError(RuntimeError):
@@ -109,7 +129,10 @@ class Grid:
 
     @classmethod
     def build(cls, x_min: float, x_max: float, dx: float, dt: float) -> "Grid":
-        """Grid with x_max snapped up to the dx lattice based at x_min."""
+        """Grid on the dx lattice through x = 0: x_min snapped down, x_max up."""
+        if not (dx > 0.0 and math.isfinite(dx)):
+            raise ValueError(f"dx must be positive, got {dx!r}")
+        x_min = math.floor(x_min / dx + 1e-9) * dx
         n_cells = max(7, int(math.ceil((x_max - x_min) / dx - 1e-9)))
         return cls(x_min=x_min, x_max=x_min + n_cells * dx, dx=dx, dt=dt)
 
@@ -189,14 +212,18 @@ class Stepper:
         P = np.concatenate([np.full(w, L[0]), L, np.zeros(w)])
         out = np.empty(n)
         i1 = int(np.searchsorted(L, -1.0))
-        if i1 > 0:
-            # log-sum-exp over each window, shifted by the window maximum (its
-            # right end, since L is nondecreasing) so nothing overflows
-            m = P[2 * w: i1 + 2 * w]
-            E = sliding_window_view(P[: i1 + 2 * w], K.size) - m[:, None]
-            np.exp(E, out=E)
-            np.log(E @ K, out=out[:i1])
-            out[:i1] += m
+        # log-sum-exp in blocks of outputs that share one shift: the largest
+        # window maximum in the block (window maxima are right ends, since L
+        # is nondecreasing), at most _SPAN above every center in the block
+        m = P[2 * w: i1 + 2 * w]
+        b0 = 0
+        while b0 < i1:
+            b1 = max(b0 + 1, int(np.searchsorted(m, P[b0 + w] + _SPAN, "right")))
+            shift = m[b1 - 1]
+            E = np.exp(P[b0: b1 + 2 * w] - shift)
+            np.log(np.convolve(E, K, "valid"), out=out[b0:b1])
+            out[b0:b1] += shift
+            b0 = b1
         if i1 < n:
             # near u = 1 convolve 1 - u, which keeps its relative precision
             c = np.convolve(-np.expm1(P[i1:]), K, "valid")
@@ -408,10 +435,13 @@ def solve(
     """Evolve from the smoothed step to t_final, recording probes on the way.
 
     probes are (alpha, t) pairs; each records ln u at x = alpha*sqrt(2
-    sigma2)*t by linear interpolation of L.  The domain is auto-sized so
-    every probe stays at least 20 sigma sqrt(t) above the left edge (and
-    the x bounds can be overridden, at which point that margin is checked
-    and DomainOverflowError raised if violated).  dt is the splitting step:
+    sigma2)*t by linear interpolation of L.  The domain is auto-sized by
+    what is read (module notes): every probe stays at least 20 sigma
+    sqrt(t) above the left edge, a front-only solve starts at -10 sigma,
+    and x_max sits 20 sigma beyond sqrt(2 sigma2) t_final.  The x bounds
+    can be overridden, at which point the probe margin is checked and
+    DomainOverflowError raised if violated; x_min is snapped down to the
+    dx lattice through x = 0 either way.  dt is the splitting step:
     each interval between consecutive probe, snapshot and front-sample times
     is split into ceil(interval / dt) equal steps.
     """
@@ -434,8 +464,9 @@ def solve(
         dt = DEFAULT_DT
     v_min = min([0.0] + [a * crit for a, _ in probes])
     root_t = math.sqrt(t_final) if t_final > 0.0 else 0.0
-    lo = x_min if x_min is not None else min(v_min * t_final - 20.0 * sigma * root_t - 10.0 * sigma, -10.0 * sigma)
-    hi = x_max if x_max is not None else max(crit * t_final + 20.0 * sigma * root_t, 10.0 * sigma)
+    left_margin = 20.0 * sigma * root_t if probes or snapshot_times else 0.0
+    lo = x_min if x_min is not None else v_min * t_final - left_margin - 10.0 * sigma
+    hi = x_max if x_max is not None else crit * t_final + 20.0 * sigma
     grid = Grid.build(lo, hi, dx, dt)
 
     for a, tp in probes:

@@ -79,6 +79,30 @@ class TestValidation:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv,config", [
+        (["mc-tail", "--alphas", "nan", "--t", 2, "--n-trials", 200], None),
+        (["scenario-lb", "--alphas", "nan", "--t", 2, "--n-trials", 200], None),
+        (["mc-tail", "--alphas", "inf", "--t", 2, "--n-trials", 200], None),
+        (["mc-tail", "--alphas", 0, "--t", 2, "--n-trials", 200, "--workers", 0], None),
+        (["mc-tail", "--alphas", 0, "--t", 2, "--n-trials", 200, "--workers", -2], None),
+        (["rate", "--alphas", 0, "--sigma2", "nan"], None),
+        (["mc-tail"], {"alphas": [math.nan], "t": 2.0, "n_trials": 200}),
+        (["fkpp-rate"], {"alphas": [-math.inf], "t_list": [1.0, 2.0]}),
+        (["sweep"], {"entries": [{"kind": "mc_tail", "alphas": [math.inf], "t": 2.0,
+                                  "n_trials": 200}]}),
+    ], ids=["nan-flag", "nan-scenario", "inf-flag", "workers-0", "workers-neg", "nan-sigma2",
+            "nan-config", "neg-inf-config", "inf-sweep-entry"])
+    def test_non_finite_or_out_of_range_rejected(self, tmp_path, argv, config):
+        # NaN compares False with everything, so "alpha >= 1" or "sigma2 <= 0"
+        # alone let it through
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", path]
+        out = tmp_path / "x.csv"
+        assert run_cli(argv + ["--out", out]) == 2
+        assert not out.exists()
+
     def test_missing_required_flag(self, tmp_path):
         assert run_cli(["tau-opt", "--t", 10, "--out", tmp_path / "x.csv"]) == 2
 
@@ -390,11 +414,13 @@ class TestSweepAndReplay:
         run_cli(["rate", "--alphas", 0, "--out", out])
         manifest_path = str(out) + ".manifest.json"
         manifest = json.loads(read(manifest_path))
-        manifest["version"] = "0.0.1"
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh)
-        capsys.readouterr()
-        assert run_cli(["replay", "--manifest", manifest_path]) == 6
-        err = capsys.readouterr().err
-        assert "0.0.1" in err and cli.__version__ in err
+        # 0.3.0 is the release before the PDE lattice moved to pass through x = 0
+        for version in ("0.0.1", "0.3.0"):
+            manifest["version"] = version
+            with open(manifest_path, "w") as fh:
+                json.dump(manifest, fh)
+            capsys.readouterr()
+            assert run_cli(["replay", "--manifest", manifest_path]) == 6
+            err = capsys.readouterr().err
+            assert version in err and cli.__version__ in err
         assert not (tmp_path / "rate.csv.replay.csv").exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from bbmlab.model import SQRT2, ModelParams
@@ -27,6 +28,9 @@ class TestGrid:
             fkpp.Grid(x_min=-1.0, x_max=1.0, dx=0.1, dt=0.0)
         with pytest.raises(ValueError):
             fkpp.Grid(x_min=-1.0, x_max=1.0, dx=0.3, dt=0.001)  # off-lattice span
+        for dx in (math.inf, math.nan, -0.1):
+            with pytest.raises(ValueError, match="dx must be positive"):
+                fkpp.Grid.build(-1.0, 1.0, dx, 0.001)
 
     def test_build_snaps_to_lattice(self):
         g = fkpp.Grid.build(-1.0, 1.05, 0.2, 0.001)
@@ -34,6 +38,10 @@ class TestGrid:
         assert g.n_points == 12
         xs = g.xs()
         assert xs[0] == g.x_min and xs[-1] == pytest.approx(g.x_max, rel=1e-12)
+        # x_min snaps down onto the lattice through x = 0
+        g = fkpp.Grid.build(-188.88543819998318, 292.1, 0.1, 0.001)
+        assert g.x_min == pytest.approx(-188.9, abs=1e-12)
+        assert np.min(np.abs(g.xs())) == 0.0
 
 
 class TestInitField:
@@ -223,6 +231,92 @@ class TestSplitting:
         assert np.all(out.L <= 0.0)
         assert np.all(np.diff(out.L) >= -1e-12 * max(1.0, float(np.max(np.abs(L)))))
         assert out.max_violation <= fkpp.MONO_TOL
+
+
+def windowed_heat(L, K):
+    """Reference heat pass: every window shifted by its own maximum, one exp
+    per grid point and kernel tap (the stepper's arithmetic before 0.4.0)."""
+    n, w = L.size, K.size // 2
+    P = np.concatenate([np.full(w, L[0]), L, np.zeros(w)])
+    out = np.empty(n)
+    i1 = int(np.searchsorted(L, -1.0))
+    if i1 > 0:
+        m = P[2 * w: i1 + 2 * w]
+        E = np.exp(sliding_window_view(P[: i1 + 2 * w], K.size) - m[:, None])
+        out[:i1] = np.log(E @ K) + m
+    if i1 < n:
+        c = np.convolve(-np.expm1(P[i1:]), K, "valid")
+        out[i1:] = np.log1p(-c)
+    return np.minimum(out, 0.0)
+
+
+class TestHeatPass:
+    """The block-shifted heat pass against the windowed log-sum-exp."""
+
+    @staticmethod
+    def assert_matches_reference(L, dx, h):
+        n = L.size
+        g = fkpp.Grid(x_min=-dx * (n // 2), x_max=dx * (n - 1 - n // 2), dx=dx, dt=h)
+        stepper = fkpp.Stepper(P1, g)
+        K = stepper._kernel(h)
+        got, ref = stepper._heat(L, K), windowed_heat(L, K)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (dx, h)
+
+    def test_random_monotone_fields(self):
+        rng = np.random.default_rng(20240607)
+        for _ in range(200):
+            n = int(rng.integers(20, 800))
+            dx = 10.0 ** rng.uniform(-2.0, math.log10(0.2))
+            h = 10.0 ** rng.uniform(-7.0, 0.0)
+            L = np.cumsum(10.0 ** rng.uniform(-4.0, 2.0) * rng.exponential(1.0, n))
+            L = np.minimum(L - L[int(rng.integers(0, n))], 0.0)
+            self.assert_matches_reference(L, dx, h)
+
+    @pytest.mark.parametrize("h", [1e-4, fkpp.DEFAULT_DT, 1.0])
+    def test_initial_profile(self, h):
+        g = fkpp.Grid.build(-40.0, 10.0, 0.05, h)
+        self.assert_matches_reference(fkpp.init_field(g, smoothing_eps=0.05).L, 0.05, h)
+
+    @pytest.mark.parametrize("slope", [60.0, 100.0])
+    def test_steep_field_with_near_delta_kernel(self, slope):
+        # a block's shift stays within 500 e-folds of every center value, so
+        # no output's own term underflows even when the window maxima are
+        # thousands of e-folds apart
+        L = np.minimum(0.0, slope * np.arange(-300.0, 100.0))
+        self.assert_matches_reference(L, 0.1, 1e-16)
+
+
+class TestDomain:
+    """The lattice passes through x = 0 and the grid is as wide as what is read."""
+
+    def test_probe_independent_of_horizon_and_other_probes(self):
+        # the initial step must be sampled at one lattice phase in every
+        # solve; a lattice based at x_min spreads these values by 3.6e-6
+        runs = [((0.0, 10.0),), ((0.0, 10.0), (0.0, 20.0)), ((0.0, 10.0), (0.0, 30.0)),
+                ((0.0, 10.0), (0.0, 30.0), (-1.5, 30.0))]
+        vals = []
+        for probes in runs:
+            t_final = max(t for _, t in probes)
+            res = fkpp.solve(P1, t_final, probes=probes, dx=0.05, track_front=False)
+            vals.append(res.tail_for(0.0).log_u[0])
+        assert max(vals) - min(vals) <= 1e-12, vals
+
+    def test_front_only_grid_reads_same_front(self):
+        res = fkpp.solve(P1, 80.0, dx=0.1)
+        assert res.grid.n_points == 1433
+        wide = fkpp.solve(P1, 80.0, dx=0.1, x_min=-188.9, x_max=292.0)
+        assert wide.grid.n_points == 4810
+        assert np.max(np.abs(res.front.positions - wide.front.positions)) <= 1e-12
+
+    def test_right_margin_suffices_for_tail_probes(self):
+        probes = [(a, t) for a in (0.05, -0.3, -0.9, -1.8) for t in (4.0, 8.0, 12.0, 16.0, 20.0)]
+        res = fkpp.solve(P1, 20.0, probes=probes, dx=0.05, track_front=False)
+        wide = fkpp.solve(P1, 20.0, probes=probes, dx=0.05, track_front=False,
+                          x_max=res.grid.x_max + 20.0)
+        for a in (0.05, -0.3, -0.9, -1.8):
+            diff = res.tail_for(a).log_u - wide.tail_for(a).log_u
+            assert np.max(np.abs(diff)) <= 1e-12, a
 
 
 class TestMeasurements:
