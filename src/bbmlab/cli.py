@@ -23,6 +23,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,12 +62,19 @@ def _is_number_list(x) -> bool:
     return isinstance(x, list) and all(map(_is_number, x))
 
 
-# type check per numeric field; None is also accepted where None is the default
+def _is_object_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(e, dict) for e in x)
+
+
+# type check per field; None is also accepted where None is the default
 _FIELD_TYPES = {
     **dict.fromkeys(("n_trials", "seed", "workers"), (_is_int, "an integer")),
     **dict.fromkeys(("sigma2", "v", "t", "t_final", "dx", "dt", "eps", "margin", "tau"),
                     (_is_number, "a number")),
     **dict.fromkeys(("alphas", "t_list", "alpha_grid"), (_is_number_list, "a list of numbers")),
+    **dict.fromkeys(("out", "input"), (lambda x: isinstance(x, str), "a string")),
+    "check": (lambda x: isinstance(x, bool), "a boolean"),
+    "entries": (_is_object_list, "a list of JSON objects"),
 }
 
 
@@ -157,9 +165,13 @@ def _estimate_row(name: str, alpha: float, t: float, x: float, est: mc.Estimate)
             est.seed)
 
 
-# -- experiment runners (one per kind, each returns CSV lines and run stats) ----
+# -- experiment runners (one per kind, each returns an Output) -------------------
 
-Output = tuple[list[str], dict]
+
+class Output(NamedTuple):
+    lines: list[str]  # CSV header and rows
+    stats: dict  # recorded under the manifest's "stats"
+    check_failed: bool = False  # a fit --check found a slope outside tolerance
 
 
 def _run_rate(cfg: ExperimentConfig) -> Output:
@@ -174,7 +186,7 @@ def _run_rate(cfg: ExperimentConfig) -> Output:
         val = rates.psi(a)
         chen = rates.chen_lower_bound(a) if a < 1.0 else float("nan")
         rows.append((a, val.rate, val.branch_tag.name, chen))
-    return csv_lines(RATE_CSV_HEADER, rows), {}
+    return Output(csv_lines(RATE_CSV_HEADER, rows), {})
 
 
 def _run_tau_opt(cfg: ExperimentConfig) -> Output:
@@ -190,7 +202,7 @@ def _run_tau_opt(cfg: ExperimentConfig) -> Output:
             )
             rows.append((v, cfg.sigma2, t, opt.tau_star, opt.tau_star / t,
                          opt.log_value, opt.empirical_rate, ref))
-    return csv_lines(TAU_CSV_HEADER, rows), {}
+    return Output(csv_lines(TAU_CSV_HEADER, rows), {})
 
 
 def _run_fkpp_rate(cfg: ExperimentConfig) -> Output:
@@ -212,7 +224,7 @@ def _run_fkpp_rate(cfg: ExperimentConfig) -> Output:
         "steps": result.steps,
         "max_violation": result.max_violation,
     }
-    return csv_lines(PROBE_CSV_HEADER, rows), stats
+    return Output(csv_lines(PROBE_CSV_HEADER, rows), stats)
 
 
 def _run_mc_tail(cfg: ExperimentConfig) -> Output:
@@ -223,7 +235,7 @@ def _run_mc_tail(cfg: ExperimentConfig) -> Output:
     ests = mc.estimate_tail(config, xs, cfg.n_trials, n_workers=cfg.workers)
     rows = [_estimate_row("naive_tail", a, cfg.t, x, est)
             for a, x, est in zip(cfg.alphas, xs, ests)]
-    return csv_lines(ESTIMATE_CSV_HEADER, rows), {}
+    return Output(csv_lines(ESTIMATE_CSV_HEADER, rows), {})
 
 
 def _run_scenario_lb(cfg: ExperimentConfig) -> Output:
@@ -237,7 +249,7 @@ def _run_scenario_lb(cfg: ExperimentConfig) -> Output:
         est = mc.scenario_estimate(config, scen, cfg.n_trials, n_workers=cfg.workers)
         rows.append(_estimate_row("scenario_lb", a, cfg.t, scen.threshold, est))
         estimates.append({"alpha": a, "ess": est.ess, "low_ess": est.low_ess})
-    return csv_lines(ESTIMATE_CSV_HEADER, rows), {"estimates": estimates}
+    return Output(csv_lines(ESTIMATE_CSV_HEADER, rows), {"estimates": estimates})
 
 
 def _read_probe_csv(path: str) -> dict[float, tuple[list[float], list[float]]]:
@@ -287,21 +299,10 @@ def _run_fit(cfg: ExperimentConfig) -> Output:
         sign_consistent = (fit.b < 0.0) == (prefactor_ref < 0.0)
         rows.append((a, fit.a, fit.b, fit.c, fit.se_a, fit.se_b, fit.se_c, psi_ref, rel,
                      prefactor_ref, sign_consistent, status))
-    lines = csv_lines(FIT_CSV_HEADER, rows)
-    if cfg.check and any_fail:
-        raise _CheckFailed(lines)
-    return lines, {}
+    return Output(csv_lines(FIT_CSV_HEADER, rows), {}, check_failed=cfg.check and any_fail)
 
 
-class _CheckFailed(Exception):
-    def __init__(self, lines: list[str]):
-        super().__init__("fit check failed")
-        self.lines = lines
-
-
-def _run_entry_for_sweep(entry_dict: dict) -> Output:
-    cfg = _config_from_dict(entry_dict)
-    cfg.validate()
+def _run_entry(cfg: ExperimentConfig) -> Output:
     return _RUNNERS[cfg.kind](cfg)
 
 
@@ -312,21 +313,22 @@ def _run_sweep(cfg: ExperimentConfig) -> Output:
         raise ConfigError("sweep entries must all share one kind")
     if kinds == {"sweep"}:
         raise ConfigError("sweep entries cannot be sweeps")
-    for e in entries:
-        _config_from_dict(e).validate()
+    cfgs = [_config_from_dict(e) for e in entries]
+    for entry in cfgs:
+        entry.validate()
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_entry_for_sweep, entries))
+            results = list(pool.map(_run_entry, cfgs))
     else:
-        results = [_run_entry_for_sweep(e) for e in entries]
+        results = [_run_entry(entry) for entry in cfgs]
     # concatenate bodies in config order under the first header
-    blocks = [block for block, _ in results]
-    lines = [blocks[0][0]]
-    for block in blocks:
-        if block[0] != lines[0]:
+    lines = [results[0].lines[0]]
+    for res in results:
+        if res.lines[0] != lines[0]:
             raise ConfigError("sweep entries produced differing headers")
-        lines.extend(block[1:])
-    return lines, {"entries": [stats for _, stats in results]}
+        lines.extend(res.lines[1:])
+    return Output(lines, {"entries": [res.stats for res in results]},
+                  check_failed=any(res.check_failed for res in results))
 
 
 _RUNNERS = {
@@ -345,7 +347,17 @@ _RUNNERS = {
 _CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
 
 
+def _read_json_object(path: str) -> dict:
+    with open(path) as fh:
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return d
+
+
 def _config_from_dict(d: dict) -> ExperimentConfig:
+    if not isinstance(d, dict):
+        raise ConfigError("config must be a JSON object")
     unknown = set(d) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -361,24 +373,35 @@ def _merge_config(kind: str, file_cfg: dict, flag_cfg: dict) -> ExperimentConfig
     return _config_from_dict(merged)
 
 
-def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment: write CSV and manifest, return an exit code."""
+def run(cfg: ExperimentConfig, expected_sha256: str | None = None) -> int:
+    """Execute one experiment: write CSV and manifest, return an exit code.
+
+    A failed fit check exits 6 after writing every row.  With expected_sha256
+    (a replay), a CSV body of another hash exits 6 as well.
+    """
     cfg.validate()
     if cfg.out is None:
         raise ConfigError("an output path is required (--out)")
     started = time.time()
-    try:
-        lines, stats = _RUNNERS[cfg.kind](cfg)
-    except _CheckFailed as exc:
-        _write_outputs(cfg, exc.lines, {}, started)
+    res = _RUNNERS[cfg.kind](cfg)
+    sha = _write_outputs(cfg, res, started)
+    code = EXIT_OK
+    if res.check_failed:
         _emit_error("acceptance-fail", "fit check failed (relative slope error above tolerance)")
-        return EXIT_CHECK_FAILED
-    _write_outputs(cfg, lines, stats, started)
-    return EXIT_OK
+        code = EXIT_CHECK_FAILED
+    if expected_sha256 is not None:
+        if sha != expected_sha256:
+            _emit_error("acceptance-fail",
+                        f"replay mismatch: sha256 {sha} != recorded {expected_sha256}")
+            return EXIT_CHECK_FAILED
+        print(f"replay ok: {cfg.out} matches recorded sha256")
+    return code
 
 
-def _write_outputs(cfg: ExperimentConfig, lines: list[str], stats: dict, started: float) -> None:
-    body = "\n".join(lines) + "\n"
+def _write_outputs(cfg: ExperimentConfig, res: Output, started: float) -> str:
+    """Write the CSV and its manifest; return the body's sha256."""
+    body = "\n".join(res.lines) + "\n"
+    sha = sha256_text(body)
     out_dir = os.path.dirname(os.path.abspath(cfg.out))
     os.makedirs(out_dir, exist_ok=True)
     with open(cfg.out, "w") as fh:
@@ -388,18 +411,18 @@ def _write_outputs(cfg: ExperimentConfig, lines: list[str], stats: dict, started
         "config": cfg.resolved(),
         "seed": cfg.seed,
         "csv_path": os.path.basename(cfg.out),
-        "csv_sha256": sha256_text(body),
-        "stats": stats,
+        "csv_sha256": sha,
+        "stats": res.stats,
         "timings": {"wall_s": time.time() - started},
     }
     with open(cfg.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    return sha
 
 
 def _replay(manifest_path: str, out: str | None) -> int:
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json_object(manifest_path)
     recorded = manifest.get("version")
     if recorded != __version__:
         _emit_error(
@@ -408,21 +431,12 @@ def _replay(manifest_path: str, out: str | None) -> int:
             f"this is bbmlab {__version__}; rerun it with the version that wrote it",
         )
         return EXIT_CHECK_FAILED
+    missing = [key for key in ("config", "csv_sha256") if key not in manifest]
+    if missing:
+        raise ConfigError(f"{manifest_path}: manifest lacks {missing}")
     cfg = _config_from_dict(manifest["config"])
     cfg.out = out or (manifest_path[: -len(".manifest.json")] + ".replay.csv")
-    cfg.validate()
-    started = time.time()
-    lines, stats = _RUNNERS[cfg.kind](cfg)
-    _write_outputs(cfg, lines, stats, started)
-    new_sha = sha256_text("\n".join(lines) + "\n")
-    if new_sha != manifest["csv_sha256"]:
-        _emit_error(
-            "acceptance-fail",
-            f"replay mismatch: sha256 {new_sha} != recorded {manifest['csv_sha256']}",
-        )
-        return EXIT_CHECK_FAILED
-    print(f"replay ok: {cfg.out} matches recorded sha256")
-    return EXIT_OK
+    return run(cfg, expected_sha256=manifest["csv_sha256"])
 
 
 def _emit_error(category: str, message: str) -> None:
@@ -504,8 +518,6 @@ _EXCEPTION_EXITS = [
     (fkpp.DomainOverflowError, EXIT_DOMAIN, "domain-overflow"),
     (fkpp.SolverInstabilityError, EXIT_INSTABILITY, "solver-instability"),
     (mc.ParticleCapError, EXIT_PARTICLE_CAP, "particle-cap"),
-    (fkpp.InsufficientSamplesError, EXIT_CONFIG, "config-invalid"),
-    (fkpp.RankDeficientFitError, EXIT_CONFIG, "config-invalid"),
     (ValueError, EXIT_CONFIG, "config-invalid"),
 ]
 
@@ -519,8 +531,7 @@ def main(argv=None) -> int:
         kind = args.command.replace("-", "_")
         file_cfg = {}
         if args.config:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
+            file_cfg = _read_json_object(args.config)
             file_cfg.pop("kind", None)
         flag_cfg = {
             k: v

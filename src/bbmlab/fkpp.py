@@ -1,14 +1,14 @@
 """Log-domain solver for the rightmost-particle CDF front.
 
 The CDF u(x, t) of the rightmost position solves the semilinear
-reaction-diffusion equation u_t = (sigma2/2) u_xx + beta (u^2 - u); we store
+reaction-diffusion equation u_t = (sigma2/2) u_xx + u^2 - u; we store
 L = ln u instead, because the quantities of interest sit near e^{-200}, far
 below what a linear-domain field retains.
 
 Scheme notes (these are constraints, not history):
   * Each step of size h is a Strang splitting R(h/2) H(h) R(h/2) of two
     sub-flows of the u-equation, each solved exactly: H, the heat flow, and
-    R, the logistic flow L <- L - log1p(-expm1(beta h) expm1(L)).  Both are
+    R, the logistic flow L <- L - log1p(-expm1(h) expm1(L)).  Both are
     monotone maps that fix u = 1, so the field stays nondecreasing and <= 0
     without repair or step-size limits; the splitting error is O(h^2).
     Inside one advance the adjacent half-steps of R fuse.
@@ -24,7 +24,7 @@ Scheme notes (these are constraints, not history):
     is nearly a delta (h <= 1e-16) the sum is the center term alone, which
     can lie hundreds of e-folds below its window maximum and underflow.
   * Where L >= -1, H convolves 1 - u = -expm1(L) instead.  u = 1 is an
-    unstable state of R, which multiplies 1 - u by e^{beta h} per step; a
+    unstable state of R, which multiplies 1 - u by e^h per step; a
     log-space sum there rounds at 1e-16 absolute, not relative to 1 - u, and
     R grows that noise like e^t, into monotonicity defects or a slide of the
     whole leading edge off u = 1.
@@ -52,11 +52,11 @@ Scheme notes (these are constraints, not history):
   * A non-finite value or a monotonicity defect above MONO_TOL after any step
     raises SolverInstabilityError; smaller defects are rounding, recorded as
     max_violation and left in place.
-  * The initial profile ln(Phi(x/eps)) is clipped at tail_floor, which
-    raises u by at most e^{tail_floor}.  Both sub-flows are order preserving
-    and Lipschitz in u (H with constant 1, R with e^{beta h}), so the excess
-    stays below e^{tail_floor + beta t}: hundreds of e-folds under every
-    probe at the default floor of -700.
+  * The initial profile ln(Phi(x/eps)) is clipped at TAIL_FLOOR = -700,
+    which raises u by at most e^TAIL_FLOOR.  Both sub-flows are order
+    preserving and Lipschitz in u (H with constant 1, R with e^h), so the
+    excess stays below e^{TAIL_FLOOR + t}: hundreds of e-folds under every
+    probe.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ _LN_HALF = math.log(0.5)
 DEFAULT_DT = 0.02  # splitting step; the exact sub-flows impose no diffusive bound
 MONO_TOL = 1e-9  # a monotonicity defect above this aborts the run
 _SPAN = 500.0  # e-folds from a heat block's shift down to its lowest center value
+TAIL_FLOOR = -700.0  # clip of the initial ln u (module notes)
 
 
 class SolverInstabilityError(RuntimeError):
@@ -164,8 +165,8 @@ class LogField:
             raise ValueError("right boundary is not pinned near u = 1; widen the domain")
 
 
-def init_field(grid: Grid, smoothing_eps: float, tail_floor: float = -700.0) -> LogField:
-    """Smoothed-step initial data L(x) = ln(Phi(x / eps)), clipped at tail_floor.
+def init_field(grid: Grid, smoothing_eps: float) -> LogField:
+    """Smoothed-step initial data L(x) = ln(Phi(x / eps)), clipped at TAIL_FLOOR.
 
     eps must lie in [dx/2, 4 dx]: narrower is unresolvable, wider visibly
     biases the O(1) prefactor.  The exact indicator initial condition would
@@ -176,10 +177,8 @@ def init_field(grid: Grid, smoothing_eps: float, tail_floor: float = -700.0) -> 
             f"smoothing_eps must lie in [dx/2, 4*dx] = "
             f"[{0.5 * grid.dx}, {4.0 * grid.dx}], got {smoothing_eps!r}"
         )
-    if not tail_floor <= -50.0:
-        raise ValueError(f"tail_floor must be <= -50, got {tail_floor!r}")
     L = log_normal_cdf(grid.xs() / smoothing_eps)
-    np.maximum(L, tail_floor, out=L)
+    np.maximum(L, TAIL_FLOOR, out=L)
     np.minimum(L, 0.0, out=L)
     fld = LogField(L=L, time=0.0, grid=grid)
     fld.validate()
@@ -192,7 +191,6 @@ class Stepper:
 
     params: ModelParams
     grid: Grid
-    reaction: bool = True
 
     def _kernel(self, h: float) -> np.ndarray:
         """Positive lattice kernel of sum 1 and variance sigma2 * h."""
@@ -231,10 +229,8 @@ class Stepper:
         return np.minimum(out, 0.0, out=out)
 
     def _react(self, L: np.ndarray, h: float) -> None:
-        """Exact logistic flow du/dt = beta (u^2 - u) over time h, in place."""
-        if not self.reaction:
-            return
-        a = math.expm1(self.params.branch_rate * h)
+        """Exact logistic flow du/dt = u^2 - u over time h, in place."""
+        a = math.expm1(h)
         # expm1(L) is -1 to machine precision below L = -40: a plain shift there
         i0 = int(np.searchsorted(L, -40.0))
         L[:i0] -= math.log1p(a)
@@ -314,7 +310,7 @@ def renewal_quadrature(fld: LogField, x: float, tau: float, params: ModelParams)
         raise DomainOverflowError("quadrature support exceeds the field's grid")
     log_gauss = -0.5 * y * y / sig2t - 0.5 * math.log(2.0 * math.pi * sig2t)
     vals = log_gauss + np.interp(x - y, fld.grid.xs(), fld.L)
-    return -params.branch_rate * tau + float(logsumexp(vals)) + math.log(dy)
+    return -tau + float(logsumexp(vals)) + math.log(dy)
 
 
 # -- front trace and tail series ---------------------------------------------
@@ -425,7 +421,6 @@ def solve(
     dx: float = 0.05,
     dt: float | None = None,
     smoothing_eps: float | None = None,
-    tail_floor: float = -700.0,
     snapshot_times: Sequence[float] = (),
     track_front: bool = True,
     front_samples: int = 400,
@@ -479,7 +474,7 @@ def solve(
             raise DomainOverflowError(f"probe (alpha={a}, t={tp}) beyond x_max")
 
     eps = smoothing_eps if smoothing_eps is not None else dx
-    fld = init_field(grid, eps, tail_floor=tail_floor)
+    fld = init_field(grid, eps)
     stepper = Stepper(params=params, grid=grid)
 
     front_set: set[float] = set()

@@ -104,7 +104,6 @@ def _simulate_xmax_one(
     if t <= 0.0:
         return 0.0, 1
     sigma = params.sigma
-    inv_rate = 1.0 / params.branch_rate
     pos = np.zeros(1)
     rem = np.full(1, float(t))
     x_max = -math.inf
@@ -112,8 +111,6 @@ def _simulate_xmax_one(
     while pos.size:
         k = pos.size
         lives = rng.standard_exponential(k)
-        if inv_rate != 1.0:
-            lives *= inv_rate
         z = rng.standard_normal(k)
         branch = lives < rem
         step = np.minimum(lives, rem)
@@ -209,11 +206,11 @@ def scenario_estimate(
 ) -> Estimate:
     """Unbiased estimate of P(x_max <= threshold, no branching before tau).
 
-    The first particle survives to tau with probability exp(-beta tau), and
+    The first particle survives to tau with probability exp(-tau), and
     its displacement y ~ N(0, sigma2 tau) is independent of the maximum xm of
     the tree it then spawns over the remaining horizon, so
     P(y + xm <= threshold | xm) = Phi((threshold - xm) / (sigma sqrt(tau))).
-    Each trial samples one such tree and contributes exp(-beta tau) times that
+    Each trial samples one such tree and contributes exp(-tau) times that
     conditional probability, so every trial adds positive mass.  The ESS is
     taken over these per-trial values.  The estimated functional is a
     certified lower bound on the plain tail probability at the same threshold.
@@ -224,7 +221,7 @@ def scenario_estimate(
         raise ValueError(f"tau must lie in (0, t], got tau={scen.tau!r}, t={config.t!r}")
     params = config.params
     xm, _ = sample_xmax(replace(config, t=config.t - scen.tau), n_trials, n_workers)
-    logv = -params.branch_rate * scen.tau + log_normal_cdf(
+    logv = -scen.tau + log_normal_cdf(
         (scen.threshold - xm) / (params.sigma * math.sqrt(scen.tau))
     )
 
@@ -241,24 +238,23 @@ def scenario_estimate(
 
 
 def upper_tail_first_moment(t: float, v: float, params: ModelParams) -> float:
-    """ln E[#particles above v t at time t] = beta t + ln Phi(-v sqrt(t)/sigma).
+    """ln E[#particles above v t at time t] = t + ln Phi(-v sqrt(t)/sigma).
 
     By Markov's inequality its exponential upper-bounds P(x_max > v t); per
     unit time it approaches 1 - v^2/(2 sigma2) for large t.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
-    return params.branch_rate * t + log_normal_cdf(-v * math.sqrt(t) / params.sigma)
+    return t + log_normal_cdf(-v * math.sqrt(t) / params.sigma)
 
 
-def first_branch_times(seed: int, n_trials: int, branch_rate: float = 1.0) -> np.ndarray:
+def first_branch_times(seed: int, n_trials: int) -> np.ndarray:
     """First lifetime drawn by each trial stream (the first branching epoch).
 
     Replays exactly the first draw of the streams used by sample_xmax /
     estimate_tail, uncensored by any horizon.
     """
-    inv_rate = 1.0 / branch_rate
     out = np.empty(n_trials)
     for i in range(n_trials):
-        out[i] = _trial_rng(seed, i).standard_exponential(1)[0] * inv_rate
+        out[i] = _trial_rng(seed, i).standard_exponential(1)[0]
     return out

@@ -19,26 +19,16 @@ RHO = SQRT2 - 1.0
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Diffusion variance per unit time, branching intensity, offspring count.
+    """Diffusion variance per unit time.
 
-    The closed-form rate formulas assume branch_rate == 1; consumers that
-    depend on that reject other values instead of silently rescaling time.
-    Offspring count is fixed at 2 (binary splitting).
+    The model branches at rate 1 into two offspring; neither is a setting.
     """
 
     sigma2: float = 1.0
-    branch_rate: float = 1.0
-    offspring_count: int = 2
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
             raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2!r}")
-        if not (math.isfinite(self.branch_rate) and self.branch_rate > 0.0):
-            raise ValueError(
-                f"branch_rate must be finite and positive, got {self.branch_rate!r}"
-            )
-        if self.offspring_count != 2:
-            raise ValueError("only binary branching is supported (offspring_count == 2)")
 
     @property
     def sigma(self) -> float:

@@ -45,15 +45,6 @@ class ScenarioGeometry:
     drift: float
 
 
-def _require_unit_branch_rate(params: ModelParams) -> None:
-    # The closed forms are specific to branch rate 1; refuse to rescale silently.
-    if params.branch_rate != 1.0:
-        raise ValueError(
-            "closed-form rates assume branch_rate == 1; rescale time yourself "
-            f"(got branch_rate={params.branch_rate!r})"
-        )
-
-
 def psi(alpha: float) -> RateValue:
     """Lower/upper deviation rate of the normalized rightmost position.
 
@@ -80,7 +71,6 @@ def phi(v: float, params: ModelParams) -> RateValue:
     Coincides with psi(v / sqrt(2 sigma2)) exactly (same code path).
     Defined only for v strictly below the critical velocity.
     """
-    _require_unit_branch_rate(params)
     if not v < params.critical_velocity:
         raise ValueError(
             f"phi requires v < sqrt(2*sigma2) = {params.critical_velocity!r}, got v={v!r}"
@@ -94,7 +84,6 @@ def upper_rate(v: float, params: ModelParams) -> float:
     Returned sign-normalized so that positive means decay:
     ln P ~ -(v^2/(2 sigma2) - 1) * t.
     """
-    _require_unit_branch_rate(params)
     if not v > params.critical_velocity:
         raise ValueError(
             f"upper_rate requires v > sqrt(2*sigma2) = {params.critical_velocity!r}, "
@@ -122,7 +111,6 @@ def scenario_geometry(alpha: float, params: ModelParams) -> ScenarioGeometry:
     the kink the particle simply never branches and drifts straight to the
     target alpha*sqrt(2 sigma2)*t.
     """
-    _require_unit_branch_rate(params)
     if not (math.isfinite(alpha) and alpha < 1.0):
         raise ValueError(f"scenario geometry requires alpha < 1, got {alpha!r}")
     if alpha >= -RHO:

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from bbmlab import cli, fkpp, mc
 from bbmlab.model import RHO, SQRT2, ModelParams
+from bbmlab.serialize import sha256_text
 from bbmlab.varopt import log_normal_cdf
 
 
@@ -16,6 +17,13 @@ def run_cli(args):
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def write_probe(path, slope):
+    """Probe CSV at alpha = 0 with ln u = -slope * t, t = 10..50."""
+    path.write_text("alpha,t,x_probe,ln_u,dx,dt,eps\n" + "".join(
+        f"0,{t},0,{-slope * t},0.1,0.001,0.1\n" for t in (10.0, 20.0, 30.0, 40.0, 50.0)
+    ))
 
 
 class TestRate:
@@ -116,12 +124,15 @@ class TestValidation:
             assert run_cli(["scenario-lb", "--config", path, "--out", tmp_path / "x.csv"]) == 2
 
     @pytest.mark.parametrize("field", [{"n_trials": 100.0}, {"workers": 1.5}, {"t": "8"},
-                                       {"seed": 7.0}], ids=lambda f: "-".join(f))
+                                       {"seed": 7.0}, {"out": 5}, {"input": 5},
+                                       {"check": "yes"}, {"entries": [5]}],
+                             ids=lambda f: "-".join(f))
     def test_numeric_config_field_types(self, tmp_path, capsys, field):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"t": 1.0, "n_trials": 100, **field}))
+        # the output path comes from the file too, so {"out": 5} is not overridden
         out = tmp_path / "x.csv"
-        assert run_cli(["mc-tail", "--config", path, "--alpha", 0, "--out", out]) == 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"t": 1.0, "n_trials": 100, "out": str(out), **field}))
+        assert run_cli(["mc-tail", "--config", path, "--alpha", 0]) == 2
         assert f"{next(iter(field))} must be" in capsys.readouterr().err
         assert not out.exists()
 
@@ -297,13 +308,21 @@ class TestFkppAndFit:
     def test_fit_check_failure_exit_code(self, tmp_path):
         # synthetic probe data with a slope far from the closed form
         probe = tmp_path / "probe.csv"
-        ts = [10.0, 20.0, 30.0, 40.0, 50.0]
-        lines = ["alpha,t,x_probe,ln_u,dx,dt,eps"]
-        for t in ts:
-            lines.append(f"0,{t},0,{-2.0 * t},0.1,0.001,0.1")
-        probe.write_text("\n".join(lines) + "\n")
+        write_probe(probe, slope=2.0)
         assert run_cli(["fit", "--input", probe, "--out", tmp_path / "f.csv",
                         "--check"]) == 6
+
+    def test_replay_of_failed_check_exits_6(self, tmp_path, capsys):
+        probe = tmp_path / "probe.csv"
+        write_probe(probe, slope=2.0)
+        out = tmp_path / "f.csv"
+        assert run_cli(["fit", "--input", probe, "--check", "--out", out]) == 6
+        capsys.readouterr()
+        assert run_cli(["replay", "--manifest", str(out) + ".manifest.json"]) == 6
+        assert read(tmp_path / "f.csv.replay.csv") == read(out)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [json.loads(ln)["error"] for ln in err.splitlines()] == ["acceptance-fail"]
 
     def test_fit_exact_synthetic_recovery(self, tmp_path):
         probe = tmp_path / "probe.csv"
@@ -379,6 +398,24 @@ class TestSweepAndReplay:
         assert run_cli(["sweep", "--config", path, "--workers", 3, "--out", out2]) == 0
         assert read(out1) == read(out2)
 
+    def test_sweep_with_failing_check_writes_every_row(self, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_probe(good, slope=2.0 * RHO)
+        write_probe(bad, slope=2.0)
+        cfg = {"entries": [{"kind": "fit", "input": str(good)},
+                           {"kind": "fit", "input": str(bad), "check": True},
+                           {"kind": "fit", "input": str(good)}]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        assert run_cli(["sweep", "--config", path, "--out", out1]) == 6
+        assert run_cli(["sweep", "--config", path, "--workers", 2, "--out", out2]) == 6
+        body = read(out1)
+        assert body == read(out2)
+        assert [ln.rsplit(",", 1)[1] for ln in body.splitlines()[1:]] == ["PASS", "FAIL", "PASS"]
+        manifest = json.loads(read(str(out1) + ".manifest.json"))
+        assert manifest["csv_sha256"] == sha256_text(body)
+
     def test_sweep_rejects_mixed_kinds(self, tmp_path):
         cfg = {
             "kind": "sweep",
@@ -423,4 +460,25 @@ class TestSweepAndReplay:
             assert run_cli(["replay", "--manifest", manifest_path]) == 6
             err = capsys.readouterr().err
             assert version in err and cli.__version__ in err
+        assert not (tmp_path / "rate.csv.replay.csv").exists()
+
+    @pytest.mark.parametrize("drop,message", [("csv_sha256", "['csv_sha256']"),
+                                              ("config", "['config']"),
+                                              (None, "expected a JSON object")],
+                             ids=["no-csv-sha256", "no-config", "not-an-object"])
+    def test_malformed_manifest_is_config_invalid(self, tmp_path, capsys, drop, message):
+        out = tmp_path / "rate.csv"
+        run_cli(["rate", "--alphas", 0, "--out", out])
+        manifest_path = str(out) + ".manifest.json"
+        manifest = json.loads(read(manifest_path))
+        if drop is None:
+            manifest = [manifest]
+        else:
+            del manifest[drop]
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        assert run_cli(["replay", "--manifest", manifest_path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid" and message in err["message"]
         assert not (tmp_path / "rate.csv.replay.csv").exists()

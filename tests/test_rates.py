@@ -101,10 +101,6 @@ class TestPhi:
         for v in rng.uniform(-6.0, SQRT2 - 1e-9, size=200):
             assert phi(v, P1).rate == psi(v / SQRT2).rate  # same code path, bit-equal
 
-    def test_rejects_nonunit_branch_rate(self):
-        with pytest.raises(ValueError):
-            phi(0.0, ModelParams(branch_rate=2.0))
-
 
 class TestUpperRate:
     def test_examples(self):
