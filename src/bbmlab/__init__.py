@@ -6,9 +6,9 @@ event-driven Monte Carlo with a conditional scenario estimator (`mc`), and a
 CLI harness (`cli`).
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
-from .model import RHO, SQRT2, ModelParams, alpha_from_velocity, velocity_from_alpha
+from .model import RHO, SQRT2, ModelParams, alpha_from_velocity
 from .rates import (
     RateValue,
     Regime,
@@ -28,7 +28,6 @@ __all__ = [
     "SQRT2",
     "ModelParams",
     "alpha_from_velocity",
-    "velocity_from_alpha",
     "RateValue",
     "Regime",
     "ScenarioGeometry",

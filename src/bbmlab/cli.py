@@ -41,8 +41,6 @@ EXIT_CHECK_FAILED = 6
 
 WORKERS_ENV = "BBM_LDP_WORKERS"
 
-KINDS = ("rate", "tau_opt", "fkpp_rate", "mc_tail", "scenario_lb", "sweep", "fit")
-
 SLOPE_TOLERANCE = 0.05  # acceptance tolerance for |a - psi| / psi in fit reports
 
 
@@ -69,7 +67,7 @@ def _is_object_list(x) -> bool:
 # type check per field; None is also accepted where None is the default
 _FIELD_TYPES = {
     **dict.fromkeys(("n_trials", "seed", "workers"), (_is_int, "an integer")),
-    **dict.fromkeys(("sigma2", "v", "t", "t_final", "dx", "dt", "eps", "margin", "tau"),
+    **dict.fromkeys(("sigma2", "v", "t", "dx", "dt", "eps", "tau"),
                     (_is_number, "a number")),
     **dict.fromkeys(("alphas", "t_list", "alpha_grid"), (_is_number_list, "a list of numbers")),
     **dict.fromkeys(("out", "input"), (lambda x: isinstance(x, str), "a string")),
@@ -86,14 +84,12 @@ class ExperimentConfig:
     v: float | None = None
     t: float | None = None
     t_list: list | None = None
-    t_final: float | None = None
     n_trials: int = 10000
     seed: int = 1
     out: str | None = None
     dx: float = 0.05
     dt: float | None = None
     eps: float | None = None
-    margin: float = -1.0
     tau: float | None = None
     workers: int = 1
     input: str | None = None
@@ -102,7 +98,7 @@ class ExperimentConfig:
     entries: list | None = None     # sweep sub-configs
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _RUNNERS:
             raise ConfigError(f"unknown kind {self.kind!r}")
         for f in fields(self):
             value = getattr(self, f.name)
@@ -197,9 +193,7 @@ def _run_tau_opt(cfg: ExperimentConfig) -> Output:
     for v in vs:
         ref = rates.phi(v, params).rate
         for t in ts:
-            opt = varopt.maximize(
-                varopt.ObjectiveSpec(v=v, t=float(t), sigma2=cfg.sigma2, margin=cfg.margin)
-            )
+            opt = varopt.maximize(varopt.ObjectiveSpec(v=v, t=float(t), params=params))
             rows.append((v, cfg.sigma2, t, opt.tau_star, opt.tau_star / t,
                          opt.log_value, opt.empirical_rate, ref))
     return Output(csv_lines(TAU_CSV_HEADER, rows), {})
@@ -207,10 +201,9 @@ def _run_tau_opt(cfg: ExperimentConfig) -> Output:
 
 def _run_fkpp_rate(cfg: ExperimentConfig) -> Output:
     params = ModelParams(sigma2=cfg.sigma2)
-    t_final = cfg.t_final if cfg.t_final is not None else max(cfg.t_list)
     probes = [(a, t) for a in cfg.alphas for t in cfg.t_list]
     result = fkpp.solve(
-        params, t_final, probes=probes, dx=cfg.dx, dt=cfg.dt,
+        params, max(cfg.t_list), probes=probes, dx=cfg.dx, dt=cfg.dt,
         smoothing_eps=cfg.eps, track_front=False,
     )
     grid = result.grid
@@ -254,18 +247,22 @@ def _run_scenario_lb(cfg: ExperimentConfig) -> Output:
 
 def _read_probe_csv(path: str) -> dict[float, tuple[list[float], list[float]]]:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     required = ["alpha", "t", "ln_u"]
     missing = [col for col in required if col not in header]
     if missing:
         raise ConfigError(f"{path}: missing columns {missing}")
     ia, it, iu = (header.index(c) for c in required)
     series: dict[float, tuple[list[float], list[float]]] = {}
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         parts = ln.split(",")
+        if len(parts) < len(header):
+            raise ConfigError(
+                f"{path}: line {n} has {len(parts)} cells, fewer than the header's {len(header)}"
+            )
         a, t, lu = float(parts[ia]), float(parts[it]), float(parts[iu])
         series.setdefault(a, ([], []))[0].append(t)
         series[a][1].append(lu)
@@ -321,11 +318,9 @@ def _run_sweep(cfg: ExperimentConfig) -> Output:
             results = list(pool.map(_run_entry, cfgs))
     else:
         results = [_run_entry(entry) for entry in cfgs]
-    # concatenate bodies in config order under the first header
+    # one kind, so one header: concatenate bodies in config order under it
     lines = [results[0].lines[0]]
     for res in results:
-        if res.lines[0] != lines[0]:
-            raise ConfigError("sweep entries produced differing headers")
         lines.extend(res.lines[1:])
     return Output(lines, {"entries": [res.stats for res in results]},
                   check_failed=any(res.check_failed for res in results))
@@ -461,9 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, trials=False, solver=False):
         sp.add_argument("--config", help="JSON config file (flags override it)")
         sp.add_argument("--sigma2", type=float, default=None)
-        sp.add_argument("--alphas", type=float, nargs="+", default=None)
-        sp.add_argument("--alpha", type=float, dest="alpha", default=None,
-                        help="shorthand for a single-entry --alphas")
+        sp.add_argument("--alphas", "--alpha", type=float, nargs="+", default=None)
         sp.add_argument("--t", type=float, default=None)
         sp.add_argument("--t-list", type=float, nargs="+", dest="t_list", default=None)
         sp.add_argument("--seed", type=int, default=None)
@@ -476,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--dx", type=float, default=None)
             sp.add_argument("--dt", type=float, default=None)
             sp.add_argument("--eps", type=float, default=None)
-            sp.add_argument("--t-final", type=float, dest="t_final", default=None)
 
     sp = sub.add_parser("rate", help="closed-form rate table / curve points")
     common(sp)
@@ -486,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tau-opt", help="optimize the first-branch time")
     common(sp)
     sp.add_argument("--v", type=float, default=None)
-    sp.add_argument("--margin", type=float, default=None)
 
     sp = sub.add_parser("fkpp-rate", help="PDE tail probes along alpha rays")
     common(sp, solver=True)
@@ -514,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _EXCEPTION_EXITS = [
-    (ConfigError, EXIT_CONFIG, "config-invalid"),
     (fkpp.DomainOverflowError, EXIT_DOMAIN, "domain-overflow"),
     (fkpp.SolverInstabilityError, EXIT_INSTABILITY, "solver-instability"),
     (mc.ParticleCapError, EXIT_PARTICLE_CAP, "particle-cap"),
@@ -536,10 +526,8 @@ def main(argv=None) -> int:
         flag_cfg = {
             k: v
             for k, v in vars(args).items()
-            if k not in ("command", "config", "alpha") and v is not None
+            if k not in ("command", "config") and v is not None
         }
-        if getattr(args, "alpha", None) is not None:
-            flag_cfg.setdefault("alphas", [args.alpha])
         if flag_cfg.get("workers") is None and "workers" not in file_cfg:
             env = os.environ.get(WORKERS_ENV)
             if env:

@@ -402,7 +402,6 @@ class SolveResult:
     snapshots: dict[float, LogField]
     grid: Grid
     smoothing_eps: float
-    params: ModelParams
     steps: int  # splitting steps taken
     max_violation: float  # worst monotonicity defect seen (at most MONO_TOL)
 
@@ -478,10 +477,8 @@ def solve(
     stepper = Stepper(params=params, grid=grid)
 
     front_set: set[float] = set()
-    if track_front and t_final > 0.0:
+    if track_front:
         front_set = {float(ts) for ts in np.linspace(0.0, t_final, front_samples + 1)}
-    elif track_front:
-        front_set = {0.0}
     probe_at: dict[float, list[int]] = {}
     for idx, (_, tp) in enumerate(probes):
         probe_at.setdefault(tp, []).append(idx)
@@ -528,5 +525,5 @@ def solve(
         )
     return SolveResult(
         front=front, tails=tails, snapshots=snapshots, grid=grid,
-        smoothing_eps=eps, params=params, steps=fld.steps, max_violation=fld.max_violation,
+        smoothing_eps=eps, steps=fld.steps, max_violation=fld.max_violation,
     )

@@ -1,8 +1,8 @@
 """Model parameters and velocity normalization for binary branching Brownian motion.
 
-All internal computation works in raw units (velocity v, variance rate sigma2);
-the dimensionless velocity alpha = v / sqrt(2 sigma2) is a presentation-layer
-quantity converted at the edges.
+Velocities come in two units: raw (v, with variance rate sigma2) in
+rates.phi and varopt, and the dimensionless alpha = v / sqrt(2 sigma2) in
+rates.psi, fkpp.solve probes and mc.ScenarioConfig.for_alpha.
 """
 
 from __future__ import annotations
@@ -43,8 +43,3 @@ class ModelParams:
 def alpha_from_velocity(v: float, params: ModelParams) -> float:
     """Normalized velocity alpha = v / sqrt(2 sigma2)."""
     return v / params.critical_velocity
-
-
-def velocity_from_alpha(alpha: float, params: ModelParams) -> float:
-    """Raw velocity alpha * sqrt(2 sigma2); inverse of alpha_from_velocity."""
-    return alpha * params.critical_velocity

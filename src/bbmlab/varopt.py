@@ -2,8 +2,11 @@
 
 The objective is the log of  exp(-tau) * P(N(0, sigma2*tau) <= endpoint(tau)),
 the probability that the initial particle branches after tau and has drifted
-deep enough by then.  Maximizing over tau in (0, t] and dividing by -t
-recovers the closed-form rate as t grows.
+deep enough by then, with endpoint(tau) = v*t - sqrt(2 sigma2)*(t - tau) - 1:
+the -1 leaves the tree spawned at tau a unit of room above its linear front
+sqrt(2 sigma2)*(t - tau).  That is the lower-bound form, the only one
+computed here.  Maximizing over tau in (0, t] and dividing by -t recovers
+the closed-form rate as t grows.
 
 Everything is computed in log space; the Gaussian tail mass routinely sits
 near exp(-800) at the horizons of interest.
@@ -23,6 +26,7 @@ from .rates import phi
 _LN_HALF = math.log(0.5)
 _SQRT_HALF = math.sqrt(0.5)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+ENDPOINT_MARGIN = -1.0  # offset of the pre-branch endpoint in the lower-bound form
 
 
 def log_normal_cdf(z):
@@ -46,31 +50,24 @@ def log_normal_cdf(z):
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Target velocity, horizon, variance rate and endpoint margin.
+    """Target velocity v < sqrt(2 sigma2), horizon t and the model.
 
-    margin is the signed offset added to the pre-branch endpoint
-    v*t - sqrt(2 sigma2)*(t - tau); -1 for the lower-bound form, +sqrt(t)
-    for the matching upper-bound form.  The two differ only here.
+    The objective is the lower-bound form: its pre-branch endpoint is
+    v*t - sqrt(2 sigma2)*(t - tau) + ENDPOINT_MARGIN.
     """
 
     v: float
     t: float
-    sigma2: float = 1.0
-    margin: float = -1.0
+    params: ModelParams = ModelParams()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t) and self.t > 0.0):
             raise ValueError(f"horizon t must be positive, got {self.t!r}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2!r}")
-        if not self.v < math.sqrt(2.0 * self.sigma2):
+        if not self.v < self.params.critical_velocity:
             raise ValueError(
-                f"objective requires v < sqrt(2*sigma2), got v={self.v!r}, sigma2={self.sigma2!r}"
+                f"objective requires v < sqrt(2*sigma2), got v={self.v!r}, "
+                f"sigma2={self.params.sigma2!r}"
             )
-
-    @property
-    def critical_velocity(self) -> float:
-        return math.sqrt(2.0 * self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -83,9 +80,9 @@ class Optimum:
 
 
 def _objective_values(tau, spec: ObjectiveSpec):
-    sigma = math.sqrt(spec.sigma2)
-    endpoint = spec.v * spec.t - spec.critical_velocity * (spec.t - tau) + spec.margin
-    return -tau + log_normal_cdf(endpoint / (sigma * np.sqrt(tau)))
+    params = spec.params
+    endpoint = spec.v * spec.t - params.critical_velocity * (spec.t - tau) + ENDPOINT_MARGIN
+    return -tau + log_normal_cdf(endpoint / (params.sigma * np.sqrt(tau)))
 
 
 def objective(tau: float, spec: ObjectiveSpec) -> float:
@@ -138,17 +135,12 @@ def maximize(spec: ObjectiveSpec, n_coarse: int = 2048) -> Optimum:
     return Optimum(tau_star=tau_star, log_value=log_value, empirical_rate=-log_value / t)
 
 
-def rate_convergence_table(
-    v: float,
-    sigma2: float,
-    t_list,
-    margin: float = -1.0,
-) -> list[tuple[float, float, float]]:
+def rate_convergence_table(v: float, sigma2: float, t_list) -> list[tuple[float, float, float]]:
     """Rows (t, empirical rate, closed-form rate) over a list of horizons."""
     params = ModelParams(sigma2=sigma2)
     reference = phi(v, params).rate
     rows = []
     for t in t_list:
-        opt = maximize(ObjectiveSpec(v=v, t=float(t), sigma2=sigma2, margin=margin))
+        opt = maximize(ObjectiveSpec(v=v, t=float(t), params=params))
         rows.append((float(t), opt.empirical_rate, reference))
     return rows

@@ -142,7 +142,7 @@ def test_criterion_02_variational_numerics():
     ok = True
     details = []
     for alpha in (-2.0, -RHO, -0.2, 0.0, 0.5, 0.9):
-        opt = maximize(ObjectiveSpec(v=alpha * SQRT2, t=t, sigma2=1.0))
+        opt = maximize(ObjectiveSpec(v=alpha * SQRT2, t=t, params=P1))
         ref = psi(alpha).rate
         frac = scenario_geometry(alpha, P1).tau_fraction
         rate_ok = abs(opt.empirical_rate - ref) <= max(0.01 * ref, 0.01)

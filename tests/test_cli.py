@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -122,6 +123,16 @@ class TestValidation:
         for name in ("drift", "late_branch_fraction"):
             path.write_text(json.dumps({"alphas": [-1.0], "t": 2.0, name: 0.9}))
             assert run_cli(["scenario-lb", "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        # and so are the solve horizon and the endpoint margin, retired in 0.5.0
+        for kind, cfg in (("fkpp-rate", {"alphas": [0.0], "t_list": [1.0], "t_final": 2.0}),
+                          ("tau-opt", {"v": 0.0, "t": 10.0, "margin": -1.0})):
+            path.write_text(json.dumps(cfg))
+            assert run_cli([kind, "--config", path, "--out", tmp_path / "x.csv"]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_every_config_field_has_a_type_check(self):
+        settable = {f.name for f in dataclasses.fields(cli.ExperimentConfig)} - {"kind"}
+        assert settable == set(cli._FIELD_TYPES)
 
     @pytest.mark.parametrize("field", [{"n_trials": 100.0}, {"workers": 1.5}, {"t": "8"},
                                        {"seed": 7.0}, {"out": 5}, {"input": 5},
@@ -339,10 +350,37 @@ class TestFkppAndFit:
         assert float(cols["relative_slope_error"]) < 1e-9
         assert cols["status"] == "PASS"
 
-    def test_fit_missing_columns(self, tmp_path):
+    def test_fit_missing_columns(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("foo,bar\n1,2\n")
         assert run_cli(["fit", "--input", bad, "--out", tmp_path / "f.csv"]) == 2
+        # a row shorter than the header lacks the ln_u cell
+        bad.write_text("alpha,t,x_probe,ln_u,dx,dt,eps\n0,10,0\n")
+        capsys.readouterr()
+        assert run_cli(["fit", "--input", bad, "--out", tmp_path / "f.csv"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid" and "line 2" in err["message"]
+
+    def test_fit_t_list_keeps_only_listed_rows(self, tmp_path):
+        # rows at t = 30, 50, 70 sit 40 units off the line; --t-list drops them
+        a_true = 2.0 * RHO
+        lines = ["alpha,t,x_probe,ln_u,dx,dt,eps"]
+        for t in (10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0):
+            ln_u = -(a_true * t - 0.6 * math.log(t) + 1.0) + (40.0 if t in (30, 50, 70) else 0.0)
+            lines.append(f"0,{t},0,{ln_u!r},0.1,0.001,0.1")
+        probe = tmp_path / "probe.csv"
+        probe.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "f.csv"
+        assert run_cli(["fit", "--input", probe, "--check", "--out", out]) == 6
+        assert run_cli(["fit", "--input", probe, "--check", "--t-list", 10, 20, 40, 60, 80,
+                        "--out", out]) == 0
+        header, row = read(out).splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert float(cols["relative_slope_error"]) < 1e-9
+        assert cols["status"] == "PASS"
+        # four listed rows are too few for a three-parameter fit
+        assert run_cli(["fit", "--input", probe, "--t-list", 10, 20, 40, 80,
+                        "--out", tmp_path / "g.csv"]) == 2
 
     def test_fit_rejects_mc_tail_csv(self, tmp_path, capsys):
         mc_csv = tmp_path / "mc.csv"
@@ -451,8 +489,10 @@ class TestSweepAndReplay:
         run_cli(["rate", "--alphas", 0, "--out", out])
         manifest_path = str(out) + ".manifest.json"
         manifest = json.loads(read(manifest_path))
-        # 0.3.0 is the release before the PDE lattice moved to pass through x = 0
-        for version in ("0.0.1", "0.3.0"):
+        # 0.3.0 is the release before the PDE lattice moved to pass through x = 0;
+        # every 0.4.0 manifest holds the retired margin field, refused by version
+        manifest["config"]["margin"] = -1.0
+        for version in ("0.0.1", "0.3.0", "0.4.0"):
             manifest["version"] = version
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh)

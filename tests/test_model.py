@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bbmlab.model import (
-    RHO,
-    SQRT2,
-    ModelParams,
-    alpha_from_velocity,
-    velocity_from_alpha,
-)
+from bbmlab.model import RHO, SQRT2, ModelParams, alpha_from_velocity
 
 
 def test_rho_full_precision():
@@ -25,16 +19,10 @@ def test_alpha_from_velocity_examples():
     assert alpha_from_velocity(v, ModelParams(sigma2=1.0)) == pytest.approx(-RHO, rel=1e-14)
 
 
-def test_velocity_from_alpha_examples():
-    assert velocity_from_alpha(1.0, ModelParams(sigma2=1.0)) == pytest.approx(SQRT2, rel=1e-14)
-    assert velocity_from_alpha(0.5, ModelParams(sigma2=2.0)) == pytest.approx(1.0, rel=1e-14)
-    assert velocity_from_alpha(-2.0, ModelParams(sigma2=1.0)) == pytest.approx(-2.0 * SQRT2, rel=1e-14)
-
-
 def test_round_trip_property():
     params = ModelParams(sigma2=2.7)
     for alpha in np.linspace(-10.0, 10.0, 401):
-        back = alpha_from_velocity(velocity_from_alpha(alpha, params), params)
+        back = alpha_from_velocity(alpha * params.critical_velocity, params)
         assert back == pytest.approx(alpha, rel=1e-12, abs=1e-12)
 
 

@@ -75,7 +75,7 @@ class TestLogNormalCdf:
 
 class TestObjective:
     def test_direct_evaluation_example(self):
-        spec = ObjectiveSpec(v=0.0, t=100.0, sigma2=1.0, margin=-1.0)
+        spec = ObjectiveSpec(v=0.0, t=100.0)
         tau = 70.71
         z = (0.0 * 100.0 - SQRT2 * (100.0 - tau) - 1.0) / math.sqrt(tau)
         expected = -tau + log_normal_cdf(z)
@@ -84,12 +84,12 @@ class TestObjective:
         assert abs(objective(tau, spec) - (-2.0 * RHO * 100.0)) < 5.0
 
     def test_endpoint_bound_when_cdf_at_least_half(self):
-        # v t + margin >= 0 at tau = t makes the Gaussian mass >= 1/2
-        spec = ObjectiveSpec(v=0.5, t=50.0, sigma2=1.0, margin=-1.0)
+        # v t - 1 >= 0 at tau = t makes the Gaussian mass >= 1/2
+        spec = ObjectiveSpec(v=0.5, t=50.0)
         assert objective(50.0, spec) >= -50.0 + math.log(0.5)
 
     def test_small_tau_with_negative_endpoint_diverges(self):
-        spec = ObjectiveSpec(v=0.0, t=10.0, sigma2=1.0, margin=-1.0)
+        spec = ObjectiveSpec(v=0.0, t=10.0)
         vals = [objective(tau, spec) for tau in (1e-2, 1e-4, 1e-6)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < -1e7
@@ -111,11 +111,14 @@ class TestObjective:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ObjectiveSpec(v=SQRT2, t=10.0, sigma2=1.0)
+            ObjectiveSpec(v=SQRT2, t=10.0)
         with pytest.raises(ValueError):
             ObjectiveSpec(v=0.0, t=0.0)
+        # the critical velocity sqrt(2 sigma2) is the model's
+        wide = ModelParams(sigma2=2.0)
+        assert ObjectiveSpec(v=1.9, t=10.0, params=wide).params is wide
         with pytest.raises(ValueError):
-            ObjectiveSpec(v=0.0, t=10.0, sigma2=-1.0)
+            ObjectiveSpec(v=2.0, t=10.0, params=wide)
 
 
 class TestMaximize:
