@@ -6,7 +6,7 @@ event-driven Monte Carlo with a conditional scenario estimator (`mc`), and a
 CLI harness (`cli`).
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .model import RHO, SQRT2, ModelParams, alpha_from_velocity
 from .rates import (

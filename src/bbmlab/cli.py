@@ -16,6 +16,7 @@ Exit codes: 0 ok, 2 config-invalid, 3 solver-instability, 4 particle-cap,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -441,6 +442,7 @@ def _emit_error(category: str, message: str) -> None:
 # -- argument parsing -----------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bbmlab",

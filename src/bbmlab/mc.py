@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import RHO, ModelParams
 from .rates import scenario_geometry
@@ -229,7 +228,7 @@ def scenario_estimate(
     shift = float(logv.max())
     v = np.exp(logv - shift)
     ess = float(v.sum() ** 2 / (v * v).sum())
-    log_p = float(logsumexp(logv)) - math.log(n_trials)
+    log_p = shift + math.log(float(v.sum())) - math.log(n_trials)
     stderr = float(np.std(v, ddof=1) / math.sqrt(n_trials)) * math.exp(shift)
     return Estimate(
         p_hat=math.exp(log_p), stderr=stderr, n_trials=n_trials, log_p_hat=log_p, ess=ess,

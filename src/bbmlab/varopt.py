@@ -18,31 +18,50 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .model import ModelParams
 from .rates import phi
 
-_LN_HALF = math.log(0.5)
 _SQRT_HALF = math.sqrt(0.5)
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ENDPOINT_MARGIN = -1.0  # offset of the pre-branch endpoint in the lower-bound form
+
+_ASYMPTOTIC_Z = -20.0  # below this, ln Phi comes from the asymptotic series
+# (-1)^k (2k-1)!! for k = 1..15: the series' terms at z = -20 fall below 1e-23
+_SERIES = [(-1) ** k * math.prod(range(1, 2 * k, 2)) for k in range(1, 16)]
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.erfc, x), float, x.size)
 
 
 def log_normal_cdf(z):
     """Natural log of the standard normal CDF, stable on the whole real line.
 
-    For z <= 0 uses the scaled complementary error function, so the deep left
-    tail (z ~ -40 and far beyond) keeps full relative precision of the log
-    value instead of underflowing to -inf.  Accepts scalars or arrays.
+    ln(erfc(-z/sqrt 2) / 2) for -20 <= z <= 0 and log1p(-erfc(z/sqrt 2) / 2)
+    for z > 0.  Below -20 the asymptotic series -z^2/2 - ln(-z) - ln sqrt(2 pi)
+    + log1p(sum_k (-1)^k (2k-1)!! z^-2k), k = 1..15 (truncation error below
+    1e-24), keeps full relative precision of the log value where Phi
+    underflows.  Accepts scalars or arrays.
     """
     arr = np.atleast_1d(np.asarray(z, dtype=float))
     out = np.empty_like(arr)
-    neg = arr <= 0.0
-    zn = arr[neg]
-    out[neg] = _LN_HALF + np.log(special.erfcx(-zn * _SQRT_HALF)) - 0.5 * zn * zn
-    zp = arr[~neg]
-    out[~neg] = np.log1p(-0.5 * special.erfc(zp * _SQRT_HALF))
+    deep = arr < _ASYMPTOTIC_Z
+    near = ~deep
+    zn = arr[near]
+    tail = 0.5 * _erfc(np.abs(zn) * _SQRT_HALF)  # Phi(-|z|); NaN stays NaN
+    pos = zn > 0.0
+    # ln only where z <= 0: tail underflows to 0 above z = 38
+    out[near] = np.where(pos, np.log1p(-tail), np.log(np.where(pos, 1.0, tail)))
+    if deep.any():
+        zd = arr[deep]
+        w = (1.0 / zd) ** 2
+        series = np.zeros_like(w)
+        for c in reversed(_SERIES):
+            series += c
+            series *= w
+        out[deep] = -0.5 * zd * zd - np.log(-zd) - _LN_SQRT_2PI + np.log1p(series)
     if np.ndim(z) == 0:
         return float(out[0])
     return out.reshape(np.shape(z))

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from scipy.special import logsumexp
@@ -9,6 +12,11 @@ from bbmlab import cli, fkpp, mc
 from bbmlab.model import RHO, SQRT2, ModelParams
 from bbmlab.serialize import sha256_text
 from bbmlab.varopt import log_normal_cdf
+
+
+# environment for a fresh interpreter that imports this checkout's bbmlab
+SRC_ENV = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))}
 
 
 def run_cli(args):
@@ -490,9 +498,10 @@ class TestSweepAndReplay:
         manifest_path = str(out) + ".manifest.json"
         manifest = json.loads(read(manifest_path))
         # 0.3.0 is the release before the PDE lattice moved to pass through x = 0;
-        # every 0.4.0 manifest holds the retired margin field, refused by version
+        # every 0.4.0 manifest holds the retired margin field, refused by version;
+        # 0.5.0 computed ln Phi, the short-step heat kernel and log-sum-exps with SciPy
         manifest["config"]["margin"] = -1.0
-        for version in ("0.0.1", "0.3.0", "0.4.0"):
+        for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0"):
             manifest["version"] = version
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh)
@@ -522,3 +531,32 @@ class TestSweepAndReplay:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config-invalid" and message in err["message"]
         assert not (tmp_path / "rate.csv.replay.csv").exists()
+
+
+class TestProcess:
+    def test_cached_parser_carries_nothing_between_calls(self, tmp_path):
+        # the parser is built once per process; a seed parsed by one call must
+        # not reach a later call that omits it
+        out = tmp_path / "mc.csv"
+        mc_args = ["mc-tail", "--alpha", 0, "--t", 1, "--n-trials", 100, "--out", out]
+        assert run_cli(mc_args + ["--seed", 5]) == 0
+        assert run_cli(["rate", "--alphas", 0, "--out", tmp_path / "rate.csv"]) == 0
+        assert run_cli(mc_args) == 0
+        in_process = json.loads(read(str(out) + ".manifest.json"))
+        subprocess.run(
+            [sys.executable, "-m", "bbmlab.cli", *map(str, mc_args)],
+            check=True, env=SRC_ENV,
+        )
+        fresh = json.loads(read(str(out) + ".manifest.json"))
+        assert in_process["config"] == fresh["config"]
+        assert in_process["config"]["seed"] == 1
+        assert in_process["csv_sha256"] == fresh["csv_sha256"]
+
+    def test_import_loads_no_scipy(self):
+        code = ("import bbmlab.cli, sys; "
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        done = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env=SRC_ENV,
+        )
+        assert done.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
+from scipy.special import ive
 
 from bbmlab.model import SQRT2, ModelParams
 from bbmlab import fkpp, mc
@@ -52,6 +53,23 @@ class TestGrid:
         g = fkpp.Grid.build(-188.88543819998318, 292.1, 0.1, 0.001)
         assert g.x_min == pytest.approx(-188.9, abs=1e-12)
         assert np.min(np.abs(g.xs())) == 0.0
+
+
+class TestKernel:
+    @pytest.mark.parametrize("s", np.logspace(-8.0, math.log10(0.999), 25))
+    def test_short_step_kernel_matches_scaled_bessel(self, s):
+        # below one cell per step the kernel is e^{-s^2} I_|k|(s^2), s the
+        # step's standard deviation in cells, normalized to sum 1
+        g = small_grid(dx=0.2)
+        K = fkpp.Stepper(P1, g)._kernel((s * g.dx) ** 2)
+        k = np.arange(K.size) - K.size // 2
+        ref = ive(np.abs(k), s * s)
+        ref /= ref.sum()
+        live = ref > 0.0
+        assert np.all(K >= 0.0) and K.sum() == pytest.approx(1.0, rel=1e-15)
+        assert np.max(np.abs(K[live] - ref[live]) / ref[live]) <= 1e-13
+        # the cut at max(12 s, 8) cells drops tail variance of at most 9e-10
+        assert (K * k * k).sum() == pytest.approx(s * s, rel=1e-9)
 
 
 class TestInitField:

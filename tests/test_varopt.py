@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import log_ndtr
 
 from bbmlab.model import RHO, SQRT2
 from bbmlab.rates import phi
@@ -71,6 +72,36 @@ class TestLogNormalCdf:
         out = log_normal_cdf(np.array([[0.0, -1.0], [-2.0, 3.0]]))
         assert out.shape == (2, 2)
         assert isinstance(log_normal_cdf(-3.0), float)
+
+
+class TestLogNormalCdfAgainstScipy:
+    @staticmethod
+    def assert_matches(zs, rel):
+        ref = log_ndtr(zs)
+        got = log_normal_cdf(zs)
+        normal = np.abs(ref) >= np.finfo(float).tiny
+        err = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
+        assert np.max(err) <= rel, zs[normal][np.argmax(err)]
+
+    def test_dense_grid_up_to_8(self):
+        self.assert_matches(np.linspace(-40.0, 8.0, 96001), 1e-14)
+
+    def test_both_sides_of_the_series_switch(self):
+        # z = -20 switches from erfc to the asymptotic series; check the
+        # floats next to it and a band around it
+        near = [-20.0]
+        for direction in (-math.inf, math.inf):
+            z = -20.0
+            for _ in range(200):
+                z = math.nextafter(z, direction)
+                near.append(z)
+        zs = np.concatenate([near, np.linspace(-20.5, -19.5, 20001)])
+        self.assert_matches(zs, 1e-14)
+        ordered = np.sort(zs)
+        assert np.all(np.diff(log_normal_cdf(ordered)) >= 0.0)
+
+    def test_far_left_tail(self):
+        self.assert_matches(-np.logspace(1.0, 150.0, 4001), 1e-14)
 
 
 class TestObjective:
