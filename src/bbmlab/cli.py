@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -229,21 +229,23 @@ def _run_mc_tail(cfg: ExperimentConfig) -> Output:
     ests = mc.estimate_tail(config, xs, cfg.n_trials, n_workers=cfg.workers)
     rows = [_estimate_row("naive_tail", a, cfg.t, x, est)
             for a, x, est in zip(cfg.alphas, xs, ests)]
-    return Output(csv_lines(ESTIMATE_CSV_HEADER, rows), {})
+    return Output(csv_lines(ESTIMATE_CSV_HEADER, rows), asdict(ests[0].sampler))
 
 
 def _run_scenario_lb(cfg: ExperimentConfig) -> Output:
     params = ModelParams(sigma2=cfg.sigma2)
     config = mc.SimConfig(params=params, t=cfg.t, seed=cfg.seed)
-    rows, estimates = [], []
+    rows, estimates, samplers = [], [], []
     for a in cfg.alphas:
         scen = mc.ScenarioConfig.for_alpha(a, params, cfg.t)
         if cfg.tau is not None:
             scen = mc.ScenarioConfig(tau=cfg.tau, threshold=scen.threshold)
         est = mc.scenario_estimate(config, scen, cfg.n_trials, n_workers=cfg.workers)
         rows.append(_estimate_row("scenario_lb", a, cfg.t, scen.threshold, est))
+        samplers.append(est.sampler)
         estimates.append({"alpha": a, "ess": est.ess, "low_ess": est.low_ess})
-    return Output(csv_lines(ESTIMATE_CSV_HEADER, rows), {"estimates": estimates})
+    stats = {"estimates": estimates, **asdict(mc.SamplerStats.total(samplers))}
+    return Output(csv_lines(ESTIMATE_CSV_HEADER, rows), stats)
 
 
 def _read_probe_csv(path: str) -> dict[float, tuple[list[float], list[float]]]:

@@ -5,6 +5,13 @@ between events; nothing is time-discretized, so tail probabilities carry no
 discretization bias.  Every trial owns a counter-based random stream keyed
 by (seed, trial_index), which makes results bit-identical for any worker
 count or execution order.
+
+Trials run in blocks of about 2^15 / e^t (at most 1024): a block advances
+one generation per pass in shared arrays, so its per-generation arithmetic
+costs a few numpy calls for all of its trials.  The stream contract is the
+same as for a trial simulated alone: per generation, a trial with k live
+particles draws k lifetimes and then k displacements from its own stream,
+so every draw, x_max and population is independent of the block size.
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ from .rates import scenario_geometry
 from .varopt import log_normal_cdf
 
 DEFAULT_MAX_PARTICLES = 1 << 23
+# A block of trials holds about this many particles on average (its arrays
+# stay near 1 MB) and at most this many trials (so this many live Generators).
+_BLOCK_PARTICLES = 1 << 15
+_BLOCK_TRIALS = 1 << 10
 
 
 class ParticleCapError(RuntimeError):
@@ -45,8 +56,33 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
+class SamplerStats:
+    """Work behind an estimate: trees sampled, particle segments, largest tree.
+
+    A tree with n particles alive at the horizon has 2n - 1 segments (lives
+    from birth to branching or to the horizon).
+    """
+
+    trials: int
+    particle_segments: int
+    peak_population: int
+
+    @classmethod
+    def of(cls, nf: np.ndarray) -> "SamplerStats":
+        """Counted from the final populations returned by sample_xmax."""
+        return cls(int(nf.size), int(2 * nf.sum() - nf.size), int(nf.max()))
+
+    @classmethod
+    def total(cls, parts) -> "SamplerStats":
+        """Over several independent sets of trees."""
+        parts = list(parts)
+        return cls(sum(p.trials for p in parts), sum(p.particle_segments for p in parts),
+                   max(p.peak_population for p in parts))
+
+
+@dataclass(frozen=True)
 class Estimate:
-    """Point estimate with its standard error and stream provenance."""
+    """Point estimate with its standard error, stream provenance and sampler work."""
 
     p_hat: float
     stderr: float
@@ -54,6 +90,7 @@ class Estimate:
     log_p_hat: float
     ess: float
     seed: int
+    sampler: SamplerStats
 
     @property
     def low_ess(self) -> bool:
@@ -93,44 +130,62 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _simulate_xmax_one(
-    rng: np.random.Generator,
-    params: ModelParams,
-    t: float,
-    max_particles: int,
-) -> tuple[float, int]:
-    """One exact realization: returns (max position at t, particles alive at t)."""
-    if t <= 0.0:
-        return 0.0, 1
-    sigma = params.sigma
-    pos = np.zeros(1)
-    rem = np.full(1, float(t))
-    x_max = -math.inf
-    n_final = 0
-    while pos.size:
-        k = pos.size
-        lives = rng.standard_exponential(k)
-        z = rng.standard_normal(k)
+def _block_trials(t: float) -> int:
+    """Trials advanced together at horizon t: e^t particles each on average."""
+    mean_population = math.exp(min(t, 700.0))
+    return int(min(_BLOCK_TRIALS, max(1.0, _BLOCK_PARTICLES / mean_population)))
+
+
+def _xmax_block(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact realizations of trials lo..hi-1: (max position at t, particles alive at t).
+
+    The block advances one generation per pass.  Its particles sit in shared
+    arrays, each live trial's in one contiguous segment in trial order (masks
+    and np.repeat keep that order).  A trial with k live particles draws k
+    lifetimes, then k displacements, from its own stream, just as a trial
+    simulated alone does; all other arithmetic is one pass over the block,
+    with per-trial sums and maxima reduced over the segments.
+    """
+    n = hi - lo
+    rngs = [_trial_rng(config.seed, i) for i in range(lo, hi)]
+    sigma = config.params.sigma
+    cap = config.max_particles
+    pos = np.zeros(n)
+    rem = np.full(n, float(config.t))
+    ids = np.arange(n)  # trials with live particles, in order
+    counts = np.ones(n, dtype=np.int64)  # their live particles
+    x_max = np.full(n, -math.inf)
+    n_final = np.zeros(n, dtype=np.int64)
+    while ids.size:
+        lives = np.empty(pos.size)
+        z = np.empty(pos.size)
+        stops = np.cumsum(counts)
+        starts = stops - counts
+        for j, a, b in zip(ids.tolist(), starts.tolist(), stops.tolist()):
+            rng = rngs[j]
+            rng.standard_exponential(out=lives[a:b])
+            rng.standard_normal(out=z[a:b])
         branch = lives < rem
         step = np.minimum(lives, rem)
         np.sqrt(step, out=step)
         step *= sigma
         z *= step
         pos += z
-        n_hit = k - int(np.count_nonzero(branch))
-        if n_hit:
-            m = float(pos[~branch].max())
-            if m > x_max:
-                x_max = m
-            n_final += n_hit
+        branched = np.add.reduceat(branch, starts, dtype=np.int64)
+        ended_max = np.maximum.reduceat(np.where(branch, -math.inf, pos), starts)
+        x_max[ids] = np.maximum(x_max[ids], ended_max)
+        n_final[ids] += counts - branched
         sub_rem = rem[branch]
         sub_rem -= lives[branch]
         pos = np.repeat(pos[branch], 2)
         rem = np.repeat(sub_rem, 2)
-        if n_final + pos.size > max_particles:
-            raise ParticleCapError(
-                f"population exceeded max_particles={max_particles} at t={t}"
-            )
+        counts = 2 * branched
+        # per trial, as alone: n_final + live only grows, so this fails iff
+        # some trial's final population exceeds the cap
+        if (n_final[ids] + counts > cap).any():
+            raise ParticleCapError(f"population exceeded max_particles={cap} at t={config.t}")
+        alive = counts > 0
+        ids, counts = ids[alive], counts[alive]
     return x_max, n_final
 
 
@@ -139,13 +194,14 @@ def _simulate_xmax_one(
 
 def _xmax_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     config, lo, hi = args
-    xm = np.empty(hi - lo)
-    nf = np.empty(hi - lo, dtype=np.int64)
-    for i in range(lo, hi):
-        rng = _trial_rng(config.seed, i)
-        xm[i - lo], nf[i - lo] = _simulate_xmax_one(
-            rng, config.params, config.t, config.max_particles
-        )
+    # at t = 0 every trial is its first particle, at the origin, drawing nothing
+    xm = np.zeros(hi - lo)
+    nf = np.ones(hi - lo, dtype=np.int64)
+    if config.t > 0.0:
+        size = _block_trials(config.t)
+        for b in range(lo, hi, size):
+            e = min(b + size, hi)
+            xm[b - lo:e - lo], nf[b - lo:e - lo] = _xmax_block(config, b, e)
     return xm, nf
 
 
@@ -166,8 +222,11 @@ def sample_xmax(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of (x_max, final population) over trial indices 0..n_trials-1.
 
-    Results are assembled in trial order, so the aggregate is independent of
-    the chunking and of n_workers.
+    Each worker chunk runs its trials in blocks that advance generation by
+    generation together, but trial i draws from its own stream keyed by
+    (seed, i) in the same order as a trial simulated alone, so its outcome
+    depends on (seed, i) only.  Results are assembled in trial order, so the
+    aggregate is independent of the chunking, the blocks and n_workers.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -178,12 +237,14 @@ def sample_xmax(
     return xm, nf
 
 
-def _binomial_estimate(hits: np.ndarray, n: int, seed: int) -> Estimate:
+def _binomial_estimate(hits: np.ndarray, seed: int, sampler: SamplerStats) -> Estimate:
+    n = hits.size
     k = int(np.count_nonzero(hits))
     p = k / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     log_p = math.log(p) if k > 0 else -math.inf
-    return Estimate(p_hat=p, stderr=stderr, n_trials=n, log_p_hat=log_p, ess=float(n), seed=seed)
+    return Estimate(p_hat=p, stderr=stderr, n_trials=n, log_p_hat=log_p, ess=float(n), seed=seed,
+                    sampler=sampler)
 
 
 def estimate_tail(config: SimConfig, x, n_trials: int, n_workers: int = 1):
@@ -194,10 +255,11 @@ def estimate_tail(config: SimConfig, x, n_trials: int, n_workers: int = 1):
     """
     if n_trials < 100:
         raise ValueError("n_trials must be >= 100")
-    xm, _ = sample_xmax(config, n_trials, n_workers)
+    xm, nf = sample_xmax(config, n_trials, n_workers)
+    sampler = SamplerStats.of(nf)
     if np.ndim(x) == 0:
-        return _binomial_estimate(xm <= float(x), n_trials, config.seed)
-    return [_binomial_estimate(xm <= float(xi), n_trials, config.seed) for xi in x]
+        return _binomial_estimate(xm <= float(x), config.seed, sampler)
+    return [_binomial_estimate(xm <= float(xi), config.seed, sampler) for xi in x]
 
 
 def scenario_estimate(
@@ -219,7 +281,7 @@ def scenario_estimate(
     if not 0.0 < scen.tau <= config.t:
         raise ValueError(f"tau must lie in (0, t], got tau={scen.tau!r}, t={config.t!r}")
     params = config.params
-    xm, _ = sample_xmax(replace(config, t=config.t - scen.tau), n_trials, n_workers)
+    xm, nf = sample_xmax(replace(config, t=config.t - scen.tau), n_trials, n_workers)
     logv = -scen.tau + log_normal_cdf(
         (scen.threshold - xm) / (params.sigma * math.sqrt(scen.tau))
     )
@@ -232,7 +294,7 @@ def scenario_estimate(
     stderr = float(np.std(v, ddof=1) / math.sqrt(n_trials)) * math.exp(shift)
     return Estimate(
         p_hat=math.exp(log_p), stderr=stderr, n_trials=n_trials, log_p_hat=log_p, ess=ess,
-        seed=config.seed,
+        seed=config.seed, sampler=SamplerStats.of(nf),
     )
 
 

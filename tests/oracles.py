@@ -1,8 +1,14 @@
-"""Frozen high-precision reference values used across test modules.
+"""Reference values and reference implementations used across test modules.
 
-The table was computed with 60-digit arithmetic (mpmath) before the
+The ln Phi table was computed with 60-digit arithmetic (mpmath) before the
 implementation existed; 25 significant figures are retained here.
 """
+
+import math
+
+import numpy as np
+
+from bbmlab.mc import ParticleCapError
 
 # ln(Phi(z)) at the acceptance grid
 LOG_NCDF_ORACLE = {
@@ -17,3 +23,48 @@ LOG_NCDF_ORACLE = {
     5.0: -2.866516129637635933845963e-7,
     8.0: -6.220960574271786058533519e-16,
 }
+
+
+def xmax_one_at_a_time(config, lo, hi):
+    """(x_max, final population) of trials lo..hi-1, each simulated alone.
+
+    The per-trial generation loop of bbmlab 0.6.0, kept as the reference for
+    the block-batched sampler: trial i draws from Philox keyed by
+    (seed, i), per generation k lifetimes and then k displacements.
+    """
+    xm = np.empty(hi - lo)
+    nf = np.empty(hi - lo, dtype=np.int64)
+    for i in range(lo, hi):
+        if config.t <= 0.0:
+            xm[i - lo], nf[i - lo] = 0.0, 1
+            continue
+        key = np.array([config.seed, i], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        pos = np.zeros(1)
+        rem = np.full(1, float(config.t))
+        x_max = -math.inf
+        n_final = 0
+        while pos.size:
+            k = pos.size
+            lives = rng.standard_exponential(k)
+            z = rng.standard_normal(k)
+            branch = lives < rem
+            step = np.minimum(lives, rem)
+            np.sqrt(step, out=step)
+            step *= config.params.sigma
+            z *= step
+            pos += z
+            n_hit = k - int(np.count_nonzero(branch))
+            if n_hit:
+                x_max = max(x_max, float(pos[~branch].max()))
+                n_final += n_hit
+            sub_rem = rem[branch]
+            sub_rem -= lives[branch]
+            pos = np.repeat(pos[branch], 2)
+            rem = np.repeat(sub_rem, 2)
+            if n_final + pos.size > config.max_particles:
+                raise ParticleCapError(
+                    f"population exceeded max_particles={config.max_particles} at t={config.t}"
+                )
+        xm[i - lo], nf[i - lo] = x_max, n_final
+    return xm, nf

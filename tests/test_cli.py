@@ -220,6 +220,28 @@ class TestMcSubcommands:
         assert cells[1:5] == ["0", "2", "0", "300"] and cells[9] == "42"
         assert 0.0 < float(cells[5]) < 1.0
 
+    def test_manifests_record_sampler_stats(self, tmp_path):
+        # counted by mc from the final populations; one set of trees serves
+        # every mc-tail threshold, scenario-lb samples one set per alpha
+        params = ModelParams()
+        out = tmp_path / "mc.csv"
+        assert run_cli(["mc-tail", "--alphas", 0, 0.5, "--t", 2, "--n-trials", 300,
+                        "--seed", 42, "--out", out]) == 0
+        stats = json.loads(read(str(out) + ".manifest.json"))["stats"]
+        _, nf = mc.sample_xmax(mc.SimConfig(params=params, t=2.0, seed=42), 300)
+        assert stats == {"trials": 300, "particle_segments": int(2 * nf.sum() - 300),
+                         "peak_population": int(nf.max())}
+        out = tmp_path / "lb.csv"
+        assert run_cli(["scenario-lb", "--alphas", 0, -1, "--t", 2, "--n-trials", 300,
+                        "--seed", 42, "--out", out]) == 0
+        stats = json.loads(read(str(out) + ".manifest.json"))["stats"]
+        nfs = [mc.sample_xmax(mc.SimConfig(params=params, t=2.0 - scen.tau, seed=42), 300)[1]
+               for scen in (mc.ScenarioConfig.for_alpha(a, params, 2.0) for a in (0.0, -1.0))]
+        assert stats["trials"] == 600
+        assert stats["particle_segments"] == sum(int(2 * nf.sum() - 300) for nf in nfs)
+        assert stats["peak_population"] == max(int(nf.max()) for nf in nfs)
+        assert [e["alpha"] for e in stats["estimates"]] == [0.0, -1.0]
+
     def test_scenario_row_and_reproducibility(self, tmp_path):
         args = ["scenario-lb", "--alphas", 0, "--t", 2, "--n-trials", 300,
                 "--seed", 42, "--out", tmp_path / "s1.csv"]

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
@@ -7,6 +9,8 @@ from scipy import stats
 from bbmlab.model import RHO, SQRT2, ModelParams
 from bbmlab import fkpp, mc
 from bbmlab.varopt import log_normal_cdf
+
+from oracles import xmax_one_at_a_time
 
 P1 = ModelParams(sigma2=1.0)
 
@@ -76,6 +80,60 @@ class TestDeterminism:
         s1 = mc.scenario_estimate(cfg(2.0, seed=seed), scen, 100, n_workers=1)
         s3 = mc.scenario_estimate(cfg(2.0, seed=seed), scen, 100, n_workers=3)
         assert s1 == s3
+
+
+class TestBlockSampler:
+    """Blocks of trials advanced together against trials simulated one at a time."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), t=st.floats(0.0, 6.0),
+           lo=st.integers(0, 2**32), blocks=st.floats(0.0, 2.5))
+    def test_matches_one_at_a_time_oracle(self, seed, t, lo, blocks):
+        # the chunk from lo spans up to two block boundaries; sample_xmax
+        # assembles its worker chunks from index 0
+        config = cfg(t, seed=seed)
+        n = 1 + int(blocks * mc._block_trials(t))
+        for got, want in [(mc._xmax_chunk((config, lo, lo + n)), xmax_one_at_a_time(config, lo, lo + n)),
+                          (mc.sample_xmax(config, n), xmax_one_at_a_time(config, 0, n))]:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[1].dtype == want[1].dtype
+
+    def test_large_trees_span_blocks(self):
+        # 90 trials in chunks of 23, blocks of 10: each chunk holds three blocks
+        config = cfg(8.0, seed=8)
+        assert mc._block_trials(8.0) == 10
+        xm, nf = mc.sample_xmax(config, 90)
+        want_xm, want_nf = xmax_one_at_a_time(config, 0, 90)
+        assert np.array_equal(xm, want_xm) and np.array_equal(nf, want_nf)
+
+    def test_particle_cap_is_per_trial_and_tight(self):
+        # n_final + live only grows, so a trial's peak is its final count:
+        # a cap equal to the largest tree passes, one less raises, though the
+        # block as a whole holds many times the cap
+        config = cfg(4.0, seed=44)
+        n = 200
+        assert n <= mc._block_trials(4.0)
+        xm, nf = mc._xmax_chunk((config, 0, n))
+        m = int(nf.max())
+        assert np.count_nonzero(nf == m) == 1 and int(nf.sum()) > 10 * m
+        xm_m, nf_m = mc._xmax_chunk((replace(config, max_particles=m), 0, n))
+        assert np.array_equal(xm_m, xm) and np.array_equal(nf_m, nf)
+        with pytest.raises(mc.ParticleCapError):
+            mc._xmax_chunk((replace(config, max_particles=m - 1), 0, n))
+
+    def test_block_size_follows_mean_population(self):
+        assert mc._block_trials(0.0) == mc._block_trials(1.0) == 1024
+        assert mc._block_trials(4.0) == 600
+        assert mc._block_trials(11.0) == 1
+        assert mc._block_trials(1e6) == 1
+
+
+class TestSamplerStats:
+    def test_counts_from_final_populations(self):
+        stats = mc.SamplerStats.of(np.array([1, 3, 2]))
+        assert stats == mc.SamplerStats(trials=3, particle_segments=9, peak_population=3)
+        total = mc.SamplerStats.total([stats, mc.SamplerStats.of(np.array([5]))])
+        assert total == mc.SamplerStats(trials=4, particle_segments=18, peak_population=5)
 
 
 class TestEstimateTail:
