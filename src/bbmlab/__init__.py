@@ -6,20 +6,18 @@ event-driven Monte Carlo with a conditional scenario estimator (`mc`), and a
 CLI harness (`cli`).
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
-from .model import RHO, SQRT2, ModelParams, alpha_from_velocity
+from .model import RHO, SQRT2, ModelParams
 from .rates import (
     RateValue,
     Regime,
     ScenarioGeometry,
     bramson_centering,
     chen_lower_bound,
-    phi,
     prefactor_exponent,
     psi,
     scenario_geometry,
-    upper_rate,
 )
 from .varopt import ObjectiveSpec, Optimum, log_normal_cdf, maximize, objective, rate_convergence_table
 
@@ -27,17 +25,14 @@ __all__ = [
     "RHO",
     "SQRT2",
     "ModelParams",
-    "alpha_from_velocity",
     "RateValue",
     "Regime",
     "ScenarioGeometry",
     "bramson_centering",
     "chen_lower_bound",
-    "phi",
     "prefactor_exponent",
     "psi",
     "scenario_geometry",
-    "upper_rate",
     "ObjectiveSpec",
     "Optimum",
     "log_normal_cdf",

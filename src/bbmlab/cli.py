@@ -1,10 +1,12 @@
 """Command-line harness: rate tables, tau optimization, PDE and MC runs, fits.
 
 The CLI computes nothing itself; every number in an output file comes from
-an operation in rates, varopt, fkpp or mc.  The CLI alone knows the CSV
-formats: one header constant per output, rows written by
-serialize.csv_lines.  Each run writes a CSV plus a
-sibling manifest (<out>.manifest.json) recording the fully resolved config,
+an operation in rates, varopt, fkpp or mc.  Of those, only fkpp takes
+sigma2: rates, varopt and mc work in alpha and in lengths of one sigma, and
+the CLI converts (x = sigma x_1, and tau-opt's v = alpha sqrt(2 sigma2)).
+The CLI alone knows the CSV formats: one header constant per output, rows
+written by serialize.csv_lines.  Each run writes a CSV plus a sibling
+manifest (<out>.manifest.json) recording the fully resolved config,
 package version, seed, run statistics and timings; `replay` reruns a
 manifest written by the same package version and verifies the CSV body is
 byte-identical.
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .model import ModelParams
+from .model import SQRT2, ModelParams
 from . import fkpp, mc, rates, varopt
 from .serialize import csv_lines, sha256_text
 
@@ -113,7 +115,7 @@ class ExperimentConfig:
                 raise ConfigError("t_list must not be empty")
             if any(b <= a for a, b in zip(self.t_list, self.t_list[1:])):
                 raise ConfigError("t_list must be strictly increasing")
-        if self.kind in ("fkpp_rate", "mc_tail", "scenario_lb"):
+        if self.kind in ("tau_opt", "fkpp_rate", "mc_tail", "scenario_lb"):
             if not all(math.isfinite(a) and a < 1.0 for a in self.alphas):
                 raise ConfigError("lower-deviation kinds require finite alphas < 1")
         if self.workers < 1:
@@ -126,6 +128,9 @@ class ExperimentConfig:
         if self.kind == "tau_opt":
             if self.v is None and not self.alphas:
                 raise ConfigError("tau_opt requires --v or --alphas")
+            crit = math.sqrt(2.0 * self.sigma2)
+            if self.v is not None and not (math.isfinite(self.v) and self.v < crit):
+                raise ConfigError(f"tau_opt requires a finite v < sqrt(2 sigma2) = {crit!r}")
             if self.t is None and self.t_list is None:
                 raise ConfigError("tau_opt requires --t or --t-list")
         if self.kind == "fkpp_rate" and (not self.alphas or self.t_list is None):
@@ -187,14 +192,17 @@ def _run_rate(cfg: ExperimentConfig) -> Output:
 
 
 def _run_tau_opt(cfg: ExperimentConfig) -> Output:
-    params = ModelParams(sigma2=cfg.sigma2)
-    vs = [cfg.v] if cfg.v is not None else [a * params.critical_velocity for a in cfg.alphas]
+    crit = math.sqrt(2.0 * cfg.sigma2)
+    if cfg.v is not None:
+        pairs = [(cfg.v, cfg.v / crit)]
+    else:
+        pairs = [(a * crit, a) for a in cfg.alphas]
     ts = cfg.t_list if cfg.t_list is not None else [cfg.t]
     rows = []
-    for v in vs:
-        ref = rates.phi(v, params).rate
+    for v, alpha in pairs:
+        ref = rates.psi(v / crit).rate
         for t in ts:
-            opt = varopt.maximize(varopt.ObjectiveSpec(v=v, t=float(t), params=params))
+            opt = varopt.maximize(varopt.ObjectiveSpec(alpha=alpha, t=float(t)))
             rows.append((v, cfg.sigma2, t, opt.tau_star, opt.tau_star / t,
                          opt.log_value, opt.empirical_rate, ref))
     return Output(csv_lines(TAU_CSV_HEADER, rows), {})
@@ -222,26 +230,26 @@ def _run_fkpp_rate(cfg: ExperimentConfig) -> Output:
 
 
 def _run_mc_tail(cfg: ExperimentConfig) -> Output:
-    params = ModelParams(sigma2=cfg.sigma2)
-    config = mc.SimConfig(params=params, t=cfg.t, seed=cfg.seed)
-    xs = [a * params.critical_velocity * cfg.t for a in cfg.alphas]
+    sigma = math.sqrt(cfg.sigma2)
+    config = mc.SimConfig(t=cfg.t, seed=cfg.seed)
+    xs = [a * SQRT2 * cfg.t for a in cfg.alphas]  # in sigma units
     # one set of trials serves every threshold
     ests = mc.estimate_tail(config, xs, cfg.n_trials, n_workers=cfg.workers)
-    rows = [_estimate_row("naive_tail", a, cfg.t, x, est)
+    rows = [_estimate_row("naive_tail", a, cfg.t, sigma * x, est)
             for a, x, est in zip(cfg.alphas, xs, ests)]
     return Output(csv_lines(ESTIMATE_CSV_HEADER, rows), asdict(ests[0].sampler))
 
 
 def _run_scenario_lb(cfg: ExperimentConfig) -> Output:
-    params = ModelParams(sigma2=cfg.sigma2)
-    config = mc.SimConfig(params=params, t=cfg.t, seed=cfg.seed)
+    sigma = math.sqrt(cfg.sigma2)
+    config = mc.SimConfig(t=cfg.t, seed=cfg.seed)
     rows, estimates, samplers = [], [], []
     for a in cfg.alphas:
-        scen = mc.ScenarioConfig.for_alpha(a, params, cfg.t)
+        scen = mc.ScenarioConfig.for_alpha(a, cfg.t)
         if cfg.tau is not None:
             scen = mc.ScenarioConfig(tau=cfg.tau, threshold=scen.threshold)
         est = mc.scenario_estimate(config, scen, cfg.n_trials, n_workers=cfg.workers)
-        rows.append(_estimate_row("scenario_lb", a, cfg.t, scen.threshold, est))
+        rows.append(_estimate_row("scenario_lb", a, cfg.t, sigma * scen.threshold, est))
         samplers.append(est.sampler)
         estimates.append({"alpha": a, "ess": est.ess, "low_ess": est.low_ess})
     stats = {"estimates": estimates, **asdict(mc.SamplerStats.total(samplers))}

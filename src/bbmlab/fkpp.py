@@ -54,11 +54,14 @@ Scheme notes (these are constraints, not history):
   * A non-finite value or a monotonicity defect above MONO_TOL after any step
     raises SolverInstabilityError; smaller defects are rounding, recorded as
     max_violation and left in place.
-  * The initial profile ln(Phi(x/eps)) is clipped at TAIL_FLOOR = -700,
-    which raises u by at most e^TAIL_FLOOR.  Both sub-flows are order
-    preserving and Lipschitz in u (H with constant 1, R with e^h), so the
-    excess stays below e^{TAIL_FLOOR + t}: hundreds of e-folds under every
-    probe.
+  * The initial profile ln(Phi(x/eps)) is clipped at a floor, which raises u
+    by at most e^floor.  Both sub-flows are order preserving and Lipschitz in
+    u (H with constant 1, R with e^h), so the excess stays below
+    e^{floor + t}.  Every probe (alpha, t > 0) reads at least its no-branch
+    bound -t + ln Phi(alpha sqrt(2 t)), so solve clips at TAIL_FLOOR = -700
+    or, where a probe lies deeper, at the lowest such bound minus t_final
+    minus 40: the excess then stays 40 e-folds under every probe.  Solves
+    that read only snapshots or the front keep TAIL_FLOOR.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelParams
+from .model import SQRT2, ModelParams
 from .varopt import log_normal_cdf
 
 _LN_HALF = math.log(0.5)
@@ -77,7 +80,7 @@ _LN_HALF = math.log(0.5)
 DEFAULT_DT = 0.02  # splitting step; the exact sub-flows impose no diffusive bound
 MONO_TOL = 1e-9  # a monotonicity defect above this aborts the run
 _SPAN = 500.0  # e-folds from a heat block's shift down to its lowest center value
-TAIL_FLOOR = -700.0  # clip of the initial ln u (module notes)
+TAIL_FLOOR = -700.0  # highest clip of the initial ln u (module notes)
 
 
 class SolverInstabilityError(RuntimeError):
@@ -166,8 +169,8 @@ class LogField:
             raise ValueError("right boundary is not pinned near u = 1; widen the domain")
 
 
-def init_field(grid: Grid, smoothing_eps: float) -> LogField:
-    """Smoothed-step initial data L(x) = ln(Phi(x / eps)), clipped at TAIL_FLOOR.
+def init_field(grid: Grid, smoothing_eps: float, floor: float = TAIL_FLOOR) -> LogField:
+    """Smoothed-step initial data L(x) = ln(Phi(x / eps)), clipped at floor.
 
     eps must lie in [dx/2, 4 dx]: narrower is unresolvable, wider visibly
     biases the O(1) prefactor.  The exact indicator initial condition would
@@ -179,7 +182,7 @@ def init_field(grid: Grid, smoothing_eps: float) -> LogField:
             f"[{0.5 * grid.dx}, {4.0 * grid.dx}], got {smoothing_eps!r}"
         )
     L = log_normal_cdf(grid.xs() / smoothing_eps)
-    np.maximum(L, TAIL_FLOOR, out=L)
+    np.maximum(L, floor, out=L)
     np.minimum(L, 0.0, out=L)
     fld = LogField(L=L, time=0.0, grid=grid)
     fld.validate()
@@ -484,7 +487,14 @@ def solve(
             raise DomainOverflowError(f"probe (alpha={a}, t={tp}) beyond x_max")
 
     eps = smoothing_eps if smoothing_eps is not None else dx
-    fld = init_field(grid, eps)
+    floor = TAIL_FLOOR
+    timed = [(a, tp) for a, tp in probes if tp > 0.0]
+    if timed:
+        # 40 e-folds of room under every probe's no-branch bound (module notes)
+        a, tp = np.array(timed).T
+        bound = float(np.min(-tp + log_normal_cdf(a * SQRT2 * np.sqrt(tp))))
+        floor = min(TAIL_FLOOR, bound - t_final - 40.0)
+    fld = init_field(grid, eps, floor)
     stepper = Stepper(params=params, grid=grid)
 
     front_set: set[float] = set()

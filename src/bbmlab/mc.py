@@ -2,27 +2,31 @@
 
 Particles carry exponential lifetimes and exact Gaussian displacements
 between events; nothing is time-discretized, so tail probabilities carry no
-discretization bias.  Every trial owns a counter-based random stream keyed
-by (seed, trial_index), which makes results bit-identical for any worker
-count or execution order.
+discretization bias.  Positions are in units of sigma (unit variance per
+unit time): X_max of the model with variance rate sigma2 is sigma times
+these.  Every trial owns a counter-based random stream keyed by
+(seed, trial_index), which makes results bit-identical for any worker count
+or execution order.
 
-Trials run in blocks of about 2^15 / e^t (at most 1024): a block advances
-one generation per pass in shared arrays, so its per-generation arithmetic
-costs a few numpy calls for all of its trials.  The stream contract is the
-same as for a trial simulated alone: per generation, a trial with k live
-particles draws k lifetimes and then k displacements from its own stream,
-so every draw, x_max and population is independent of the block size.
+Trials run in blocks of about 2^15 / e^t (at most 1024), the jobs that run
+serially or over a worker pool: a block advances one generation per pass in
+shared arrays, so its per-generation arithmetic costs a few numpy calls for
+all of its trials.  The stream contract is the same as for a trial simulated
+alone: per generation, a trial with k live particles draws k lifetimes and
+then k displacements from its own stream, so every draw, x_max and
+population is independent of the block size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import RHO, ModelParams
+from .model import RHO, SQRT2
 from .rates import scenario_geometry
 from .varopt import log_normal_cdf
 
@@ -39,9 +43,8 @@ class ParticleCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Model, horizon, seed and population cap for a batch of trials."""
+    """Horizon, seed and population cap for a batch of trials."""
 
-    params: ModelParams
     t: float
     seed: int
     max_particles: int = DEFAULT_MAX_PARTICLES
@@ -104,13 +107,13 @@ class Estimate:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Forced no-branch window and the target threshold."""
+    """Forced no-branch window and the target threshold, in sigma units."""
 
     tau: float
     threshold: float
 
     @classmethod
-    def for_alpha(cls, alpha: float, params: ModelParams, t: float) -> "ScenarioConfig":
+    def for_alpha(cls, alpha: float, t: float) -> "ScenarioConfig":
         """Defaults from the closed-form scenario geometry.
 
         Below the kink the optimal no-branch window is the whole horizon,
@@ -119,10 +122,10 @@ class ScenarioConfig:
         deviate itself at large t.
         """
         if alpha >= -RHO:
-            tau = scenario_geometry(alpha, params).tau_fraction * t
+            tau = scenario_geometry(alpha).tau_fraction * t
         else:
             tau = t - min(0.05 * t, 0.4)
-        return cls(tau=tau, threshold=alpha * params.critical_velocity * t)
+        return cls(tau=tau, threshold=alpha * SQRT2 * t)
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -148,7 +151,6 @@ def _xmax_block(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     """
     n = hi - lo
     rngs = [_trial_rng(config.seed, i) for i in range(lo, hi)]
-    sigma = config.params.sigma
     cap = config.max_particles
     pos = np.zeros(n)
     rem = np.full(n, float(config.t))
@@ -168,7 +170,6 @@ def _xmax_block(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.nda
         branch = lives < rem
         step = np.minimum(lives, rem)
         np.sqrt(step, out=step)
-        step *= sigma
         z *= step
         pos += z
         branched = np.add.reduceat(branch, starts, dtype=np.int64)
@@ -189,52 +190,33 @@ def _xmax_block(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     return x_max, n_final
 
 
-# -- trial batches -------------------------------------------------------------
-
-
-def _xmax_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    config, lo, hi = args
-    # at t = 0 every trial is its first particle, at the origin, drawing nothing
-    xm = np.zeros(hi - lo)
-    nf = np.ones(hi - lo, dtype=np.int64)
-    if config.t > 0.0:
-        size = _block_trials(config.t)
-        for b in range(lo, hi, size):
-            e = min(b + size, hi)
-            xm[b - lo:e - lo], nf[b - lo:e - lo] = _xmax_block(config, b, e)
-    return xm, nf
-
-
-def _chunks(n_trials: int, n_workers: int) -> list[tuple[int, int]]:
-    size = max(1, -(-n_trials // max(1, n_workers * 4)))
-    return [(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
-
-
-def _run_chunked(fn, jobs, n_workers: int):
-    if n_workers <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def sample_xmax(
     config: SimConfig, n_trials: int, n_workers: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of (x_max, final population) over trial indices 0..n_trials-1.
 
-    Each worker chunk runs its trials in blocks that advance generation by
+    The jobs are blocks of _block_trials(t) trials that advance generation by
     generation together, but trial i draws from its own stream keyed by
     (seed, i) in the same order as a trial simulated alone, so its outcome
     depends on (seed, i) only.  Results are assembled in trial order, so the
-    aggregate is independent of the chunking, the blocks and n_workers.
+    aggregate is independent of the blocks and n_workers.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    jobs = [(config, lo, hi) for lo, hi in _chunks(n_trials, n_workers)]
-    parts = _run_chunked(_xmax_chunk, jobs, n_workers)
-    xm = np.concatenate([p[0] for p in parts])
-    nf = np.concatenate([p[1] for p in parts])
-    return xm, nf
+    if config.t == 0.0:
+        # every trial is its first particle, at the origin, drawing nothing
+        return np.zeros(n_trials), np.ones(n_trials, dtype=np.int64)
+    size = _block_trials(config.t)
+    los = range(0, n_trials, size)
+    his = [min(lo + size, n_trials) for lo in los]
+    block = functools.partial(_xmax_block, config)
+    if n_workers <= 1:
+        parts = list(map(block, los, his))
+    else:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(pool.map(block, los, his,
+                                  chunksize=max(1, len(los) // (4 * n_workers))))
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def _binomial_estimate(hits: np.ndarray, seed: int, sampler: SamplerStats) -> Estimate:
@@ -268,9 +250,9 @@ def scenario_estimate(
     """Unbiased estimate of P(x_max <= threshold, no branching before tau).
 
     The first particle survives to tau with probability exp(-tau), and
-    its displacement y ~ N(0, sigma2 tau) is independent of the maximum xm of
-    the tree it then spawns over the remaining horizon, so
-    P(y + xm <= threshold | xm) = Phi((threshold - xm) / (sigma sqrt(tau))).
+    its displacement y ~ N(0, tau) is independent of the maximum xm of the
+    tree it then spawns over the remaining horizon, so
+    P(y + xm <= threshold | xm) = Phi((threshold - xm) / sqrt(tau)).
     Each trial samples one such tree and contributes exp(-tau) times that
     conditional probability, so every trial adds positive mass.  The ESS is
     taken over these per-trial values.  The estimated functional is a
@@ -280,11 +262,8 @@ def scenario_estimate(
         raise ValueError("n_trials must be >= 100")
     if not 0.0 < scen.tau <= config.t:
         raise ValueError(f"tau must lie in (0, t], got tau={scen.tau!r}, t={config.t!r}")
-    params = config.params
     xm, nf = sample_xmax(replace(config, t=config.t - scen.tau), n_trials, n_workers)
-    logv = -scen.tau + log_normal_cdf(
-        (scen.threshold - xm) / (params.sigma * math.sqrt(scen.tau))
-    )
+    logv = -scen.tau + log_normal_cdf((scen.threshold - xm) / math.sqrt(scen.tau))
 
     # values relative to the largest, so neither ess nor stderr underflows
     shift = float(logv.max())
@@ -298,15 +277,15 @@ def scenario_estimate(
     )
 
 
-def upper_tail_first_moment(t: float, v: float, params: ModelParams) -> float:
-    """ln E[#particles above v t at time t] = t + ln Phi(-v sqrt(t)/sigma).
+def upper_tail_first_moment(t: float, alpha: float) -> float:
+    """ln E[#particles above alpha sqrt(2) t at time t] = t + ln Phi(-alpha sqrt(2 t)).
 
-    By Markov's inequality its exponential upper-bounds P(x_max > v t); per
-    unit time it approaches 1 - v^2/(2 sigma2) for large t.
+    By Markov's inequality its exponential upper-bounds P(x_max > alpha
+    sqrt(2) t); per unit time it approaches 1 - alpha^2 for large t.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
-    return t + log_normal_cdf(-v * math.sqrt(t) / params.sigma)
+    return t + log_normal_cdf(-alpha * SQRT2 * math.sqrt(t))
 
 
 def first_branch_times(seed: int, n_trials: int) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Model parameters and velocity normalization for binary branching Brownian motion.
+"""Model constants and the diffusion variance of binary branching Brownian motion.
 
-Velocities come in two units: raw (v, with variance rate sigma2) in
-rates.phi and varopt, and the dimensionless alpha = v / sqrt(2 sigma2) in
-rates.psi, fkpp.solve probes and mc.ScenarioConfig.for_alpha.
+By Brownian scaling, X_max of the model with variance rate sigma2 has the law
+of sigma times X_max of the sigma = 1 model.  So rates, varopt and mc take
+the dimensionless velocity alpha = v / sqrt(2 sigma2) and work in lengths of
+one sigma; ModelParams reaches only fkpp and the CLI, which converts.
 """
 
 from __future__ import annotations
@@ -38,8 +39,3 @@ class ModelParams:
     def critical_velocity(self) -> float:
         """Asymptotic spreading speed sqrt(2 sigma2) of the rightmost particle."""
         return math.sqrt(2.0 * self.sigma2)
-
-
-def alpha_from_velocity(v: float, params: ModelParams) -> float:
-    """Normalized velocity alpha = v / sqrt(2 sigma2)."""
-    return v / params.critical_velocity

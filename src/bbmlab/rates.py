@@ -2,8 +2,9 @@
 
 Sign convention used throughout: rates are positive decay coefficients, i.e.
 ln P ~ -rate * t for the event in question.  This holds both for the lower
-deviations (rightmost particle unusually far left) and, via ``upper_rate``,
-for the upper ones.
+deviations (rightmost particle unusually far left) and, via psi's upper
+branch, for the upper ones.  Velocities are alpha = v / sqrt(2 sigma2) and
+lengths are in units of sigma.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import RHO, SQRT2, ModelParams, alpha_from_velocity
+from .model import RHO, SQRT2
 
 
 class Regime(Enum):
@@ -36,8 +37,11 @@ class ScenarioGeometry:
     """Geometry of the dominant lower-deviation scenario.
 
     tau_fraction: optimal first-branch time divided by the horizon t.
-    endpoint_coeff: coefficient of sigma*t in the optimal pre-branch endpoint.
-    drift: constant drift (velocity units) that reaches that endpoint at tau.
+    endpoint_coeff: coefficient of t in the optimal pre-branch endpoint.
+    drift: constant drift that reaches that endpoint at tau.
+
+    Lengths are in units of sigma: the physical endpoint and drift are sigma
+    times these.
     """
 
     tau_fraction: float
@@ -65,33 +69,6 @@ def psi(alpha: float) -> RateValue:
     return RateValue(alpha * alpha - 1.0, Regime.UPPER_REGIME)
 
 
-def phi(v: float, params: ModelParams) -> RateValue:
-    """Decay rate of the optimized no-early-branching lower bound.
-
-    Coincides with psi(v / sqrt(2 sigma2)) exactly (same code path).
-    Defined only for v strictly below the critical velocity.
-    """
-    if not v < params.critical_velocity:
-        raise ValueError(
-            f"phi requires v < sqrt(2*sigma2) = {params.critical_velocity!r}, got v={v!r}"
-        )
-    return psi(alpha_from_velocity(v, params))
-
-
-def upper_rate(v: float, params: ModelParams) -> float:
-    """Decay rate of ln P(rightmost > v t) for supercritical v.
-
-    Returned sign-normalized so that positive means decay:
-    ln P ~ -(v^2/(2 sigma2) - 1) * t.
-    """
-    if not v > params.critical_velocity:
-        raise ValueError(
-            f"upper_rate requires v > sqrt(2*sigma2) = {params.critical_velocity!r}, "
-            f"got v={v!r}"
-        )
-    return v * v / (2.0 * params.sigma2) - 1.0
-
-
 def bramson_centering(t: float) -> float:
     """Front centering sqrt(2)*t - (3/(2*sqrt(2))) * ln t, in sigma units.
 
@@ -102,14 +79,14 @@ def bramson_centering(t: float) -> float:
     return SQRT2 * t - (3.0 / (2.0 * SQRT2)) * math.log(t)
 
 
-def scenario_geometry(alpha: float, params: ModelParams) -> ScenarioGeometry:
+def scenario_geometry(alpha: float) -> ScenarioGeometry:
     """Optimal first-branch fraction, pre-branch endpoint and drift.
 
     For alpha >= -(sqrt(2)-1) the first branch is delayed to (1-alpha)/sqrt(2)
-    of the horizon and the particle drifts to -(sqrt(2)-1)(1-alpha)*sigma*t,
-    which makes the drift -(2-sqrt(2))*sigma independently of alpha.  Below
-    the kink the particle simply never branches and drifts straight to the
-    target alpha*sqrt(2 sigma2)*t.
+    of the horizon and the particle drifts to -(sqrt(2)-1)(1-alpha)*t, which
+    makes the drift -(2-sqrt(2)) independently of alpha.  Below the kink the
+    particle simply never branches and drifts straight to the target
+    alpha*sqrt(2)*t.
     """
     if not (math.isfinite(alpha) and alpha < 1.0):
         raise ValueError(f"scenario geometry requires alpha < 1, got {alpha!r}")
@@ -119,7 +96,7 @@ def scenario_geometry(alpha: float, params: ModelParams) -> ScenarioGeometry:
     else:
         tau_fraction = 1.0
         endpoint_coeff = alpha * SQRT2
-    drift = endpoint_coeff * params.sigma / tau_fraction
+    drift = endpoint_coeff / tau_fraction
     return ScenarioGeometry(tau_fraction=tau_fraction, endpoint_coeff=endpoint_coeff, drift=drift)
 
 

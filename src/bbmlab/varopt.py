@@ -1,12 +1,14 @@
 """Variational optimization of the delayed-first-branch lower bound.
 
-The objective is the log of  exp(-tau) * P(N(0, sigma2*tau) <= endpoint(tau)),
-the probability that the initial particle branches after tau and has drifted
-deep enough by then, with endpoint(tau) = v*t - sqrt(2 sigma2)*(t - tau) - 1:
-the -1 leaves the tree spawned at tau a unit of room above its linear front
-sqrt(2 sigma2)*(t - tau).  That is the lower-bound form, the only one
-computed here.  Maximizing over tau in (0, t] and dividing by -t recovers
-the closed-form rate as t grows.
+Lengths are in units of sigma, so the objective depends on the normalized
+velocity alpha = v / sqrt(2 sigma2) alone.  It is the log of
+exp(-tau) * P(N(0, tau) <= endpoint(tau)), the probability that the initial
+particle branches after tau and has drifted deep enough by then, with
+endpoint(tau) = alpha*sqrt(2)*t - sqrt(2)*(t - tau) - 1: the -1 leaves the
+tree spawned at tau one sigma of room above its linear front
+sqrt(2)*(t - tau).  That is the lower-bound form, the only one computed
+here.  Maximizing over tau in (0, t] and dividing by -t recovers the
+closed-form rate psi(alpha) as t grows.
 
 Everything is computed in log space; the Gaussian tail mass routinely sits
 near exp(-800) at the horizons of interest.
@@ -19,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
-from .rates import phi
+from .model import SQRT2
+from .rates import psi
 
 _SQRT_HALF = math.sqrt(0.5)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-ENDPOINT_MARGIN = -1.0  # offset of the pre-branch endpoint in the lower-bound form
+ENDPOINT_MARGIN = -1.0  # offset of the pre-branch endpoint in the lower-bound form, in sigma
 
 _ASYMPTOTIC_Z = -20.0  # below this, ln Phi comes from the asymptotic series
 # (-1)^k (2k-1)!! for k = 1..15: the series' terms at z = -20 fall below 1e-23
@@ -69,24 +71,20 @@ def log_normal_cdf(z):
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Target velocity v < sqrt(2 sigma2), horizon t and the model.
+    """Normalized target velocity alpha < 1 and horizon t.
 
     The objective is the lower-bound form: its pre-branch endpoint is
-    v*t - sqrt(2 sigma2)*(t - tau) + ENDPOINT_MARGIN.
+    alpha*sqrt(2)*t - sqrt(2)*(t - tau) + ENDPOINT_MARGIN, in sigma units.
     """
 
-    v: float
+    alpha: float
     t: float
-    params: ModelParams = ModelParams()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t) and self.t > 0.0):
             raise ValueError(f"horizon t must be positive, got {self.t!r}")
-        if not self.v < self.params.critical_velocity:
-            raise ValueError(
-                f"objective requires v < sqrt(2*sigma2), got v={self.v!r}, "
-                f"sigma2={self.params.sigma2!r}"
-            )
+        if not self.alpha < 1.0:
+            raise ValueError(f"objective requires alpha < 1, got alpha={self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -99,9 +97,8 @@ class Optimum:
 
 
 def _objective_values(tau, spec: ObjectiveSpec):
-    params = spec.params
-    endpoint = spec.v * spec.t - params.critical_velocity * (spec.t - tau) + ENDPOINT_MARGIN
-    return -tau + log_normal_cdf(endpoint / (params.sigma * np.sqrt(tau)))
+    endpoint = spec.alpha * SQRT2 * spec.t - SQRT2 * (spec.t - tau) + ENDPOINT_MARGIN
+    return -tau + log_normal_cdf(endpoint / np.sqrt(tau))
 
 
 def objective(tau: float, spec: ObjectiveSpec) -> float:
@@ -154,12 +151,11 @@ def maximize(spec: ObjectiveSpec, n_coarse: int = 2048) -> Optimum:
     return Optimum(tau_star=tau_star, log_value=log_value, empirical_rate=-log_value / t)
 
 
-def rate_convergence_table(v: float, sigma2: float, t_list) -> list[tuple[float, float, float]]:
+def rate_convergence_table(alpha: float, t_list) -> list[tuple[float, float, float]]:
     """Rows (t, empirical rate, closed-form rate) over a list of horizons."""
-    params = ModelParams(sigma2=sigma2)
-    reference = phi(v, params).rate
+    reference = psi(alpha).rate
     rows = []
     for t in t_list:
-        opt = maximize(ObjectiveSpec(v=v, t=float(t), params=params))
+        opt = maximize(ObjectiveSpec(alpha=alpha, t=float(t)))
         rows.append((float(t), opt.empirical_rate, reference))
     return rows

@@ -28,8 +28,8 @@ LOG_NCDF_ORACLE = {
 def xmax_one_at_a_time(config, lo, hi):
     """(x_max, final population) of trials lo..hi-1, each simulated alone.
 
-    The per-trial generation loop of bbmlab 0.6.0, kept as the reference for
-    the block-batched sampler: trial i draws from Philox keyed by
+    The per-trial generation loop of bbmlab 0.6.0 in sigma units, kept as the
+    reference for the block-batched sampler: trial i draws from Philox keyed by
     (seed, i), per generation k lifetimes and then k displacements.
     """
     xm = np.empty(hi - lo)
@@ -51,7 +51,6 @@ def xmax_one_at_a_time(config, lo, hi):
             branch = lives < rem
             step = np.minimum(lives, rem)
             np.sqrt(step, out=step)
-            step *= config.params.sigma
             z *= step
             pos += z
             n_hit = k - int(np.count_nonzero(branch))

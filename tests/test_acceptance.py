@@ -85,7 +85,7 @@ def mc_pde_t4():
     xs = [0.0, 3.0, 5.0]
     alphas = [x / (SQRT2 * t) for x in xs]
     res = fkpp.solve(P1, t, probes=[(a, t) for a in alphas], dx=0.05, track_front=False)
-    cfg = mc.SimConfig(params=P1, t=t, seed=SEED_MC_PDE)
+    cfg = mc.SimConfig(t=t, seed=SEED_MC_PDE)
     ests = mc.estimate_tail(cfg, xs, 200000)
     u_pde = [math.exp(res.tail_for(a).log_u[0]) for a in alphas]
     return xs, u_pde, ests
@@ -94,13 +94,13 @@ def mc_pde_t4():
 @pytest.fixture(scope="module")
 def scenario_bundle_t8():
     t = 8.0
-    scens = {a: mc.ScenarioConfig.for_alpha(a, P1, t) for a in (0.0, -1.0)}
+    scens = {a: mc.ScenarioConfig.for_alpha(a, t) for a in (0.0, -1.0)}
     remains = {a: t - s.tau for a, s in scens.items()}
     res = fkpp.solve(
         P1, t, probes=[(0.0, t), (-1.0, t)], dx=0.05,
         snapshot_times=sorted(set(remains.values())), track_front=False,
     )
-    cfg = mc.SimConfig(params=P1, t=t, seed=SEED_SCENARIO)
+    cfg = mc.SimConfig(t=t, seed=SEED_SCENARIO)
     out = {}
     for a, scen in scens.items():
         rem = remains[a]
@@ -142,9 +142,9 @@ def test_criterion_02_variational_numerics():
     ok = True
     details = []
     for alpha in (-2.0, -RHO, -0.2, 0.0, 0.5, 0.9):
-        opt = maximize(ObjectiveSpec(v=alpha * SQRT2, t=t, params=P1))
+        opt = maximize(ObjectiveSpec(alpha=alpha, t=t))
         ref = psi(alpha).rate
-        frac = scenario_geometry(alpha, P1).tau_fraction
+        frac = scenario_geometry(alpha).tau_fraction
         rate_ok = abs(opt.empirical_rate - ref) <= max(0.01 * ref, 0.01)
         frac_ok = abs(opt.tau_star / t - frac) <= 0.02
         ok &= rate_ok and frac_ok
@@ -273,13 +273,13 @@ def test_criterion_08_simulator_laws():
     pop_ok = True
     pop_details = []
     for t in (1.0, 2.0, 3.0):
-        _, nf = mc.sample_xmax(mc.SimConfig(params=P1, t=t, seed=SEED_LAWS + int(t)), 100000)
+        _, nf = mc.sample_xmax(mc.SimConfig(t=t, seed=SEED_LAWS + int(t)), 100000)
         mean = float(nf.mean())
         se = float(nf.std(ddof=1)) / math.sqrt(nf.size)
         pop_ok &= abs(mean - math.exp(t)) <= 3.0 * se
         pop_details.append(f"t={t:g}: {mean:.3f} vs {math.exp(t):.3f} (se {se:.3f})")
 
-    cfg = mc.SimConfig(params=P1, t=3.0, seed=SEED_LAWS)
+    cfg = mc.SimConfig(t=3.0, seed=SEED_LAWS)
     det_ok = mc.estimate_tail(cfg, 0.0, 500, n_workers=1) == mc.estimate_tail(
         cfg, 0.0, 500, n_workers=3
     )
@@ -294,11 +294,12 @@ def test_criterion_08_simulator_laws():
 
 def test_criterion_09_upper_deviation_first_moment():
     started = time.time()
-    val = mc.upper_tail_first_moment(400.0, 2.0, P1)
+    val = mc.upper_tail_first_moment(400.0, SQRT2)
     rel = abs(val / 400.0 - (-1.0))
     ok = rel <= 0.02
     elapsed = time.time() - started
-    assert report("9 ", ok, f"(t + ln Phi(-v sqrt t))/t = {val / 400.0:.5f} vs -1 ({elapsed:.2f}s)")
+    assert report("9 ", ok,
+                  f"(t + ln Phi(-alpha sqrt(2t)))/t = {val / 400.0:.5f} vs -1 ({elapsed:.2f}s)")
     assert elapsed < 1.0
 
 

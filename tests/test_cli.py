@@ -9,7 +9,7 @@ import pytest
 from scipy.special import logsumexp
 
 from bbmlab import cli, fkpp, mc
-from bbmlab.model import RHO, SQRT2, ModelParams
+from bbmlab.model import RHO, SQRT2
 from bbmlab.serialize import sha256_text
 from bbmlab.varopt import log_normal_cdf
 
@@ -107,8 +107,13 @@ class TestValidation:
         (["fkpp-rate"], {"alphas": [-math.inf], "t_list": [1.0, 2.0]}),
         (["sweep"], {"entries": [{"kind": "mc_tail", "alphas": [math.inf], "t": 2.0,
                                   "n_trials": 200}]}),
+        (["tau-opt", "--alphas", 1.5, "--t", 10], None),
+        (["tau-opt", "--alphas", "nan", "--t", 10], None),
+        (["tau-opt", "--v", "nan", "--t", 10], None),
+        (["tau-opt", "--v", 2, "--t", 10], None),
     ], ids=["nan-flag", "nan-scenario", "inf-flag", "workers-0", "workers-neg", "nan-sigma2",
-            "nan-config", "neg-inf-config", "inf-sweep-entry"])
+            "nan-config", "neg-inf-config", "inf-sweep-entry", "tau-opt-alpha-1.5",
+            "tau-opt-alpha-nan", "tau-opt-v-nan", "tau-opt-v-2"])
     def test_non_finite_or_out_of_range_rejected(self, tmp_path, argv, config):
         # NaN compares False with everything, so "alpha >= 1" or "sigma2 <= 0"
         # alone let it through
@@ -223,20 +228,19 @@ class TestMcSubcommands:
     def test_manifests_record_sampler_stats(self, tmp_path):
         # counted by mc from the final populations; one set of trees serves
         # every mc-tail threshold, scenario-lb samples one set per alpha
-        params = ModelParams()
         out = tmp_path / "mc.csv"
         assert run_cli(["mc-tail", "--alphas", 0, 0.5, "--t", 2, "--n-trials", 300,
                         "--seed", 42, "--out", out]) == 0
         stats = json.loads(read(str(out) + ".manifest.json"))["stats"]
-        _, nf = mc.sample_xmax(mc.SimConfig(params=params, t=2.0, seed=42), 300)
+        _, nf = mc.sample_xmax(mc.SimConfig(t=2.0, seed=42), 300)
         assert stats == {"trials": 300, "particle_segments": int(2 * nf.sum() - 300),
                          "peak_population": int(nf.max())}
         out = tmp_path / "lb.csv"
         assert run_cli(["scenario-lb", "--alphas", 0, -1, "--t", 2, "--n-trials", 300,
                         "--seed", 42, "--out", out]) == 0
         stats = json.loads(read(str(out) + ".manifest.json"))["stats"]
-        nfs = [mc.sample_xmax(mc.SimConfig(params=params, t=2.0 - scen.tau, seed=42), 300)[1]
-               for scen in (mc.ScenarioConfig.for_alpha(a, params, 2.0) for a in (0.0, -1.0))]
+        nfs = [mc.sample_xmax(mc.SimConfig(t=2.0 - scen.tau, seed=42), 300)[1]
+               for scen in (mc.ScenarioConfig.for_alpha(a, 2.0) for a in (0.0, -1.0))]
         assert stats["trials"] == 600
         assert stats["particle_segments"] == sum(int(2 * nf.sum() - 300) for nf in nfs)
         assert stats["peak_population"] == max(int(nf.max()) for nf in nfs)
@@ -259,9 +263,8 @@ class TestMcSubcommands:
         cols = dict(zip(header.split(","), row.split(",")))
         assert float(cols["p_hat"]) > 0.0
         assert float(cols["stderr"]) > 0.0
-        params = ModelParams()
-        scen = mc.ScenarioConfig.for_alpha(-1.0, params, 200.0)
-        xm, _ = mc.sample_xmax(mc.SimConfig(params=params, t=200.0 - scen.tau, seed=7), 100)
+        scen = mc.ScenarioConfig.for_alpha(-1.0, 200.0)
+        xm, _ = mc.sample_xmax(mc.SimConfig(t=200.0 - scen.tau, seed=7), 100)
         logv = -scen.tau + log_normal_cdf((scen.threshold - xm) / math.sqrt(scen.tau))
         ess = math.exp(2.0 * logsumexp(logv) - logsumexp(2.0 * logv))
         assert float(cols["ess"]) == pytest.approx(ess, rel=1e-12)
@@ -296,6 +299,43 @@ class TestMcSubcommands:
         assert stats["estimates"] == [
             {"alpha": float(alpha), "ess": float(cols["ess"]), "low_ess": low}
         ]
+
+
+class TestSigmaScaling:
+    """sigma is a unit of length: at sigma2 = 4 lengths double and nothing else moves."""
+
+    @staticmethod
+    def rows(tmp_path, argv, sigma2):
+        out = tmp_path / f"sigma2-{sigma2}.csv"
+        assert run_cli([*argv, "--sigma2", sigma2, "--out", out]) == 0
+        header, *lines = read(out).splitlines()
+        return [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+
+    @pytest.mark.parametrize("argv", [
+        ["mc-tail", "--alphas", 0, -0.3, "--t", 4, "--n-trials", 3000, "--seed", 5],
+        ["scenario-lb", "--alphas", 0, -1, "--t", 6, "--n-trials", 2000, "--seed", 5],
+    ], ids=["mc-tail", "scenario-lb"])
+    def test_mc_rows_equal_but_x_doubles(self, tmp_path, argv):
+        one, four = (self.rows(tmp_path, argv, s) for s in (1, 4))
+        assert len(one) == len(four) == 2
+        for r1, r4 in zip(one, four):
+            assert float(r4.pop("x")) == 2.0 * float(r1.pop("x"))
+            assert r4 == r1
+
+    def test_fkpp_rate_equal_at_doubled_dx_and_eps(self, tmp_path):
+        argv = ["fkpp-rate", "--alphas", 0, -1, "--t-list", 1, 2, 4]
+        one = self.rows(tmp_path, [*argv, "--dx", 0.1, "--eps", 0.1], 1)
+        four = self.rows(tmp_path, [*argv, "--dx", 0.2, "--eps", 0.2], 4)
+        assert [r["ln_u"] for r in four] == [r["ln_u"] for r in one]
+        assert [float(r["x_probe"]) for r in four] == [2.0 * float(r["x_probe"]) for r in one]
+
+    def test_tau_opt_free_of_sigma(self, tmp_path):
+        argv = ["tau-opt", "--alphas", 0, -0.5, -2, "--t-list", 10, 100]
+        one, four = (self.rows(tmp_path, argv, s) for s in (1, 4))
+        assert len(one) == len(four) == 6
+        for r1, r4 in zip(one, four):
+            for col in ("tau_star", "log_value", "empirical_rate", "phi"):
+                assert r4[col] == r1[col]
 
 
 class TestCsvSchemas:
@@ -521,9 +561,10 @@ class TestSweepAndReplay:
         manifest = json.loads(read(manifest_path))
         # 0.3.0 is the release before the PDE lattice moved to pass through x = 0;
         # every 0.4.0 manifest holds the retired margin field, refused by version;
-        # 0.5.0 computed ln Phi, the short-step heat kernel and log-sum-exps with SciPy
+        # 0.5.0 computed ln Phi, the short-step heat kernel and log-sum-exps with SciPy;
+        # 0.6.0 put tau-opt's endpoint margin in x units and clipped every PDE tail at -700
         manifest["config"]["margin"] = -1.0
-        for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0"):
+        for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0", "0.6.0"):
             manifest["version"] = version
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh)

@@ -409,6 +409,18 @@ class TestSolve:
             assert series.log_u[0] == pytest.approx(LN_HALF, rel=1e-12)
         assert res.front.positions[0] == pytest.approx(0.0, abs=1e-9)
 
+    def test_deep_probes_read_the_field_not_the_clip(self):
+        # ln u >= -t + ln Phi(alpha sqrt(2 t)), the chance that the first particle
+        # never branches and ends below alpha sqrt(2) t; at alpha = -3 and
+        # t >= 80 that bound lies below TAIL_FLOOR + t, so a clip at
+        # TAIL_FLOOR would hold the probe above it
+        res = fkpp.solve(P1, 100.0, probes=[(-3.0, 80.0), (-3.0, 100.0)], dx=0.1,
+                         track_front=False)
+        series = res.tail_for(-3.0)
+        for t, lu in zip(series.times, series.log_u):
+            bound = -t + log_normal_cdf(-3.0 * SQRT2 * math.sqrt(t))
+            assert bound <= lu <= bound + 1.0
+
     def test_validates_probes(self):
         with pytest.raises(ValueError):
             fkpp.solve(P1, 2.0, probes=[(1.0, 1.0)], dx=0.2)
@@ -447,7 +459,7 @@ class TestSolve:
     def test_solver_tail_matches_monte_carlo(self):
         res = fkpp.solve(P1, 3.0, probes=[(0.0, 3.0)], dx=0.1)
         ln_u = res.tails[0].log_u[0]
-        cfg = mc.SimConfig(params=P1, t=3.0, seed=91021)
+        cfg = mc.SimConfig(t=3.0, seed=91021)
         est = mc.estimate_tail(cfg, 0.0, 20000)
         assert abs(math.exp(ln_u) - est.p_hat) <= 3.0 * est.stderr
 

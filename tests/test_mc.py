@@ -16,7 +16,7 @@ P1 = ModelParams(sigma2=1.0)
 
 
 def cfg(t, seed=20250808, **kw):
-    return mc.SimConfig(params=P1, t=t, seed=seed, **kw)
+    return mc.SimConfig(t=t, seed=seed, **kw)
 
 
 class TestSimulate:
@@ -42,9 +42,9 @@ class TestSimulate:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            mc.SimConfig(params=P1, t=-1.0, seed=3)
+            mc.SimConfig(t=-1.0, seed=3)
         with pytest.raises(ValueError):
-            mc.SimConfig(params=P1, t=1.0, seed=3, max_particles=0)
+            mc.SimConfig(t=1.0, seed=3, max_particles=0)
 
 
 class TestDeterminism:
@@ -54,7 +54,7 @@ class TestDeterminism:
         assert e1 == e3
 
     def test_scenario_bit_identical_across_worker_counts(self):
-        scen = mc.ScenarioConfig.for_alpha(0.0, P1, 2.0)
+        scen = mc.ScenarioConfig.for_alpha(0.0, 2.0)
         s1 = mc.scenario_estimate(cfg(2.0), scen, 300, n_workers=1)
         s3 = mc.scenario_estimate(cfg(2.0), scen, 300, n_workers=3)
         assert s1 == s3
@@ -70,13 +70,13 @@ class TestDeterminism:
     def test_trial_outcome_depends_only_on_seed_and_index(self, seed, index, extra):
         config = cfg(1.5, seed=seed)
         xm, nf = mc.sample_xmax(config, index + extra)
-        xm_one, nf_one = mc._xmax_chunk((config, index, index + 1))
+        xm_one, nf_one = mc._xmax_block(config, index, index + 1)
         assert (xm[index], nf[index]) == (xm_one[0], nf_one[0])
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), alpha=st.sampled_from([0.0, -1.0]))
     def test_scenario_estimate_independent_of_workers(self, seed, alpha):
-        scen = mc.ScenarioConfig.for_alpha(alpha, P1, 2.0)
+        scen = mc.ScenarioConfig.for_alpha(alpha, 2.0)
         s1 = mc.scenario_estimate(cfg(2.0, seed=seed), scen, 100, n_workers=1)
         s3 = mc.scenario_estimate(cfg(2.0, seed=seed), scen, 100, n_workers=3)
         assert s1 == s3
@@ -89,17 +89,17 @@ class TestBlockSampler:
     @given(seed=st.integers(0, 2**64 - 1), t=st.floats(0.0, 6.0),
            lo=st.integers(0, 2**32), blocks=st.floats(0.0, 2.5))
     def test_matches_one_at_a_time_oracle(self, seed, t, lo, blocks):
-        # the chunk from lo spans up to two block boundaries; sample_xmax
-        # assembles its worker chunks from index 0
+        # one block of up to 2.5 blocks' worth of trials from lo; sample_xmax
+        # assembles its blocks from index 0
         config = cfg(t, seed=seed)
         n = 1 + int(blocks * mc._block_trials(t))
-        for got, want in [(mc._xmax_chunk((config, lo, lo + n)), xmax_one_at_a_time(config, lo, lo + n)),
+        for got, want in [(mc._xmax_block(config, lo, lo + n), xmax_one_at_a_time(config, lo, lo + n)),
                           (mc.sample_xmax(config, n), xmax_one_at_a_time(config, 0, n))]:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert got[1].dtype == want[1].dtype
 
     def test_large_trees_span_blocks(self):
-        # 90 trials in chunks of 23, blocks of 10: each chunk holds three blocks
+        # 90 trials in nine blocks of 10
         config = cfg(8.0, seed=8)
         assert mc._block_trials(8.0) == 10
         xm, nf = mc.sample_xmax(config, 90)
@@ -113,13 +113,13 @@ class TestBlockSampler:
         config = cfg(4.0, seed=44)
         n = 200
         assert n <= mc._block_trials(4.0)
-        xm, nf = mc._xmax_chunk((config, 0, n))
+        xm, nf = mc._xmax_block(config, 0, n)
         m = int(nf.max())
         assert np.count_nonzero(nf == m) == 1 and int(nf.sum()) > 10 * m
-        xm_m, nf_m = mc._xmax_chunk((replace(config, max_particles=m), 0, n))
+        xm_m, nf_m = mc._xmax_block(replace(config, max_particles=m), 0, n)
         assert np.array_equal(xm_m, xm) and np.array_equal(nf_m, nf)
         with pytest.raises(mc.ParticleCapError):
-            mc._xmax_chunk((replace(config, max_particles=m - 1), 0, n))
+            mc._xmax_block(replace(config, max_particles=m - 1), 0, n)
 
     def test_block_size_follows_mean_population(self):
         assert mc._block_trials(0.0) == mc._block_trials(1.0) == 1024
@@ -176,7 +176,7 @@ class TestScenarioEstimate:
 
     def test_lower_bound_ordering_vs_naive(self):
         t, alpha = 6.0, 0.0
-        scen = mc.ScenarioConfig.for_alpha(alpha, P1, t)
+        scen = mc.ScenarioConfig.for_alpha(alpha, t)
         s = mc.scenario_estimate(cfg(t, seed=11), scen, 20000)
         n = mc.estimate_tail(cfg(t, seed=12), 0.0, 10000)
         assert s.p_hat <= n.p_hat + 3.0 * math.hypot(s.stderr, n.stderr)
@@ -186,7 +186,7 @@ class TestScenarioEstimate:
         # reference: exp(-tau) * integral of the Gaussian density times the
         # PDE field at the remaining horizon
         t, alpha = 4.0, 0.0
-        scen = mc.ScenarioConfig.for_alpha(alpha, P1, t)
+        scen = mc.ScenarioConfig.for_alpha(alpha, t)
         rem = t - scen.tau
         res = fkpp.solve(P1, t, probes=[], dx=0.1, snapshot_times=[rem], track_front=False)
         ref = math.exp(fkpp.renewal_quadrature(res.snapshots[rem], 0.0, scen.tau, P1))
@@ -200,14 +200,14 @@ class TestScenarioEstimate:
             mc.scenario_estimate(cfg(2.0), mc.ScenarioConfig(tau=0.0, threshold=0.0), 200)
 
     def test_default_geometry(self):
-        scen = mc.ScenarioConfig.for_alpha(0.0, P1, 8.0)
+        scen = mc.ScenarioConfig.for_alpha(0.0, 8.0)
         assert scen.tau == pytest.approx(8.0 / SQRT2, rel=1e-12)
         assert scen.threshold == 0.0
-        late = mc.ScenarioConfig.for_alpha(-1.0, P1, 8.0)
+        late = mc.ScenarioConfig.for_alpha(-1.0, 8.0)
         assert late.tau == pytest.approx(0.95 * 8.0, rel=1e-12)
         assert late.threshold == pytest.approx(-SQRT2 * 8.0, rel=1e-12)
         # at large t the post-branch tree keeps a fixed 0.4 time units
-        assert mc.ScenarioConfig.for_alpha(-1.0, P1, 200.0).tau == pytest.approx(199.6, rel=1e-15)
+        assert mc.ScenarioConfig.for_alpha(-1.0, 200.0).tau == pytest.approx(199.6, rel=1e-15)
 
     def test_rate_emergence_over_horizons(self):
         # -log(q)/t drifts down toward the closed-form rate and stays inside
@@ -215,8 +215,8 @@ class TestScenarioEstimate:
         psi0 = 2.0 * RHO
         values = []
         for t in (6.0, 8.0, 10.0, 12.0):
-            scen = mc.ScenarioConfig.for_alpha(0.0, P1, t)
-            est = mc.scenario_estimate(mc.SimConfig(params=P1, t=t, seed=4242), scen, 40000)
+            scen = mc.ScenarioConfig.for_alpha(0.0, t)
+            est = mc.scenario_estimate(mc.SimConfig(t=t, seed=4242), scen, 40000)
             values.append(-est.log_p_hat / t)
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(psi0 - 0.05 <= v <= psi0 + 0.6 for v in values)
@@ -238,14 +238,14 @@ class TestFirstBranchLaw:
 
 class TestFirstMoment:
     def test_frozen_small_t_value(self):
-        got = mc.upper_tail_first_moment(1.0, 2.0, P1)
+        got = mc.upper_tail_first_moment(1.0, SQRT2)
         assert got == pytest.approx(1.0 + log_normal_cdf(-2.0), rel=1e-14)
         assert got == pytest.approx(-2.7832, abs=2e-4)
 
     def test_rate_recovery_at_large_t(self):
-        val = mc.upper_tail_first_moment(400.0, 2.0, P1)
+        val = mc.upper_tail_first_moment(400.0, SQRT2)
         assert val / 400.0 == pytest.approx(-1.0, abs=0.02)
 
     def test_population_growth_dominates_at_v0(self):
-        val = mc.upper_tail_first_moment(400.0, 0.0, P1)
+        val = mc.upper_tail_first_moment(400.0, 0.0)
         assert val / 400.0 == pytest.approx(1.0, abs=0.01)

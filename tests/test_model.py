@@ -1,29 +1,14 @@
 import math
 
-import numpy as np
 import pytest
 
-from bbmlab.model import RHO, SQRT2, ModelParams, alpha_from_velocity
+from bbmlab.model import RHO, ModelParams
 
 
 def test_rho_full_precision():
     # computed from sqrt at import, so it matches a fresh evaluation exactly
     assert abs(RHO - (math.sqrt(2.0) - 1.0)) < 1e-15
     assert abs(RHO - 0.4142135623730951) < 1e-15
-
-
-def test_alpha_from_velocity_examples():
-    assert alpha_from_velocity(math.sqrt(2.0), ModelParams(sigma2=1.0)) == pytest.approx(1.0, rel=1e-14)
-    assert alpha_from_velocity(0.0, ModelParams(sigma2=4.0)) == 0.0
-    v = -(SQRT2 - 1.0) * SQRT2
-    assert alpha_from_velocity(v, ModelParams(sigma2=1.0)) == pytest.approx(-RHO, rel=1e-14)
-
-
-def test_round_trip_property():
-    params = ModelParams(sigma2=2.7)
-    for alpha in np.linspace(-10.0, 10.0, 401):
-        back = alpha_from_velocity(alpha * params.critical_velocity, params)
-        assert back == pytest.approx(alpha, rel=1e-12, abs=1e-12)
 
 
 def test_params_validation():

@@ -3,19 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from bbmlab.model import RHO, SQRT2, ModelParams
+from bbmlab.model import RHO, SQRT2
 from bbmlab.rates import (
     Regime,
     bramson_centering,
     chen_lower_bound,
-    phi,
     prefactor_exponent,
     psi,
     scenario_geometry,
-    upper_rate,
 )
-
-P1 = ModelParams(sigma2=1.0)
 
 
 class TestPsi:
@@ -85,35 +81,14 @@ class TestPsi:
             psi(float("inf"))
 
 
-class TestPhi:
-    def test_examples(self):
-        assert phi(0.0, P1).rate == pytest.approx(2.0 * RHO, rel=1e-15)
-        assert phi(-SQRT2, P1).rate == pytest.approx(2.0, rel=1e-15)
-
-    def test_boundary_exclusion(self):
-        with pytest.raises(ValueError):
-            phi(SQRT2, P1)
-        with pytest.raises(ValueError):
-            phi(2.0, P1)
-
-    def test_coincides_with_psi_bitwise(self):
-        rng = np.random.default_rng(77)
-        for v in rng.uniform(-6.0, SQRT2 - 1e-9, size=200):
-            assert phi(v, P1).rate == psi(v / SQRT2).rate  # same code path, bit-equal
-
-
 class TestUpperRate:
-    def test_examples(self):
-        assert upper_rate(2.0, P1) == pytest.approx(1.0, rel=1e-15)
-        assert upper_rate(3.0, ModelParams(sigma2=2.0)) == pytest.approx(1.25, rel=1e-15)
+    """psi's upper branch v^2 / (2 sigma2) - 1, reached in velocity units."""
 
-    def test_boundary(self):
-        eps = 1e-8
-        assert upper_rate(SQRT2 * (1.0 + eps), P1) == pytest.approx(0.0, abs=1e-7)
-        with pytest.raises(ValueError):
-            upper_rate(SQRT2, P1)
-        with pytest.raises(ValueError):
-            upper_rate(1.0, P1)
+    def test_examples(self):
+        for v, sigma2, rate in ((2.0, 1.0, 1.0), (3.0, 2.0, 1.25)):
+            alpha = v / math.sqrt(2.0 * sigma2)
+            assert psi(alpha).rate == pytest.approx(rate, rel=1e-15)
+            assert psi(alpha).branch_tag is Regime.UPPER_REGIME
 
 
 class TestBramsonCentering:
@@ -137,39 +112,36 @@ class TestBramsonCentering:
 
 class TestScenarioGeometry:
     def test_middle_regime(self):
-        g = scenario_geometry(0.0, P1)
+        g = scenario_geometry(0.0)
         assert g.tau_fraction == pytest.approx(1.0 / SQRT2, rel=1e-14)
         assert g.endpoint_coeff == pytest.approx(-(SQRT2 - 1.0), rel=1e-14)
         assert g.drift == pytest.approx(-(2.0 - SQRT2), rel=1e-12)
 
     def test_drift_independent_of_alpha_in_middle(self):
-        drifts = [scenario_geometry(a, P1).drift for a in (-0.3, 0.0, 0.4, 0.9)]
+        drifts = [scenario_geometry(a).drift for a in (-0.3, 0.0, 0.4, 0.9)]
         assert max(drifts) - min(drifts) < 1e-12
 
     def test_kink_agreement(self):
-        g = scenario_geometry(-RHO, P1)
+        g = scenario_geometry(-RHO)
         assert g.tau_fraction == pytest.approx(1.0, rel=1e-12)
         assert g.endpoint_coeff == pytest.approx(-RHO * SQRT2, rel=1e-12)
 
     def test_no_branch_regime(self):
-        g = scenario_geometry(-2.0, P1)
+        g = scenario_geometry(-2.0)
         assert g.tau_fraction == 1.0
         assert g.drift == pytest.approx(-2.0 * SQRT2, rel=1e-14)
 
     def test_endpoint_drift_consistency(self):
-        # drift * (tau_fraction * t) == endpoint_coeff * sigma * t
-        p = ModelParams(sigma2=3.0)
+        # drift * (tau_fraction * t) == endpoint_coeff * t, in sigma units
         for a in (-3.0, -1.0, -RHO, 0.0, 0.5, 0.99):
-            g = scenario_geometry(a, p)
-            lhs = g.drift * g.tau_fraction
-            rhs = g.endpoint_coeff * p.sigma
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+            g = scenario_geometry(a)
+            assert g.drift * g.tau_fraction == pytest.approx(g.endpoint_coeff, rel=1e-12)
 
     def test_rejects_alpha_at_or_above_one(self):
         with pytest.raises(ValueError):
-            scenario_geometry(1.0, P1)
+            scenario_geometry(1.0)
         with pytest.raises(ValueError):
-            scenario_geometry(1.5, P1)
+            scenario_geometry(1.5)
 
 
 class TestChenBound:

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import log_ndtr
 
 from bbmlab.model import RHO, SQRT2
-from bbmlab.rates import phi
-from bbmlab.model import ModelParams
+from bbmlab.rates import psi, scenario_geometry
 from bbmlab.varopt import (
     ObjectiveSpec,
     log_normal_cdf,
@@ -106,7 +105,7 @@ class TestLogNormalCdfAgainstScipy:
 
 class TestObjective:
     def test_direct_evaluation_example(self):
-        spec = ObjectiveSpec(v=0.0, t=100.0)
+        spec = ObjectiveSpec(alpha=0.0, t=100.0)
         tau = 70.71
         z = (0.0 * 100.0 - SQRT2 * (100.0 - tau) - 1.0) / math.sqrt(tau)
         expected = -tau + log_normal_cdf(z)
@@ -115,18 +114,18 @@ class TestObjective:
         assert abs(objective(tau, spec) - (-2.0 * RHO * 100.0)) < 5.0
 
     def test_endpoint_bound_when_cdf_at_least_half(self):
-        # v t - 1 >= 0 at tau = t makes the Gaussian mass >= 1/2
-        spec = ObjectiveSpec(v=0.5, t=50.0)
+        # alpha sqrt(2) t - 1 >= 0 at tau = t makes the Gaussian mass >= 1/2
+        spec = ObjectiveSpec(alpha=0.5 / SQRT2, t=50.0)
         assert objective(50.0, spec) >= -50.0 + math.log(0.5)
 
     def test_small_tau_with_negative_endpoint_diverges(self):
-        spec = ObjectiveSpec(v=0.0, t=10.0)
+        spec = ObjectiveSpec(alpha=0.0, t=10.0)
         vals = [objective(tau, spec) for tau in (1e-2, 1e-4, 1e-6)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < -1e7
 
     def test_rejects_tau_outside_range(self):
-        spec = ObjectiveSpec(v=0.0, t=10.0)
+        spec = ObjectiveSpec(alpha=0.0, t=10.0)
         with pytest.raises(ValueError):
             objective(0.0, spec)
         with pytest.raises(ValueError):
@@ -134,7 +133,7 @@ class TestObjective:
 
     def test_continuous_in_tau(self):
         # increments vanish linearly with h, including where the slope is huge
-        spec = ObjectiveSpec(v=-0.7, t=50.0)
+        spec = ObjectiveSpec(alpha=-0.7 / SQRT2, t=50.0)
         for tau in (0.5, 5.0, 25.0, 49.99):
             d_coarse = abs(objective(tau + 1e-4, spec) - objective(tau, spec))
             d_fine = abs(objective(tau + 1e-8, spec) - objective(tau, spec))
@@ -142,79 +141,72 @@ class TestObjective:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ObjectiveSpec(v=SQRT2, t=10.0)
+            ObjectiveSpec(alpha=1.0, t=10.0)
         with pytest.raises(ValueError):
-            ObjectiveSpec(v=0.0, t=0.0)
-        # the critical velocity sqrt(2 sigma2) is the model's
-        wide = ModelParams(sigma2=2.0)
-        assert ObjectiveSpec(v=1.9, t=10.0, params=wide).params is wide
+            ObjectiveSpec(alpha=float("nan"), t=10.0)
         with pytest.raises(ValueError):
-            ObjectiveSpec(v=2.0, t=10.0, params=wide)
+            ObjectiveSpec(alpha=0.0, t=0.0)
 
 
 class TestMaximize:
     def test_middle_regime_t500(self):
-        opt = maximize(ObjectiveSpec(v=0.0, t=500.0))
+        opt = maximize(ObjectiveSpec(alpha=0.0, t=500.0))
         assert opt.tau_star / 500.0 == pytest.approx(1.0 / SQRT2, abs=0.02)
         assert opt.empirical_rate == pytest.approx(2.0 * RHO, rel=0.01)
         assert opt.log_value <= 0.0
 
     def test_no_branch_regime_t500(self):
-        opt = maximize(ObjectiveSpec(v=-2.0 * SQRT2, t=500.0))
+        opt = maximize(ObjectiveSpec(alpha=-2.0, t=500.0))
         assert opt.tau_star / 500.0 == pytest.approx(1.0, abs=0.02)
         assert opt.empirical_rate == pytest.approx(5.0, rel=0.01)
 
     def test_small_horizon(self):
-        opt = maximize(ObjectiveSpec(v=0.0, t=1.0))
+        opt = maximize(ObjectiveSpec(alpha=0.0, t=1.0))
         assert 0.0 < opt.tau_star <= 1.0
         assert math.isfinite(opt.log_value)
 
     def test_grid_refinement_stability(self):
-        spec = ObjectiveSpec(v=-0.3, t=200.0)
+        spec = ObjectiveSpec(alpha=-0.3 / SQRT2, t=200.0)
         a = maximize(spec, n_coarse=2048)
         b = maximize(spec, n_coarse=4096)
         assert abs(a.tau_star - b.tau_star) < 1e-3 * spec.t
 
     def test_boundary_maximum_is_exact(self):
-        opt = maximize(ObjectiveSpec(v=-3.0 * SQRT2, t=100.0))
+        opt = maximize(ObjectiveSpec(alpha=-3.0, t=100.0))
         assert opt.tau_star == 100.0
 
 
 class TestRateConvergence:
     def test_monotone_approach_v0(self):
-        rows = rate_convergence_table(0.0, 1.0, [50.0, 100.0, 200.0, 400.0])
+        rows = rate_convergence_table(0.0, [50.0, 100.0, 200.0, 400.0])
         errs = [abs(rate - ref) for _, rate, ref in rows]
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] <= 0.01
 
     def test_near_critical_velocity(self):
-        rows = rate_convergence_table(0.9 * SQRT2, 1.0, [400.0])
+        rows = rate_convergence_table(0.9, [400.0])
         _, rate, ref = rows[0]
         assert ref == pytest.approx(2.0 * RHO * 0.1, rel=1e-12)
         assert rate == pytest.approx(ref, rel=0.10)
 
     def test_deep_left(self):
-        rows = rate_convergence_table(-3.0 * SQRT2, 1.0, [400.0])
+        rows = rate_convergence_table(-3.0, [400.0])
         _, rate, ref = rows[0]
         assert ref == 10.0
         assert rate == pytest.approx(10.0, rel=0.01)
 
     def test_log_over_t_error_scale(self):
-        # t * (rate - phi) / ln t stays within [-5, 5] across a dyadic range
-        for v in (0.0, -1.0):
-            params = ModelParams(sigma2=1.0)
-            ref = phi(v, params).rate
+        # t * (rate - psi) / ln t stays within [-5, 5] across a dyadic range
+        for alpha in (0.0, -1.0 / SQRT2):
+            ref = psi(alpha).rate
             for t in (100.0, 200.0, 400.0, 800.0, 1600.0):
-                opt = maximize(ObjectiveSpec(v=v, t=t))
+                opt = maximize(ObjectiveSpec(alpha=alpha, t=t))
                 scaled = t * (opt.empirical_rate - ref) / math.log(t)
                 assert -5.0 <= scaled <= 5.0
 
     def test_optimal_fraction_tracks_closed_form(self):
         # tau*/t at t = 500 within 0.02 of the piecewise optimal fraction
-        from bbmlab.rates import scenario_geometry
-
-        params = ModelParams(sigma2=1.0)
         for alpha in (-2.0, -RHO, -0.2, 0.0, 0.5, 0.9):
-            opt = maximize(ObjectiveSpec(v=alpha * SQRT2, t=500.0))
-            frac = scenario_geometry(alpha, params).tau_fraction
+            opt = maximize(ObjectiveSpec(alpha=alpha, t=500.0))
+            frac = scenario_geometry(alpha).tau_fraction
             assert opt.tau_star / 500.0 == pytest.approx(frac, abs=0.02)
