@@ -6,7 +6,7 @@ event-driven Monte Carlo with a conditional scenario estimator (`mc`), and a
 CLI harness (`cli`).
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .model import RHO, SQRT2, ModelParams
 from .rates import (
@@ -19,7 +19,7 @@ from .rates import (
     psi,
     scenario_geometry,
 )
-from .varopt import ObjectiveSpec, Optimum, log_normal_cdf, maximize, objective, rate_convergence_table
+from .varopt import ObjectiveSpec, Optimum, log_normal_cdf, maximize, objective
 
 __all__ = [
     "RHO",
@@ -38,6 +38,5 @@ __all__ = [
     "log_normal_cdf",
     "maximize",
     "objective",
-    "rate_convergence_table",
     "__version__",
 ]

@@ -200,7 +200,7 @@ def _run_tau_opt(cfg: ExperimentConfig) -> Output:
     ts = cfg.t_list if cfg.t_list is not None else [cfg.t]
     rows = []
     for v, alpha in pairs:
-        ref = rates.psi(v / crit).rate
+        ref = rates.psi(alpha).rate
         for t in ts:
             opt = varopt.maximize(varopt.ObjectiveSpec(alpha=alpha, t=float(t)))
             rows.append((v, cfg.sigma2, t, opt.tau_star, opt.tau_star / t,

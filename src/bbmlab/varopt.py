@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SQRT2
-from .rates import psi
 
 _SQRT_HALF = math.sqrt(0.5)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ENDPOINT_MARGIN = -1.0  # offset of the pre-branch endpoint in the lower-bound form, in sigma
+_N_COARSE = 2048  # scan points that bracket the maximum
 
 _ASYMPTOTIC_Z = -20.0  # below this, ln Phi comes from the asymptotic series
 # (-1)^k (2k-1)!! for k = 1..15: the series' terms at z = -20 fall below 1e-23
@@ -108,54 +107,40 @@ def objective(tau: float, spec: ObjectiveSpec) -> float:
     return float(_objective_values(np.asarray(tau, dtype=float), spec))
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section maximization on [lo, hi] to an x tolerance."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _slope(tau: float, spec: ObjectiveSpec) -> float:
+    """d/dtau of the objective: -1 + M(z) z'(tau), M = phi / Phi the inverse Mills ratio."""
+    z = (spec.alpha * SQRT2 * spec.t - SQRT2 * (spec.t - tau) + ENDPOINT_MARGIN) / math.sqrt(tau)
+    dz = SQRT2 / math.sqrt(tau) - z / (2.0 * tau)
+    return -1.0 + math.exp(-0.5 * z * z - _LN_SQRT_2PI - log_normal_cdf(z)) * dz
 
 
-def maximize(spec: ObjectiveSpec, n_coarse: int = 2048) -> Optimum:
+def maximize(spec: ObjectiveSpec) -> Optimum:
     """Maximize the objective over tau in (0, t].
 
-    Coarse scan over n_coarse equally spaced tau values guards against a
-    missed local maximum (the objective is smooth and empirically unimodal,
-    but that is not proven), then golden-section refinement near the best
-    gridpoint down to 1e-10 * t.  Boundary maxima at tau = t are returned
-    exactly as t.
+    A scan over _N_COARSE equally spaced tau values brackets the best
+    gridpoint (the objective is smooth and empirically unimodal, but that is
+    not proven).  If the bracket reaches t and the slope there is not
+    negative, the maximum is the boundary and tau_star is exactly t.
+    Otherwise the bracket is bisected on the sign of the slope until its
+    ends are adjacent floats, so tau_star is a sign change of the computed
+    slope to the last bit; how close that is to the true root depends only
+    on the slope's rounding, not on comparisons of the flat objective.
     """
     t = spec.t
-    taus = t * np.arange(1, n_coarse + 1) / n_coarse
-    vals = _objective_values(taus, spec)
-    k = int(np.argmax(vals))
-    lo = taus[k - 1] if k > 0 else 0.5 * taus[0]
-    hi = taus[k + 1] if k < n_coarse - 1 else t
-
-    f = lambda tau: float(_objective_values(np.asarray(tau, dtype=float), spec))
-    refined = _golden_max(f, lo, hi, xtol=1e-10 * t)
-
-    candidates = [refined, float(taus[k]), t]
-    tau_star = max(candidates, key=f)
-    log_value = f(tau_star)
+    taus = t * np.arange(1, _N_COARSE + 1) / _N_COARSE
+    k = int(np.argmax(_objective_values(taus, spec)))
+    lo = float(taus[k - 1]) if k > 0 else 0.5 * float(taus[0])
+    hi = float(taus[k + 1]) if k < _N_COARSE - 1 else t
+    if hi == t and _slope(t, spec) >= 0.0:
+        tau_star = t
+    else:
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if _slope(mid, spec) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        tau_star = mid
+    log_value = objective(tau_star, spec)
     return Optimum(tau_star=tau_star, log_value=log_value, empirical_rate=-log_value / t)
-
-
-def rate_convergence_table(alpha: float, t_list) -> list[tuple[float, float, float]]:
-    """Rows (t, empirical rate, closed-form rate) over a list of horizons."""
-    reference = psi(alpha).rate
-    rows = []
-    for t in t_list:
-        opt = maximize(ObjectiveSpec(alpha=alpha, t=float(t)))
-        rows.append((float(t), opt.empirical_rate, reference))
-    return rows

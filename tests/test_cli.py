@@ -75,6 +75,16 @@ class TestTauOpt:
         assert float(cols["empirical_rate"]) == pytest.approx(2.0 * RHO, rel=0.01)
         assert float(cols["phi"]) == pytest.approx(2.0 * RHO, rel=1e-12)
 
+    def test_phi_equals_rate_psi(self, tmp_path):
+        # (alpha sqrt 2) / sqrt 2 is not alpha in the last bit for these two
+        alphas = [0.87, -1.9534]
+        assert run_cli(["tau-opt", "--alphas", *alphas, "--t", 10,
+                        "--out", tmp_path / "tau.csv"]) == 0
+        assert run_cli(["rate", "--alphas", *alphas, "--out", tmp_path / "rate.csv"]) == 0
+        tau_rows = read(tmp_path / "tau.csv").splitlines()[1:]
+        rate_rows = read(tmp_path / "rate.csv").splitlines()[1:]
+        assert [r.split(",")[-1] for r in tau_rows] == [r.split(",")[1] for r in rate_rows]
+
 
 class TestValidation:
     def test_empty_t_list_is_config_invalid(self, tmp_path):
@@ -562,9 +572,10 @@ class TestSweepAndReplay:
         # 0.3.0 is the release before the PDE lattice moved to pass through x = 0;
         # every 0.4.0 manifest holds the retired margin field, refused by version;
         # 0.5.0 computed ln Phi, the short-step heat kernel and log-sum-exps with SciPy;
-        # 0.6.0 put tau-opt's endpoint margin in x units and clipped every PDE tail at -700
+        # 0.6.0 put tau-opt's endpoint margin in x units and clipped every PDE tail at -700;
+        # 0.7.0 found tau-opt's tau_star by golden-section search
         manifest["config"]["margin"] = -1.0
-        for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0", "0.6.0"):
+        for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0", "0.6.0", "0.7.0"):
             manifest["version"] = version
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh)

@@ -1,19 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import log_ndtr
 
+from bbmlab import varopt
 from bbmlab.model import RHO, SQRT2
 from bbmlab.rates import psi, scenario_geometry
-from bbmlab.varopt import (
-    ObjectiveSpec,
-    log_normal_cdf,
-    maximize,
-    objective,
-    rate_convergence_table,
-)
+from bbmlab.varopt import ObjectiveSpec, log_normal_cdf, maximize, objective
 
 from oracles import LOG_NCDF_ORACLE
 
@@ -165,10 +161,11 @@ class TestMaximize:
         assert 0.0 < opt.tau_star <= 1.0
         assert math.isfinite(opt.log_value)
 
-    def test_grid_refinement_stability(self):
+    def test_grid_refinement_stability(self, monkeypatch):
         spec = ObjectiveSpec(alpha=-0.3 / SQRT2, t=200.0)
-        a = maximize(spec, n_coarse=2048)
-        b = maximize(spec, n_coarse=4096)
+        a = maximize(spec)
+        monkeypatch.setattr(varopt, "_N_COARSE", 4096)
+        b = maximize(spec)
         assert abs(a.tau_star - b.tau_star) < 1e-3 * spec.t
 
     def test_boundary_maximum_is_exact(self):
@@ -178,20 +175,21 @@ class TestMaximize:
 
 class TestRateConvergence:
     def test_monotone_approach_v0(self):
-        rows = rate_convergence_table(0.0, [50.0, 100.0, 200.0, 400.0])
-        errs = [abs(rate - ref) for _, rate, ref in rows]
+        ref = psi(0.0).rate
+        errs = [abs(maximize(ObjectiveSpec(alpha=0.0, t=t)).empirical_rate - ref)
+                for t in (50.0, 100.0, 200.0, 400.0)]
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] <= 0.01
 
     def test_near_critical_velocity(self):
-        rows = rate_convergence_table(0.9, [400.0])
-        _, rate, ref = rows[0]
+        ref = psi(0.9).rate
+        rate = maximize(ObjectiveSpec(alpha=0.9, t=400.0)).empirical_rate
         assert ref == pytest.approx(2.0 * RHO * 0.1, rel=1e-12)
         assert rate == pytest.approx(ref, rel=0.10)
 
     def test_deep_left(self):
-        rows = rate_convergence_table(-3.0, [400.0])
-        _, rate, ref = rows[0]
+        ref = psi(-3.0).rate
+        rate = maximize(ObjectiveSpec(alpha=-3.0, t=400.0)).empirical_rate
         assert ref == 10.0
         assert rate == pytest.approx(10.0, rel=0.01)
 
@@ -210,3 +208,48 @@ class TestRateConvergence:
             opt = maximize(ObjectiveSpec(alpha=alpha, t=500.0))
             frac = scenario_geometry(alpha).tau_fraction
             assert opt.tau_star / 500.0 == pytest.approx(frac, abs=0.02)
+
+
+def slope_50_digits(alpha, t, tau):
+    """f'(tau) = -1 + (phi / Phi)(z) z'(tau) of the objective, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        alpha, t, tau = mpmath.mpf(alpha), mpmath.mpf(t), mpmath.mpf(tau)
+        sqrt2 = mpmath.sqrt(2)
+        z = (alpha * sqrt2 * t - sqrt2 * (t - tau) + varopt.ENDPOINT_MARGIN) / mpmath.sqrt(tau)
+        dz = sqrt2 / mpmath.sqrt(tau) - z / (2 * tau)
+        return -1 + mpmath.npdf(z) / mpmath.ncdf(z) * dz
+
+
+ROOT_GRID = [(alpha, t) for alpha in (-3.0, -0.4, -0.2, 0.0, 0.5, 0.9, 0.99)
+             for t in (5.0, 50.0, 500.0, 5000.0)]
+
+
+class TestSlopeRoot:
+    def test_within_1e12_t_of_50_digit_root(self):
+        interior = 0
+        for alpha, t in ROOT_GRID:
+            opt = maximize(ObjectiveSpec(alpha=alpha, t=t))
+            if slope_50_digits(alpha, t, t) >= 0:
+                assert opt.tau_star == t, (alpha, t)
+                continue
+            interior += 1
+            with mpmath.workdps(50):
+                # a sign change 1e-6 t either side brackets the root independently
+                lo = mpmath.mpf(opt.tau_star) - mpmath.mpf(1e-6) * t
+                hi = mpmath.mpf(opt.tau_star) + mpmath.mpf(1e-6) * t
+                assert slope_50_digits(alpha, t, lo) > 0 > slope_50_digits(alpha, t, hi)
+                for _ in range(100):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if slope_50_digits(alpha, t, mid) > 0 else (lo, mid)
+                err = abs(float(mpmath.mpf(opt.tau_star) - lo)) / t
+            assert err <= 1e-12, (alpha, t, err)
+        assert interior == 21
+
+    def test_slope_changes_sign_across_interior_maxima(self):
+        for alpha, t in ROOT_GRID:
+            tau = maximize(ObjectiveSpec(alpha=alpha, t=t)).tau_star
+            if tau == t:
+                continue
+            h = 1e-12 * t
+            assert slope_50_digits(alpha, t, tau - h) > 0 > slope_50_digits(alpha, t, tau + h), \
+                (alpha, t)
