@@ -7,9 +7,9 @@ the CLI converts (x = sigma x_1, and tau-opt's v = alpha sqrt(2 sigma2)).
 The CLI alone knows the CSV formats: one header constant per output, rows
 written by serialize.csv_lines.  Each run writes a CSV plus a sibling
 manifest (<out>.manifest.json) recording the fully resolved config,
-package version, seed, run statistics and timings; `replay` reruns a
-manifest written by the same package version and verifies the CSV body is
-byte-identical.
+package version, seed, run statistics, timings and environment; `replay`
+reruns a manifest written by the same package version and verifies the CSV
+body is byte-identical.
 
 Exit codes: 0 ok, 2 config-invalid, 3 solver-instability, 4 particle-cap,
 5 domain-overflow, 6 check-failed (fit --check and replay mismatches).
@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -388,7 +389,7 @@ def run(cfg: ExperimentConfig, expected_sha256: str | None = None) -> int:
     cfg.validate()
     if cfg.out is None:
         raise ConfigError("an output path is required (--out)")
-    started = time.time()
+    started = time.perf_counter()
     res = _RUNNERS[cfg.kind](cfg)
     sha = _write_outputs(cfg, res, started)
     code = EXIT_OK
@@ -419,7 +420,9 @@ def _write_outputs(cfg: ExperimentConfig, res: Output, started: float) -> str:
         "csv_path": os.path.basename(cfg.out),
         "csv_sha256": sha,
         "stats": res.stats,
-        "timings": {"wall_s": time.time() - started},
+        "timings": {"wall_s": time.perf_counter() - started},
+        "env": {"python": platform.python_version(), "numpy": np.__version__,
+                "platform": f"{platform.system()}-{platform.machine()}", "cores": os.cpu_count()},
     }
     with open(cfg.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)

@@ -2,9 +2,11 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from scipy.special import logsumexp
 
@@ -63,6 +65,10 @@ class TestRate:
         assert manifest["config"]["kind"] == "rate"
         assert manifest["config"]["alphas"] == [0.5]
         assert "csv_sha256" in manifest and "wall_s" in manifest["timings"]
+        assert manifest["env"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                   "platform": f"{platform.system()}-{platform.machine()}",
+                                   "cores": os.cpu_count()}
+        assert manifest["timings"]["wall_s"] >= 0.0
 
 
 class TestTauOpt:

@@ -45,6 +45,11 @@ class TestSimulate:
             mc.SimConfig(t=-1.0, seed=3)
         with pytest.raises(ValueError):
             mc.SimConfig(t=1.0, seed=3, max_particles=0)
+        # a seed must be an integer, not a float or bool that int() would take
+        for seed in (1.5, 7.0, True, np.True_, "3", -1, 2**64):
+            with pytest.raises(ValueError):
+                mc.SimConfig(t=1.0, seed=seed)
+        assert mc.SimConfig(t=1.0, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 class TestDeterminism:
@@ -120,6 +125,19 @@ class TestBlockSampler:
         assert np.array_equal(xm_m, xm) and np.array_equal(nf_m, nf)
         with pytest.raises(mc.ParticleCapError):
             mc._xmax_block(replace(config, max_particles=m - 1), 0, n)
+
+    def test_reused_generators_start_fresh(self):
+        # fill every pooled Generator and leave its stream part-consumed (t=0.4
+        # runs 1024-trial blocks), then replay first draws over the pool; later
+        # blocks must still start each trial's stream from its beginning
+        mc.sample_xmax(cfg(0.4, seed=5), 3000)
+        assert len(mc._POOL) >= mc._BLOCK_TRIALS
+        mc.first_branch_times(6, 1500)
+        config = cfg(4.0, seed=9)
+        got, want = mc._xmax_block(config, 700, 900), xmax_one_at_a_time(config, 700, 900)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        got, want = mc.sample_xmax(config, 700), xmax_one_at_a_time(config, 0, 700)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_block_size_follows_mean_population(self):
         assert mc._block_trials(0.0) == mc._block_trials(1.0) == 1024
@@ -229,10 +247,12 @@ class TestFirstBranchLaw:
         assert result.pvalue > 1e-3
 
     def test_matches_trial_stream(self):
-        # trial streams draw the same first lifetime the replay reports
-        times = mc.first_branch_times(77, 4)
-        for i in range(4):
-            rng = mc._trial_rng(77, i)
+        # the replay reports the first lifetime of Philox keyed by (seed, i),
+        # across the replay's block boundaries
+        n = 2 * mc._BLOCK_TRIALS + 3
+        times = mc.first_branch_times(77, n)
+        for i in range(n):
+            rng = np.random.Generator(np.random.Philox(key=[77, i]))
             assert rng.standard_exponential(1)[0] == times[i]
 
 
