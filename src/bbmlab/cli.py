@@ -292,12 +292,9 @@ def _run_fit(cfg: ExperimentConfig) -> Output:
             keep = [(t, lu) for t, lu in zip(ts, lus) if any(abs(t - tt) < 1e-9 for tt in cfg.t_list)]
             ts = [t for t, _ in keep]
             lus = [lu for _, lu in keep]
-        tail = fkpp.TailSeries(
-            alpha=a, times=np.asarray(ts), log_u=np.asarray(lus), x_probe=np.asarray(ts)
-        )
         try:
-            fit = fkpp.fit_tail_series(tail)
-        except fkpp.InsufficientSamplesError as exc:
+            fit = fkpp.fit_tail_series(ts, lus)
+        except ValueError as exc:
             raise ConfigError(f"alpha={a}: {exc}") from exc
         # reference always recomputed from the closed form, never read from files
         psi_ref = rates.psi(a).rate

@@ -11,7 +11,8 @@ Scheme notes (these are constraints, not history):
     R, the logistic flow L <- L - log1p(-expm1(h) expm1(L)).  Both are
     monotone maps that fix u = 1, so the field stays nondecreasing and <= 0
     without repair or step-size limits; the splitting error is O(h^2).
-    Inside one advance the adjacent half-steps of R fuse.
+    advance takes a field to a given time on its own grid, in equal steps
+    of at most dt; inside one advance the adjacent half-steps of R fuse.
   * H convolves u with a positive lattice kernel of sum 1.  Where L < -1
     this is a log-sum-exp, one exp per grid point: the outputs are cut into
     blocks that share one shift, the largest window maximum in the block,
@@ -38,7 +39,8 @@ Scheme notes (these are constraints, not history):
     since 2r < 1 there.
   * Beyond the grid, u is held at u(x_min) on the left and at 1 on the
     right; probes keep 20 sigma sqrt(t) from x_min, so the left edge cannot
-    reach them.
+    reach them.  Probes and quadrature nodes read ln u through
+    LogField.log_u, linear in L, which refuses any x off the grid.
   * Every grid contains x = 0: Grid.build snaps x_min down to a multiple of
     dx, so the initial step is sampled at the same phase whatever t_final,
     the probes or explicit bounds.  A probe's value then depends on the rest
@@ -152,8 +154,13 @@ class LogField:
     max_violation: float = 0.0  # worst monotonicity defect so far
     steps: int = 0  # splitting steps taken so far
 
-    def copy(self) -> "LogField":
-        return LogField(self.L.copy(), self.time, self.grid, self.max_violation, self.steps)
+    def log_u(self, x: float | np.ndarray) -> float | np.ndarray:
+        """ln u at x (a number or an array), interpolated in L, not in u (it underflows)."""
+        g = self.grid
+        lo, hi = float(np.min(x)), float(np.max(x))
+        if not (g.x_min <= lo and hi <= g.x_max):
+            raise DomainOverflowError(f"x in [{lo!r}, {hi!r}] leaves grid [{g.x_min}, {g.x_max}]")
+        return np.interp(x, g.xs(), self.L)
 
     def validate(self, pinned_right: bool = True) -> None:
         if self.L.shape != (self.grid.n_points,):
@@ -189,106 +196,94 @@ def init_field(grid: Grid, smoothing_eps: float, floor: float = TAIL_FLOOR) -> L
     return fld
 
 
-@dataclass
-class Stepper:
-    """Advances a LogField in time by Strang splitting of exact sub-flows."""
+def _kernel(s: float) -> np.ndarray:
+    """Positive lattice kernel of sum 1 and variance s^2, s in cells."""
+    w = max(int(math.ceil(12.0 * s)), 8)
+    k = np.arange(-w, w + 1, dtype=float)
+    if s >= 1.0:
+        K = np.exp(-0.5 * (k / s) ** 2)
+    else:
+        # discrete heat kernel e^{-s^2} I_|k|(s^2), exact variance where a
+        # sampled Gaussian has too little; the factor e^{-s^2} cancels below.
+        # I_j(s^2) = sum_m a^(2m+j) / (m! (m+j)!), a = s^2/2 < 1/2: its
+        # m-th term is below 4^-m / (m!)^2 of the first, so 12 terms suffice
+        a = 0.5 * s * s
+        j = np.abs(k)
+        term = a ** j / np.array([math.factorial(int(i)) for i in j])
+        K = term.copy()
+        for m in range(1, 12):
+            term *= a * a / (m * (m + j))
+            K += term
+    return K / K.sum()
 
-    params: ModelParams
-    grid: Grid
 
-    def _kernel(self, h: float) -> np.ndarray:
-        """Positive lattice kernel of sum 1 and variance sigma2 * h."""
-        s = math.sqrt(self.params.sigma2 * h) / self.grid.dx  # std dev in cells
-        w = max(int(math.ceil(12.0 * s)), 8)
-        k = np.arange(-w, w + 1, dtype=float)
-        if s >= 1.0:
-            K = np.exp(-0.5 * (k / s) ** 2)
-        else:
-            # discrete heat kernel e^{-s^2} I_|k|(s^2), exact variance where a
-            # sampled Gaussian has too little; the factor e^{-s^2} cancels below.
-            # I_j(s^2) = sum_m a^(2m+j) / (m! (m+j)!), a = s^2/2 < 1/2: its
-            # m-th term is below 4^-m / (m!)^2 of the first, so 12 terms suffice
-            a = 0.5 * s * s
-            j = np.abs(k)
-            term = a ** j / np.array([math.factorial(int(i)) for i in j])
-            K = term.copy()
-            for m in range(1, 12):
-                term *= a * a / (m * (m + j))
-                K += term
-        return K / K.sum()
+def _heat(L: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Exact lattice heat flow of u = e^L: u <- K * u, with u = 1 beyond x_max."""
+    n, w = L.size, K.size // 2
+    P = np.concatenate([np.full(w, L[0]), L, np.zeros(w)])
+    out = np.empty(n)
+    i1 = int(np.searchsorted(L, -1.0))
+    # log-sum-exp in blocks of outputs that share one shift: the largest
+    # window maximum in the block (window maxima are right ends, since L
+    # is nondecreasing), at most _SPAN above every center in the block
+    m = P[2 * w: i1 + 2 * w]
+    b0 = 0
+    while b0 < i1:
+        b1 = max(b0 + 1, int(np.searchsorted(m, P[b0 + w] + _SPAN, "right")))
+        shift = m[b1 - 1]
+        E = np.exp(P[b0: b1 + 2 * w] - shift)
+        np.log(np.convolve(E, K, "valid"), out=out[b0:b1])
+        out[b0:b1] += shift
+        b0 = b1
+    if i1 < n:
+        # near u = 1 convolve 1 - u, which keeps its relative precision
+        c = np.convolve(-np.expm1(P[i1:]), K, "valid")
+        np.log1p(-c, out=out[i1:])
+    return np.minimum(out, 0.0, out=out)
 
-    def _heat(self, L: np.ndarray, K: np.ndarray) -> np.ndarray:
-        """Exact lattice heat flow of u = e^L: u <- K * u, with u = 1 beyond x_max."""
-        n, w = L.size, K.size // 2
-        P = np.concatenate([np.full(w, L[0]), L, np.zeros(w)])
-        out = np.empty(n)
-        i1 = int(np.searchsorted(L, -1.0))
-        # log-sum-exp in blocks of outputs that share one shift: the largest
-        # window maximum in the block (window maxima are right ends, since L
-        # is nondecreasing), at most _SPAN above every center in the block
-        m = P[2 * w: i1 + 2 * w]
-        b0 = 0
-        while b0 < i1:
-            b1 = max(b0 + 1, int(np.searchsorted(m, P[b0 + w] + _SPAN, "right")))
-            shift = m[b1 - 1]
-            E = np.exp(P[b0: b1 + 2 * w] - shift)
-            np.log(np.convolve(E, K, "valid"), out=out[b0:b1])
-            out[b0:b1] += shift
-            b0 = b1
-        if i1 < n:
-            # near u = 1 convolve 1 - u, which keeps its relative precision
-            c = np.convolve(-np.expm1(P[i1:]), K, "valid")
-            np.log1p(-c, out=out[i1:])
-        return np.minimum(out, 0.0, out=out)
 
-    def _react(self, L: np.ndarray, h: float) -> None:
-        """Exact logistic flow du/dt = u^2 - u over time h, in place."""
-        a = math.expm1(h)
-        # expm1(L) is -1 to machine precision below L = -40: a plain shift there
-        i0 = int(np.searchsorted(L, -40.0))
-        L[:i0] -= math.log1p(a)
-        e = np.expm1(L[i0:])
-        e *= -a
-        L[i0:] -= np.log1p(e)
+def _react(L: np.ndarray, h: float) -> None:
+    """Exact logistic flow du/dt = u^2 - u over time h, in place."""
+    a = math.expm1(h)
+    # expm1(L) is -1 to machine precision below L = -40: a plain shift there
+    i0 = int(np.searchsorted(L, -40.0))
+    L[:i0] -= math.log1p(a)
+    e = np.expm1(L[i0:])
+    e *= -a
+    L[i0:] -= np.log1p(e)
 
-    def advance(self, fld: LogField, amount: float, end_time: float | None = None) -> LogField:
-        """Advance by `amount` in ceil(amount / grid.dt) equal Strang steps."""
-        if amount < 0.0:
-            raise ValueError("cannot advance backwards")
-        fld.validate(pinned_right=False)
-        L = fld.L.copy()
-        worst = fld.max_violation
-        n = max(1, math.ceil(amount / self.grid.dt - 1e-9)) if amount > 0.0 else 0
-        if n:
-            h = amount / n
-            K = self._kernel(h)
-            # R(h/2) H(h) R(h/2) per step; adjacent reaction half-steps fuse
-            self._react(L, 0.5 * h)
-            for i in range(n):
-                L = self._heat(L, K)
-                self._react(L, h if i < n - 1 else 0.5 * h)
-                if not np.all(np.isfinite(L)):
-                    raise SolverInstabilityError("non-finite values after a step")
-                viol = float(np.max(L[:-1] - L[1:], initial=0.0))
-                if viol > MONO_TOL:
-                    raise SolverInstabilityError(
-                        f"monotonicity violated by {viol:.3e} (tolerance {MONO_TOL:g})"
-                    )
-                worst = max(worst, viol)
-        t_new = fld.time + amount if end_time is None else end_time
-        return LogField(L=L, time=t_new, grid=self.grid, max_violation=worst, steps=fld.steps + n)
+
+def advance(fld: LogField, t_end: float, sigma2: float) -> LogField:
+    """The field at t_end, in ceil((t_end - fld.time) / dt) equal Strang steps
+    on its own grid; fld itself is left as it is."""
+    amount = t_end - fld.time
+    if amount < 0.0:
+        raise ValueError("cannot advance backwards")
+    fld.validate(pinned_right=False)
+    grid = fld.grid
+    L = fld.L.copy()
+    worst = fld.max_violation
+    n = max(1, math.ceil(amount / grid.dt - 1e-9)) if amount > 0.0 else 0
+    if n:
+        h = amount / n
+        K = _kernel(math.sqrt(sigma2 * h) / grid.dx)
+        # R(h/2) H(h) R(h/2) per step; adjacent reaction half-steps fuse
+        _react(L, 0.5 * h)
+        for i in range(n):
+            L = _heat(L, K)
+            _react(L, h if i < n - 1 else 0.5 * h)
+            if not np.all(np.isfinite(L)):
+                raise SolverInstabilityError("non-finite values after a step")
+            viol = float(np.max(L[:-1] - L[1:], initial=0.0))
+            if viol > MONO_TOL:
+                raise SolverInstabilityError(
+                    f"monotonicity violated by {viol:.3e} (tolerance {MONO_TOL:g})"
+                )
+            worst = max(worst, viol)
+    return LogField(L=L, time=t_end, grid=grid, max_violation=worst, steps=fld.steps + n)
 
 
 # -- measurements ------------------------------------------------------------
-
-
-def probe_log_u(fld: LogField, x: float) -> float:
-    """ln u at x, linearly interpolated in L (never in u: the tail underflows)."""
-    if not (fld.grid.x_min <= x <= fld.grid.x_max):
-        raise DomainOverflowError(
-            f"x={x!r} outside grid [{fld.grid.x_min}, {fld.grid.x_max}]"
-        )
-    return float(np.interp(x, fld.grid.xs(), fld.L))
 
 
 def front_position(fld: LogField) -> float:
@@ -311,18 +306,15 @@ def renewal_quadrature(fld: LogField, x: float, tau: float, params: ModelParams)
     space.  Serves both the renewal inequality check and as the independent
     reference for the scenario estimator.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
     sig2t = params.sigma2 * tau
     half = 12.0 * math.sqrt(sig2t)
     dy = fld.grid.dx
     n = int(math.ceil(2.0 * half / dy)) + 1
     y = -half + dy * np.arange(n)
-    lo, hi = x - y[-1], x - y[0]
-    if lo < fld.grid.x_min or hi > fld.grid.x_max:
-        raise DomainOverflowError("quadrature support exceeds the field's grid")
     log_gauss = -0.5 * y * y / sig2t - 0.5 * math.log(2.0 * math.pi * sig2t)
-    vals = log_gauss + np.interp(x - y, fld.grid.xs(), fld.L)
+    vals = log_gauss + fld.log_u(x - y)
     top = float(vals.max())
     return -tau + top + math.log(float(np.exp(vals - top).sum())) + math.log(dy)
 
@@ -338,7 +330,6 @@ class FrontTrace:
     positions: np.ndarray
     fitted_speed: float | None = None
     log_coeff: float | None = None
-    offset: float | None = None
 
     def position_at(self, t: float) -> float:
         if not (self.times[0] <= t <= self.times[-1]):
@@ -378,10 +369,12 @@ class TailFit:
     residual_norm: float
 
 
-def fit_tail_series(series: TailSeries) -> TailFit:
-    """Least-squares fit of -ln u against {t, ln t, 1}."""
-    t = np.asarray(series.times, dtype=float)
-    y = -np.asarray(series.log_u, dtype=float)
+def fit_tail_series(times: Sequence[float], log_u: Sequence[float]) -> TailFit:
+    """Least-squares fit of -ln u against {t, ln t, 1}: ln u sampled at times."""
+    t = np.asarray(times, dtype=float)
+    y = -np.asarray(log_u, dtype=float)
+    if not (np.all(np.isfinite(t)) and np.all(t > 0.0) and np.all(np.isfinite(y))):
+        raise ValueError("every sample time must be finite and positive, every ln u finite")
     if t.size < 5:
         raise InsufficientSamplesError(f"need at least 5 samples, got {t.size}")
     if float(np.max(t)) < 4.0 * float(np.min(t)) - 1e-12:
@@ -459,8 +452,8 @@ def solve(
     sigma = params.sigma
     probes = [(float(a), float(tp)) for a, tp in probes]
     for a, tp in probes:
-        if not a < 1.0:
-            raise ValueError(f"probe alpha must be < 1, got {a!r}")
+        if not (math.isfinite(a) and a < 1.0):
+            raise ValueError(f"probe alpha must be finite and < 1, got {a!r}")
         if not 0.0 <= tp <= t_final + 1e-12:
             raise ValueError(f"probe time {tp!r} outside [0, {t_final!r}]")
     snapshot_times = [float(ts) for ts in snapshot_times]
@@ -495,7 +488,6 @@ def solve(
         bound = float(np.min(-tp + log_normal_cdf(a * SQRT2 * np.sqrt(tp))))
         floor = min(TAIL_FLOOR, bound - t_final - 40.0)
     fld = init_field(grid, eps, floor)
-    stepper = Stepper(params=params, grid=grid)
 
     front_set: set[float] = set()
     if track_front:
@@ -506,7 +498,6 @@ def solve(
     snap_set = set(snapshot_times)
 
     events = sorted(front_set | set(probe_at) | snap_set | {t_final})
-    xs = grid.xs()
     front_t: list[float] = []
     front_x: list[float] = []
     probe_val: dict[int, float] = {}
@@ -514,15 +505,15 @@ def solve(
 
     for T in events:
         if T > fld.time:
-            fld = stepper.advance(fld, T - fld.time, end_time=T)
+            fld = advance(fld, T, params.sigma2)
         if T in front_set:
             front_t.append(T)
             front_x.append(front_position(fld))
         for idx in probe_at.get(T, ()):
             a, tp = probes[idx]
-            probe_val[idx] = float(np.interp(a * crit * tp, xs, fld.L))
+            probe_val[idx] = float(fld.log_u(a * crit * tp))
         if T in snap_set:
-            snapshots[T] = fld.copy()
+            snapshots[T] = fld
 
     front = None
     if track_front:
@@ -530,8 +521,7 @@ def solve(
         window_lo = max(1.0, 0.1 * t_final)
         in_window = (front.times >= window_lo) & (front.times > 0.0)
         if int(np.count_nonzero(in_window)) >= 8:
-            speed, log_coeff, offset = front.fit_window(window_lo, t_final)
-            front.fitted_speed, front.log_coeff, front.offset = speed, log_coeff, offset
+            front.fitted_speed, front.log_coeff, _ = front.fit_window(window_lo, t_final)
 
     by_alpha: dict[float, list[int]] = {}
     for idx, (a, _) in enumerate(probes):

@@ -24,6 +24,7 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -217,9 +218,6 @@ def sample_xmax(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if config.t == 0.0:
-        # every trial is its first particle, at the origin, drawing nothing
-        return np.zeros(n_trials), np.ones(n_trials, dtype=np.int64)
     size = _block_trials(config.t)
     los = range(0, n_trials, size)
     his = [min(lo + size, n_trials) for lo in los]
@@ -243,19 +241,18 @@ def _binomial_estimate(hits: np.ndarray, seed: int, sampler: SamplerStats) -> Es
                     sampler=sampler)
 
 
-def estimate_tail(config: SimConfig, x, n_trials: int, n_workers: int = 1):
-    """Fraction of trials with x_max <= x.
+def estimate_tail(
+    config: SimConfig, xs: Sequence[float], n_trials: int, n_workers: int = 1
+) -> list[Estimate]:
+    """Fraction of trials with x_max <= x, for each threshold x in xs.
 
-    x may be a scalar or a sequence of thresholds; a sequence shares one set
-    of trials and returns a list of Estimates in the same order.
+    The thresholds share one set of trials; the Estimates come in their order.
     """
     if n_trials < 100:
         raise ValueError("n_trials must be >= 100")
     xm, nf = sample_xmax(config, n_trials, n_workers)
     sampler = SamplerStats.of(nf)
-    if np.ndim(x) == 0:
-        return _binomial_estimate(xm <= float(x), config.seed, sampler)
-    return [_binomial_estimate(xm <= float(xi), config.seed, sampler) for xi in x]
+    return [_binomial_estimate(xm <= float(x), config.seed, sampler) for x in xs]
 
 
 def scenario_estimate(

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The heavy PDE solves and Monte Carlo batches are module-scoped
-fixtures shared across criteria; everything runs single-threaded in a few
-minutes.
+fixtures shared across criteria; everything runs single-threaded, in about a
+minute on a 2-core x86-64 machine (51 s with Python 3.11 and numpy 2.4).
 
 Criterion 4a checks the front speed against the log-corrected centering
 sqrt(2) t - (3/(2 sqrt 2)) ln t (`rates.bramson_centering`).  The half-level
@@ -63,7 +63,7 @@ def tail_fits_60():
         P1, 60.0, probes=[(a, t) for a in alphas for t in t_list],
         dx=0.05, track_front=False,
     )
-    return {s.alpha: fkpp.fit_tail_series(s) for s in res.tails}
+    return {s.alpha: fkpp.fit_tail_series(s.times, s.log_u) for s in res.tails}
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def smoothing_sensitivity_pair():
             P1, 60.0, probes=[(0.0, t) for t in t_list], dx=0.05,
             smoothing_eps=eps_factor * 0.05, track_front=False,
         )
-        fits[eps_factor] = fkpp.fit_tail_series(res.tails[0])
+        fits[eps_factor] = fkpp.fit_tail_series(res.tails[0].times, res.tails[0].log_u)
     return fits
 
 
@@ -108,7 +108,7 @@ def scenario_bundle_t8():
         est = mc.scenario_estimate(cfg, scen, 100000)
         u_pde = math.exp(res.tail_for(a).log_u[0])
         out[a] = (scen, est, q_ref, u_pde)
-    naive = mc.estimate_tail(cfg, 0.0, 40000)
+    naive = mc.estimate_tail(cfg, [0.0], 40000)[0]
     return out, naive
 
 
@@ -280,8 +280,8 @@ def test_criterion_08_simulator_laws():
         pop_details.append(f"t={t:g}: {mean:.3f} vs {math.exp(t):.3f} (se {se:.3f})")
 
     cfg = mc.SimConfig(t=3.0, seed=SEED_LAWS)
-    det_ok = mc.estimate_tail(cfg, 0.0, 500, n_workers=1) == mc.estimate_tail(
-        cfg, 0.0, 500, n_workers=3
+    det_ok = mc.estimate_tail(cfg, [0.0], 500, n_workers=1) == mc.estimate_tail(
+        cfg, [0.0], 500, n_workers=3
     )
     ok = ks_ok and pop_ok and det_ok
     elapsed = time.time() - started

@@ -492,6 +492,22 @@ class TestFkppAndFit:
         )
         assert run_cli(["fit", "--input", probe, "--out", tmp_path / "f.csv"]) == 2
 
+    @pytest.mark.parametrize("t,ln_u", [("30", "nan"), ("30", "-inf"), ("30", "inf"),
+                                        ("-50", "-20"), ("0", "-1"), ("nan", "-20")])
+    def test_fit_rejects_bad_probe_cells(self, tmp_path, capsys, t, ln_u):
+        # one bad row among good ones: the fit refuses it instead of writing
+        # a NaN row or handing LAPACK a NaN design matrix
+        probe = tmp_path / "probe.csv"
+        write_probe(probe, slope=0.8)
+        probe.write_text(read(probe) + f"-0.5,{t},0,{ln_u},0.1,0.001,0.1\n")
+        out = tmp_path / "f.csv"
+        capsys.readouterr()
+        assert run_cli(["fit", "--input", probe, "--out", out]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert [json.loads(ln)["error"] for ln in err.splitlines()] == ["config-invalid"]
+        assert "alpha=-0.5" in err
+
 
 class TestSweepAndReplay:
     def test_sweep_concatenates_in_order(self, tmp_path):

@@ -22,10 +22,9 @@ def small_grid(dx=0.2, span=10.0):
 def heat_steps(g, L, h, n):
     """n exact lattice heat steps of size h with no reaction: u solves the
     plain heat equation."""
-    stepper = fkpp.Stepper(P1, g)
-    K = stepper._kernel(h)
+    K = fkpp._kernel(math.sqrt(P1.sigma2 * h) / g.dx)
     for _ in range(n):
-        L = stepper._heat(L, K)
+        L = fkpp._heat(L, K)
     return L
 
 
@@ -61,7 +60,7 @@ class TestKernel:
         # below one cell per step the kernel is e^{-s^2} I_|k|(s^2), s the
         # step's standard deviation in cells, normalized to sum 1
         g = small_grid(dx=0.2)
-        K = fkpp.Stepper(P1, g)._kernel((s * g.dx) ** 2)
+        K = fkpp._kernel(s)
         k = np.arange(K.size) - K.size // 2
         ref = ive(np.abs(k), s * s)
         ref /= ref.sum()
@@ -107,7 +106,7 @@ class TestStep:
     def test_u_equal_one_is_fixed_point(self):
         g = small_grid()
         fld = fkpp.LogField(L=np.zeros(g.n_points), time=0.0, grid=g)
-        out = fkpp.Stepper(P1, g).advance(fld, g.dt)
+        out = fkpp.advance(fld, g.dt, P1.sigma2)
         assert np.max(np.abs(out.L)) == 0.0
         assert out.time == pytest.approx(g.dt)
 
@@ -116,7 +115,7 @@ class TestStep:
         # logistic-in-u solution du/dt = u^2 - u from u = 1/2
         g = small_grid()
         fld = fkpp.LogField(L=np.full(g.n_points, LN_HALF), time=0.0, grid=g)
-        out = fkpp.Stepper(P1, g).advance(fld, g.dt)
+        out = fkpp.advance(fld, g.dt, P1.sigma2)
         dt = g.dt
         u_exact = 0.5 * math.exp(-dt) / (0.5 + 0.5 * math.exp(-dt))
         mid = g.n_points // 2
@@ -146,15 +145,28 @@ class TestStep:
         L[5] = L[6] + 1e-8  # violation above tolerance
         fld = fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g)
         with pytest.raises(ValueError):
-            fkpp.Stepper(P1, g).advance(fld, g.dt)
+            fkpp.advance(fld, g.dt, P1.sigma2)
 
     def test_tolerates_sub_tolerance_wiggle(self):
         g = small_grid()
         L = np.linspace(-5.0, 0.0, g.n_points)
         L[5] = L[6] + 1e-12  # within tolerance: accepted as input, not fatal
         fld = fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g)
-        out = fkpp.Stepper(P1, g).advance(fld, g.dt)
+        out = fkpp.advance(fld, g.dt, P1.sigma2)
         assert np.all(np.diff(out.L) >= 0.0)
+
+    def test_advance_keeps_grid_and_lands_on_t_end(self):
+        g = small_grid()
+        fld = fkpp.init_field(g, smoothing_eps=0.2)
+        before = fld.L.copy()
+        mid = fkpp.advance(fld, 0.1, P1.sigma2)
+        out = fkpp.advance(mid, 0.3, P1.sigma2)
+        assert out.grid is g and out.time == 0.3
+        assert out.steps == 5 + 10  # ceil(0.1 / 0.02) steps, then ceil(0.2 / 0.02)
+        assert np.array_equal(fld.L, before) and fld.time == 0.0  # input untouched
+        assert fkpp.advance(out, 0.3, P1.sigma2).steps == out.steps
+        with pytest.raises(ValueError, match="backwards"):
+            fkpp.advance(out, 0.2, P1.sigma2)
 
 
 class TestSplitting:
@@ -206,7 +218,7 @@ class TestSplitting:
         xs = g.xs()
         for L0 in (-300.0, -5.0, LN_HALF, -1e-6):
             fld = fkpp.LogField(L=np.full(g.n_points, L0), time=0.0, grid=g)
-            out = fkpp.Stepper(params=P1, grid=g).advance(fld, 2.0)
+            out = fkpp.advance(fld, 2.0, P1.sigma2)
             exact = L0 - math.log1p(-math.expm1(2.0) * math.expm1(L0))
             mid = out.L[xs <= -40.0]
             assert float(np.max(np.abs(mid - exact))) <= 1e-12 * abs(exact), (h, L0)
@@ -230,7 +242,7 @@ class TestSplitting:
         # subcycle budget: exact sub-flows take them in one step
         g = fkpp.Grid.build(-10.0, 10.0, dx, dt)
         fld = fkpp.LogField(L=np.minimum(0.0, slope * g.xs()), time=0.0, grid=g)
-        out = fkpp.Stepper(P1, g).advance(fld, g.dt)
+        out = fkpp.advance(fld, g.dt, P1.sigma2)
         assert out.steps == 1
         assert np.all(np.isfinite(out.L)) and np.all(out.L <= 0.0)
         assert np.all(np.diff(out.L) >= 0.0)
@@ -247,7 +259,7 @@ class TestSplitting:
         L += top - L[-1]
         n = L.size
         g = fkpp.Grid(x_min=-0.2 * (n // 2), x_max=0.2 * (n - 1 - n // 2), dx=0.2, dt=h)
-        out = fkpp.Stepper(params=P1, grid=g).advance(fkpp.LogField(L=L, time=0.0, grid=g), amount)
+        out = fkpp.advance(fkpp.LogField(L=L, time=0.0, grid=g), amount, P1.sigma2)
         assert np.all(out.L <= 0.0)
         assert np.all(np.diff(out.L) >= -1e-12 * max(1.0, float(np.max(np.abs(L)))))
         assert out.max_violation <= fkpp.MONO_TOL
@@ -277,9 +289,8 @@ class TestHeatPass:
     def assert_matches_reference(L, dx, h):
         n = L.size
         g = fkpp.Grid(x_min=-dx * (n // 2), x_max=dx * (n - 1 - n // 2), dx=dx, dt=h)
-        stepper = fkpp.Stepper(P1, g)
-        K = stepper._kernel(h)
-        got, ref = stepper._heat(L, K), windowed_heat(L, K)
+        K = fkpp._kernel(math.sqrt(P1.sigma2 * h) / g.dx)
+        got, ref = fkpp._heat(L, K), windowed_heat(L, K)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (dx, h)
 
@@ -355,7 +366,36 @@ class TestMeasurements:
         g = small_grid()
         fld = fkpp.init_field(g, smoothing_eps=0.2)
         with pytest.raises(fkpp.DomainOverflowError):
-            fkpp.probe_log_u(fld, 100.0)
+            fld.log_u(100.0)
+
+    def test_log_u_interpolates_on_the_grid(self):
+        g = small_grid()
+        fld = fkpp.init_field(g, smoothing_eps=0.2)
+        xs = g.xs()
+        x = np.concatenate([[g.x_min, g.x_max], np.linspace(g.x_min, g.x_max, 97)])
+        assert np.array_equal(fld.log_u(x), np.interp(x, xs, fld.L))
+        assert fld.log_u(g.x_min) == fld.L[0] and fld.log_u(g.x_max) == fld.L[-1]
+        assert fld.log_u(0.3) == np.interp(0.3, xs, fld.L)
+
+    @pytest.mark.parametrize("x", [[-10.5, 0.0], [0.0, 10.5], [math.nan], [-math.inf, 0.0]])
+    def test_log_u_refuses_points_off_the_grid(self, x):
+        fld = fkpp.init_field(small_grid(), smoothing_eps=0.2)
+        with pytest.raises(fkpp.DomainOverflowError):
+            fld.log_u(np.array(x))
+
+    def test_renewal_quadrature_support_must_lie_on_the_grid(self):
+        # the Gaussian support reaches 12 sqrt(sigma2 tau) = 12 either side of x
+        fld = fkpp.init_field(small_grid(dx=0.2, span=15.0), smoothing_eps=0.2)
+        fkpp.renewal_quadrature(fld, 0.0, 1.0, P1)
+        for x in (-3.5, 3.5):
+            with pytest.raises(fkpp.DomainOverflowError):
+                fkpp.renewal_quadrature(fld, x, 1.0, P1)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_renewal_quadrature_requires_finite_positive_tau(self, tau):
+        fld = fkpp.init_field(small_grid(), smoothing_eps=0.2)
+        with pytest.raises(ValueError, match="tau"):
+            fkpp.renewal_quadrature(fld, 0.0, tau, P1)
 
     def test_front_trace_fit_recovers_exact_model(self):
         t = np.linspace(5.0, 80.0, 60)
@@ -369,15 +409,12 @@ class TestMeasurements:
 
 class TestTailFit:
     def _series(self, t, y):
-        return fkpp.TailSeries(
-            alpha=0.0, times=np.asarray(t, float), log_u=-np.asarray(y, float),
-            x_probe=np.zeros(len(t)),
-        )
+        return np.asarray(t, float), -np.asarray(y, float)
 
     def test_exact_model_recovery(self):
         t = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
         y = 0.8284 * t - 0.6213 * np.log(t) + 1.0
-        fit = fkpp.fit_tail_series(self._series(t, y))
+        fit = fkpp.fit_tail_series(*self._series(t, y))
         assert fit.a == pytest.approx(0.8284, abs=1e-9)
         assert fit.b == pytest.approx(-0.6213, abs=1e-9)
         assert fit.c == pytest.approx(1.0, abs=1e-8)
@@ -385,20 +422,27 @@ class TestTailFit:
 
     def test_requires_five_samples_spanning_factor_four(self):
         with pytest.raises(fkpp.InsufficientSamplesError):
-            fkpp.fit_tail_series(self._series([10, 20, 30, 40], [1, 2, 3, 4]))
+            fkpp.fit_tail_series(*self._series([10, 20, 30, 40], [1, 2, 3, 4]))
         with pytest.raises(fkpp.InsufficientSamplesError):
-            fkpp.fit_tail_series(self._series([10, 11, 12, 13, 14], [1, 2, 3, 4, 5]))
+            fkpp.fit_tail_series(*self._series([10, 11, 12, 13, 14], [1, 2, 3, 4, 5]))
 
     def test_rank_deficiency_on_clustered_samples(self):
         t = [10.0, 10.0, 10.0, 10.0, 41.0]
         with pytest.raises(fkpp.RankDeficientFitError):
-            fkpp.fit_tail_series(self._series(t, [1, 1, 1, 1, 2]))
+            fkpp.fit_tail_series(*self._series(t, [1, 1, 1, 1, 2]))
+
+    @pytest.mark.parametrize("t0,y0", [(math.nan, 8.0), (-50.0, 8.0), (0.0, 8.0),
+                                       (10.0, math.nan), (10.0, math.inf)])
+    def test_rejects_non_finite_or_non_positive_cells(self, t0, y0):
+        t = [t0, 20.0, 30.0, 40.0, 50.0]
+        with pytest.raises(ValueError, match="finite"):
+            fkpp.fit_tail_series(*self._series(t, [y0, 16.0, 24.0, 32.0, 40.0]))
 
     def test_standard_errors_positive_on_noisy_data(self):
         rng = np.random.default_rng(5)
         t = np.linspace(10.0, 60.0, 12)
         y = 0.8 * t - 0.6 * np.log(t) + 1.0 + 0.01 * rng.standard_normal(t.size)
-        fit = fkpp.fit_tail_series(self._series(t, y))
+        fit = fkpp.fit_tail_series(*self._series(t, y))
         assert fit.se_a > 0 and fit.se_b > 0 and fit.se_c > 0
 
 
@@ -426,6 +470,12 @@ class TestSolve:
             fkpp.solve(P1, 2.0, probes=[(1.0, 1.0)], dx=0.2)
         with pytest.raises(ValueError):
             fkpp.solve(P1, 2.0, probes=[(0.0, 3.0)], dx=0.2)
+        for a in (-math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                fkpp.solve(P1, 2.0, probes=[(a, 1.0)], dx=0.2)
+        for tp in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                fkpp.solve(P1, 2.0, probes=[(0.0, tp)], dx=0.2)
 
     def test_probe_margin_enforced_with_override(self):
         with pytest.raises(fkpp.DomainOverflowError):
@@ -454,13 +504,13 @@ class TestSolve:
         final = res.snapshots[3.0]
         for xq in (-4.0, -1.0, 0.0, 2.0, 5.0):
             q = fkpp.renewal_quadrature(half, xq, 1.5, P1)
-            assert q <= fkpp.probe_log_u(final, xq) + math.log(1.0 + 1e-3)
+            assert q <= final.log_u(xq) + math.log(1.0 + 1e-3)
 
     def test_solver_tail_matches_monte_carlo(self):
         res = fkpp.solve(P1, 3.0, probes=[(0.0, 3.0)], dx=0.1)
         ln_u = res.tails[0].log_u[0]
         cfg = mc.SimConfig(t=3.0, seed=91021)
-        est = mc.estimate_tail(cfg, 0.0, 20000)
+        est = mc.estimate_tail(cfg, [0.0], 20000)[0]
         assert abs(math.exp(ln_u) - est.p_hat) <= 3.0 * est.stderr
 
     def test_grid_convergence_on_tail(self):

@@ -54,8 +54,8 @@ class TestSimulate:
 
 class TestDeterminism:
     def test_bit_identical_across_worker_counts(self):
-        e1 = mc.estimate_tail(cfg(2.0), 0.0, 300, n_workers=1)
-        e3 = mc.estimate_tail(cfg(2.0), 0.0, 300, n_workers=3)
+        e1 = mc.estimate_tail(cfg(2.0), [0.0], 300, n_workers=1)[0]
+        e3 = mc.estimate_tail(cfg(2.0), [0.0], 300, n_workers=3)[0]
         assert e1 == e3
 
     def test_scenario_bit_identical_across_worker_counts(self):
@@ -156,14 +156,14 @@ class TestSamplerStats:
 
 class TestEstimateTail:
     def test_sure_event(self):
-        est = mc.estimate_tail(cfg(1.0), 1e10, 200)
+        est = mc.estimate_tail(cfg(1.0), [1e10], 200)[0]
         assert est.p_hat == 1.0
         assert est.stderr == 0.0
         assert est.log_p_hat == 0.0
 
     def test_no_branch_lower_bound_at_t1(self):
         # restricting to "no branching at all" gives p >= exp(-1) * Phi(0)
-        est = mc.estimate_tail(cfg(1.0, seed=424242), 0.0, 20000)
+        est = mc.estimate_tail(cfg(1.0, seed=424242), [0.0], 20000)[0]
         bound = math.exp(-1.0) * 0.5
         assert est.p_hat >= bound - 3.0 * est.stderr
 
@@ -171,12 +171,12 @@ class TestEstimateTail:
         ests = mc.estimate_tail(cfg(2.0), [0.0, 1.0, 1e10], 500)
         assert [e.n_trials for e in ests] == [500, 500, 500]
         assert ests[0].p_hat <= ests[1].p_hat <= ests[2].p_hat == 1.0
-        single = mc.estimate_tail(cfg(2.0), 1.0, 500)
+        single = mc.estimate_tail(cfg(2.0), [1.0], 500)[0]
         assert single == ests[1]
 
     def test_requires_minimum_trials(self):
         with pytest.raises(ValueError):
-            mc.estimate_tail(cfg(1.0), 0.0, 99)
+            mc.estimate_tail(cfg(1.0), [0.0], 99)
 
 
 class TestScenarioEstimate:
@@ -186,7 +186,7 @@ class TestScenarioEstimate:
         t = 2.0
         scen = mc.ScenarioConfig(tau=1e-9, threshold=0.0)
         s = mc.scenario_estimate(cfg(t, seed=5), scen, 20000)
-        n = mc.estimate_tail(cfg(t, seed=6), 0.0, 20000)
+        n = mc.estimate_tail(cfg(t, seed=6), [0.0], 20000)[0]
         combined = math.hypot(s.stderr, n.stderr)
         assert abs(s.p_hat - n.p_hat) <= 3.0 * combined
         # indicator values: the ESS is the number of hits
@@ -196,7 +196,7 @@ class TestScenarioEstimate:
         t, alpha = 6.0, 0.0
         scen = mc.ScenarioConfig.for_alpha(alpha, t)
         s = mc.scenario_estimate(cfg(t, seed=11), scen, 20000)
-        n = mc.estimate_tail(cfg(t, seed=12), 0.0, 10000)
+        n = mc.estimate_tail(cfg(t, seed=12), [0.0], 10000)[0]
         assert s.p_hat <= n.p_hat + 3.0 * math.hypot(s.stderr, n.stderr)
         assert s.p_hat > 0.0
 
