@@ -412,7 +412,7 @@ def _write_outputs(cfg: ExperimentConfig, res: Output, started: float) -> str:
         fh.write(body)
     manifest = {
         "version": __version__,
-        "config": cfg.resolved(),
+        "config": _move_inputs(cfg.resolved(), lambda path: os.path.relpath(path, out_dir)),
         "seed": cfg.seed,
         "csv_path": os.path.basename(cfg.out),
         "csv_sha256": sha,
@@ -425,6 +425,22 @@ def _write_outputs(cfg: ExperimentConfig, res: Output, started: float) -> str:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return sha
+
+
+def _move_inputs(config, move):
+    """config with move applied to its fit input and its entries' fit inputs.
+
+    A manifest records input paths relative to its own directory, and replay
+    resolves them there, so a replay does not depend on the current directory.
+    """
+    if not isinstance(config, dict):
+        return config
+    moved = dict(config)
+    if isinstance(moved.get("input"), str):
+        moved["input"] = move(moved["input"])
+    if isinstance(moved.get("entries"), list):
+        moved["entries"] = [_move_inputs(e, move) for e in moved["entries"]]
+    return moved
 
 
 def _replay(manifest_path: str, out: str | None) -> int:
@@ -440,7 +456,8 @@ def _replay(manifest_path: str, out: str | None) -> int:
     missing = [key for key in ("config", "csv_sha256") if key not in manifest]
     if missing:
         raise ConfigError(f"{manifest_path}: manifest lacks {missing}")
-    cfg = _config_from_dict(manifest["config"])
+    base = os.path.dirname(manifest_path)
+    cfg = _config_from_dict(_move_inputs(manifest["config"], lambda path: os.path.join(base, path)))
     cfg.out = out or (manifest_path[: -len(".manifest.json")] + ".replay.csv")
     return run(cfg, expected_sha256=manifest["csv_sha256"])
 

@@ -16,6 +16,11 @@ all of its trials.  The stream contract is the same as for a trial simulated
 alone: per generation, a trial with k live particles draws k lifetimes and
 then k displacements from its own stream, so every draw, x_max and
 population is independent of the block size.
+
+A naive tail reads a tree only through 1{x_max <= x}, so estimate_tail stops
+a tree once a particle ends at t above the highest threshold, which sets every
+indicator to 0; the tree has drawn a prefix of its stream, so results stay
+independent of blocks and workers, and only a tree not yet decided can hit the cap.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ _POOL: list[np.random.Generator] = []
 
 
 class ParticleCapError(RuntimeError):
-    """Population exceeded max_particles; lower t or raise the cap."""
+    """A tree passed max_particles before it was decided; lower t or raise the cap."""
 
 
 @dataclass(frozen=True)
@@ -64,20 +69,17 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SamplerStats:
-    """Work behind an estimate: trees sampled, particle segments, largest tree.
+    """Work behind an estimate: trees sampled, particle segments simulated, largest tree.
 
-    A tree with n particles alive at the horizon has 2n - 1 segments (lives
-    from birth to branching or to the horizon).
+    A segment is one particle's life from birth to branching or to the horizon,
+    so a tree with n particles alive at the horizon has 2n - 1.  A tree that
+    estimate_tail stops early counts only the segments it drew, and the peak
+    is the most particles any tree brought to the horizon.
     """
 
     trials: int
     particle_segments: int
     peak_population: int
-
-    @classmethod
-    def of(cls, nf: np.ndarray) -> "SamplerStats":
-        """Counted from the final populations returned by sample_xmax."""
-        return cls(int(nf.size), int(2 * nf.sum() - nf.size), int(nf.max()))
 
     @classmethod
     def total(cls, parts) -> "SamplerStats":
@@ -152,8 +154,9 @@ def _block_trials(t: float) -> int:
     return int(min(_BLOCK_TRIALS, max(1.0, _BLOCK_PARTICLES / mean_population)))
 
 
-def _xmax_block(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact realizations of trials lo..hi-1: (max position at t, particles alive at t).
+def _xmax_block(config: SimConfig, lo: int, hi: int,
+                stop: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact realizations of trials lo..hi-1: (x_max, particles at t, segments drawn).
 
     The block advances one generation per pass.  Its particles sit in shared
     arrays, each live trial's in one contiguous segment in trial order (masks
@@ -161,6 +164,10 @@ def _xmax_block(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     lifetimes, then k displacements, from its own stream, just as a trial
     simulated alone does; all other arithmetic is one pass over the block,
     with per-trial sums and maxima reduced over the segments.
+
+    A trial whose x_max passes stop drops its branching particles after that
+    generation, so its x_max is only known to exceed stop.  Segments count each
+    trial's live particles over its generations.
     """
     n = hi - lo
     rngs = _trial_rngs(config.seed, lo, hi)
@@ -171,12 +178,13 @@ def _xmax_block(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     counts = np.ones(n, dtype=np.int64)  # their live particles
     x_max = np.full(n, -math.inf)
     n_final = np.zeros(n, dtype=np.int64)
+    segments = np.zeros(n, dtype=np.int64)
     while ids.size:
         lives = np.empty(pos.size)
         z = np.empty(pos.size)
-        stops = np.cumsum(counts)
-        starts = stops - counts
-        for j, a, b in zip(ids.tolist(), starts.tolist(), stops.tolist()):
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        for j, a, b in zip(ids.tolist(), starts.tolist(), ends.tolist()):
             rng = rngs[j]
             rng.standard_exponential(out=lives[a:b])
             rng.standard_normal(out=z[a:b])
@@ -187,20 +195,49 @@ def _xmax_block(config: SimConfig, lo: int, hi: int) -> tuple[np.ndarray, np.nda
         pos += z
         branched = np.add.reduceat(branch, starts, dtype=np.int64)
         ended_max = np.maximum.reduceat(np.where(branch, -math.inf, pos), starts)
-        x_max[ids] = np.maximum(x_max[ids], ended_max)
+        running = np.maximum(x_max[ids], ended_max)
+        x_max[ids] = running
         n_final[ids] += counts - branched
+        segments[ids] += counts
+        decided = running > stop
+        if decided.any():
+            branch &= np.repeat(~decided, counts)
+            branched[decided] = 0
         sub_rem = rem[branch]
         sub_rem -= lives[branch]
         pos = np.repeat(pos[branch], 2)
         rem = np.repeat(sub_rem, 2)
         counts = 2 * branched
         # per trial, as alone: n_final + live only grows, so this fails iff
-        # some trial's final population exceeds the cap
+        # some undecided trial's population exceeds the cap
         if (n_final[ids] + counts > cap).any():
             raise ParticleCapError(f"population exceeded max_particles={cap} at t={config.t}")
         alive = counts > 0
         ids, counts = ids[alive], counts[alive]
-    return x_max, n_final
+    return x_max, n_final, segments
+
+
+def _sample(config: SimConfig, n_trials: int, n_workers: int,
+            stop: float = math.inf) -> tuple[np.ndarray, np.ndarray, SamplerStats]:
+    """(x_max, final population, work) over trials 0..n_trials-1, each decided at stop.
+
+    The jobs are blocks of _block_trials(t) trials, run serially or over a
+    pool of n_workers processes and assembled in trial order.
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    size = _block_trials(config.t)
+    los = range(0, n_trials, size)
+    his = [min(lo + size, n_trials) for lo in los]
+    block = functools.partial(_xmax_block, config, stop=stop)
+    if n_workers <= 1:
+        parts = list(map(block, los, his))
+    else:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(pool.map(block, los, his,
+                                  chunksize=max(1, len(los) // (4 * n_workers))))
+    xm, nf, segments = (np.concatenate(p) for p in zip(*parts))
+    return xm, nf, SamplerStats(n_trials, int(segments.sum()), int(nf.max()))
 
 
 def sample_xmax(
@@ -214,21 +251,9 @@ def sample_xmax(
     depends on (seed, i) only; it is a Generator from the process's pool (not
     shared across threads), re-keyed to a fresh Philox(key=(seed, i)).  Results
     are assembled in trial order, so the aggregate is independent of the blocks
-    and n_workers.
+    and n_workers.  Every tree runs to the horizon.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    size = _block_trials(config.t)
-    los = range(0, n_trials, size)
-    his = [min(lo + size, n_trials) for lo in los]
-    block = functools.partial(_xmax_block, config)
-    if n_workers <= 1:
-        parts = list(map(block, los, his))
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(block, los, his,
-                                  chunksize=max(1, len(los) // (4 * n_workers))))
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    return _sample(config, n_trials, n_workers)[:2]
 
 
 def _binomial_estimate(hits: np.ndarray, seed: int, sampler: SamplerStats) -> Estimate:
@@ -247,11 +272,13 @@ def estimate_tail(
     """Fraction of trials with x_max <= x, for each threshold x in xs.
 
     The thresholds share one set of trials; the Estimates come in their order.
+    A trial stops once a particle ends at t above max(xs), which decides every
+    indicator; its sampler work and the population cap count only what it drew.
     """
     if n_trials < 100:
         raise ValueError("n_trials must be >= 100")
-    xm, nf = sample_xmax(config, n_trials, n_workers)
-    sampler = SamplerStats.of(nf)
+    stop = max(map(float, xs), default=-math.inf)
+    xm, _, sampler = _sample(config, n_trials, n_workers, stop)
     return [_binomial_estimate(xm <= float(x), config.seed, sampler) for x in xs]
 
 
@@ -273,7 +300,7 @@ def scenario_estimate(
         raise ValueError("n_trials must be >= 100")
     if not 0.0 < scen.tau <= config.t:
         raise ValueError(f"tau must lie in (0, t], got tau={scen.tau!r}, t={config.t!r}")
-    xm, nf = sample_xmax(replace(config, t=config.t - scen.tau), n_trials, n_workers)
+    xm, _, sampler = _sample(replace(config, t=config.t - scen.tau), n_trials, n_workers)
     logv = -scen.tau + log_normal_cdf((scen.threshold - xm) / math.sqrt(scen.tau))
 
     # values relative to the largest, so neither ess nor stderr underflows
@@ -284,7 +311,7 @@ def scenario_estimate(
     stderr = float(np.std(v, ddof=1) / math.sqrt(n_trials)) * math.exp(shift)
     return Estimate(
         p_hat=math.exp(log_p), stderr=stderr, n_trials=n_trials, log_p_hat=log_p, ess=ess,
-        seed=config.seed, sampler=SamplerStats.of(nf),
+        seed=config.seed, sampler=sampler,
     )
 
 

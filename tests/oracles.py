@@ -25,18 +25,22 @@ LOG_NCDF_ORACLE = {
 }
 
 
-def xmax_one_at_a_time(config, lo, hi):
-    """(x_max, final population) of trials lo..hi-1, each simulated alone.
+def xmax_one_at_a_time(config, lo, hi, stop=math.inf):
+    """(x_max, final population, segments drawn) of trials lo..hi-1, each simulated alone.
 
     The per-trial generation loop of bbmlab 0.6.0 in sigma units, kept as the
     reference for the block-batched sampler: trial i draws from Philox keyed by
-    (seed, i), per generation k lifetimes and then k displacements.
+    (seed, i), per generation k lifetimes and then k displacements.  A trial
+    stops after the generation in which a particle ends at t above stop; with
+    the default stop every tree runs to the horizon.  The segments are the k
+    summed over a trial's generations.
     """
     xm = np.empty(hi - lo)
     nf = np.empty(hi - lo, dtype=np.int64)
+    segments = np.zeros(hi - lo, dtype=np.int64)
     for i in range(lo, hi):
         if config.t <= 0.0:
-            xm[i - lo], nf[i - lo] = 0.0, 1
+            xm[i - lo], nf[i - lo], segments[i - lo] = 0.0, 1, 1
             continue
         key = np.array([config.seed, i], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
@@ -46,6 +50,7 @@ def xmax_one_at_a_time(config, lo, hi):
         n_final = 0
         while pos.size:
             k = pos.size
+            segments[i - lo] += k
             lives = rng.standard_exponential(k)
             z = rng.standard_normal(k)
             branch = lives < rem
@@ -57,6 +62,8 @@ def xmax_one_at_a_time(config, lo, hi):
             if n_hit:
                 x_max = max(x_max, float(pos[~branch].max()))
                 n_final += n_hit
+            if x_max > stop:
+                break
             sub_rem = rem[branch]
             sub_rem -= lives[branch]
             pos = np.repeat(pos[branch], 2)
@@ -66,4 +73,4 @@ def xmax_one_at_a_time(config, lo, hi):
                     f"population exceeded max_particles={config.max_particles} at t={config.t}"
                 )
         xm[i - lo], nf[i - lo] = x_max, n_final
-    return xm, nf
+    return xm, nf, segments

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The heavy PDE solves and Monte Carlo batches are module-scoped
-fixtures shared across criteria; everything runs single-threaded, in about a
-minute on a 2-core x86-64 machine (51 s with Python 3.11 and numpy 2.4).
+fixtures shared across criteria; everything runs single-threaded, in about
+25 s on a 2-core x86-64 machine (22-24 s with Python 3.11 and numpy 2.4).
 
 Criterion 4a checks the front speed against the log-corrected centering
 sqrt(2) t - (3/(2 sqrt 2)) ln t (`rates.bramson_centering`).  The half-level

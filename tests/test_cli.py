@@ -15,6 +15,8 @@ from bbmlab.model import RHO, SQRT2
 from bbmlab.serialize import sha256_text
 from bbmlab.varopt import log_normal_cdf
 
+from oracles import xmax_one_at_a_time
+
 
 # environment for a fresh interpreter that imports this checkout's bbmlab
 SRC_ENV = {**os.environ,
@@ -181,9 +183,11 @@ class TestValidation:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         # tiny cap via config file is not a field; instead horizon t=9 with the
-        # default cap succeeds, so force the error through a huge horizon
+        # default cap succeeds, so force the error through a huge horizon.  A
+        # tree stops once it passes the highest threshold; near the median
+        # maximum (x = 38 at t = 30) trees pass the cap long before that
         code = run_cli(
-            ["mc-tail", "--alphas", 0, "--t", 30, "--n-trials", 100,
+            ["mc-tail", "--alphas", 0.9, "--t", 30, "--n-trials", 100,
              "--out", tmp_path / "x.csv"]
         )
         assert code == 4
@@ -242,14 +246,16 @@ class TestMcSubcommands:
         assert 0.0 < float(cells[5]) < 1.0
 
     def test_manifests_record_sampler_stats(self, tmp_path):
-        # counted by mc from the final populations; one set of trees serves
-        # every mc-tail threshold, scenario-lb samples one set per alpha
+        # counted by mc as the trees are simulated; one set of trees serves
+        # every mc-tail threshold, each tree run until the largest decides it,
+        # and scenario-lb samples one set of whole trees per alpha
         out = tmp_path / "mc.csv"
         assert run_cli(["mc-tail", "--alphas", 0, 0.5, "--t", 2, "--n-trials", 300,
                         "--seed", 42, "--out", out]) == 0
         stats = json.loads(read(str(out) + ".manifest.json"))["stats"]
-        _, nf = mc.sample_xmax(mc.SimConfig(t=2.0, seed=42), 300)
-        assert stats == {"trials": 300, "particle_segments": int(2 * nf.sum() - 300),
+        _, nf, segments = xmax_one_at_a_time(mc.SimConfig(t=2.0, seed=42), 0, 300,
+                                             stop=0.5 * SQRT2 * 2.0)
+        assert stats == {"trials": 300, "particle_segments": int(segments.sum()),
                          "peak_population": int(nf.max())}
         out = tmp_path / "lb.csv"
         assert run_cli(["scenario-lb", "--alphas", 0, -1, "--t", 2, "--n-trials", 300,
@@ -420,6 +426,29 @@ class TestFkppAndFit:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert [json.loads(ln)["error"] for ln in err.splitlines()] == ["acceptance-fail"]
+
+    def test_replay_of_fit_from_another_directory(self, tmp_path, monkeypatch, capsys):
+        # the manifest records --input relative to itself, as the README's
+        # `fit --input tails.csv` run in the CSVs' directory does
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        write_probe(sub / "tails.csv", slope=2.0 * RHO)
+        monkeypatch.chdir(sub)
+        assert run_cli(["fit", "--input", "tails.csv", "--out", "report.csv"]) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run_cli(["replay", "--manifest", "sub/report.csv.manifest.json"]) == 0
+        assert "matches recorded sha256" in capsys.readouterr().out
+        assert read(sub / "report.csv.replay.csv") == read(sub / "report.csv")
+        # and the replay's own manifest replays from its directory
+        monkeypatch.chdir(sub)
+        assert run_cli(["replay", "--manifest", "report.csv.replay.csv.manifest.json"]) == 0
+        # so do the fit entries of a sweep
+        (sub / "sweep.json").write_text(json.dumps({"entries": [{"kind": "fit", "input": "tails.csv"}]}))
+        assert run_cli(["sweep", "--config", "sweep.json", "--out", "sweep.csv"]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["replay", "--manifest", "sub/sweep.csv.manifest.json"]) == 0
+        assert read(sub / "sweep.csv.replay.csv") == read(sub / "report.csv")
 
     def test_fit_exact_synthetic_recovery(self, tmp_path):
         probe = tmp_path / "probe.csv"

@@ -75,7 +75,7 @@ class TestDeterminism:
     def test_trial_outcome_depends_only_on_seed_and_index(self, seed, index, extra):
         config = cfg(1.5, seed=seed)
         xm, nf = mc.sample_xmax(config, index + extra)
-        xm_one, nf_one = mc._xmax_block(config, index, index + 1)
+        xm_one, nf_one, _ = mc._xmax_block(config, index, index + 1)
         assert (xm[index], nf[index]) == (xm_one[0], nf_one[0])
 
     @settings(max_examples=4, deadline=None)
@@ -100,15 +100,14 @@ class TestBlockSampler:
         n = 1 + int(blocks * mc._block_trials(t))
         for got, want in [(mc._xmax_block(config, lo, lo + n), xmax_one_at_a_time(config, lo, lo + n)),
                           (mc.sample_xmax(config, n), xmax_one_at_a_time(config, 0, n))]:
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert got[1].dtype == want[1].dtype
+            assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
     def test_large_trees_span_blocks(self):
         # 90 trials in nine blocks of 10
         config = cfg(8.0, seed=8)
         assert mc._block_trials(8.0) == 10
         xm, nf = mc.sample_xmax(config, 90)
-        want_xm, want_nf = xmax_one_at_a_time(config, 0, 90)
+        want_xm, want_nf, _ = xmax_one_at_a_time(config, 0, 90)
         assert np.array_equal(xm, want_xm) and np.array_equal(nf, want_nf)
 
     def test_particle_cap_is_per_trial_and_tight(self):
@@ -118,10 +117,10 @@ class TestBlockSampler:
         config = cfg(4.0, seed=44)
         n = 200
         assert n <= mc._block_trials(4.0)
-        xm, nf = mc._xmax_block(config, 0, n)
+        xm, nf, _ = mc._xmax_block(config, 0, n)
         m = int(nf.max())
         assert np.count_nonzero(nf == m) == 1 and int(nf.sum()) > 10 * m
-        xm_m, nf_m = mc._xmax_block(replace(config, max_particles=m), 0, n)
+        xm_m, nf_m, _ = mc._xmax_block(replace(config, max_particles=m), 0, n)
         assert np.array_equal(xm_m, xm) and np.array_equal(nf_m, nf)
         with pytest.raises(mc.ParticleCapError):
             mc._xmax_block(replace(config, max_particles=m - 1), 0, n)
@@ -148,10 +147,69 @@ class TestBlockSampler:
 
 class TestSamplerStats:
     def test_counts_from_final_populations(self):
-        stats = mc.SamplerStats.of(np.array([1, 3, 2]))
-        assert stats == mc.SamplerStats(trials=3, particle_segments=9, peak_population=3)
-        total = mc.SamplerStats.total([stats, mc.SamplerStats.of(np.array([5]))])
+        # a tree run to the horizon with n particles there has 2n - 1 segments
+        _, nf, stats = mc._sample(cfg(3.0, seed=3), 500, 1)
+        assert stats == mc.SamplerStats(trials=500, particle_segments=int(2 * nf.sum() - 500),
+                                        peak_population=int(nf.max()))
+        total = mc.SamplerStats.total([mc.SamplerStats(3, 9, 3), mc.SamplerStats(1, 9, 5)])
         assert total == mc.SamplerStats(trials=4, particle_segments=18, peak_population=5)
+
+
+class TestDecidedTrees:
+    """estimate_tail stops a tree once a particle ends at t above its largest threshold."""
+
+    @pytest.mark.parametrize("t, stop, n", [(2.0, 1.0, 400), (4.0, 3.0, 300), (4.0, -math.inf, 300),
+                                            (8.0, 8.0, 40)])
+    def test_xmax_exact_up_to_stop(self, t, stop, n):
+        config = cfg(t, seed=17)
+        full_xm, full_nf, full_segments = xmax_one_at_a_time(config, 0, n)
+        want = xmax_one_at_a_time(config, 0, n, stop=stop)
+        got = mc._xmax_block(config, 0, n, stop=stop)
+        assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+        xm, nf, segments = got
+        kept = full_xm <= stop
+        assert kept.any() == math.isfinite(stop) and not kept.all()
+        assert np.array_equal(xm[kept], full_xm[kept]) and np.array_equal(nf[kept], full_nf[kept])
+        assert np.array_equal(segments[kept], full_segments[kept])
+        assert (xm[~kept] > stop).all() and (segments <= full_segments).all()
+        # blocks and the driver agree with one block
+        xm_s, nf_s, stats = mc._sample(config, n, 1, stop=stop)
+        assert np.array_equal(xm_s, xm) and np.array_equal(nf_s, nf)
+        assert stats == mc.SamplerStats(n, int(segments.sum()), int(nf.max()))
+
+    @pytest.mark.parametrize("t, xs", [(4.0, [5.0, 0.0, 3.0, -1.0]), (8.0, [8.0, 4.0, 6.0]),
+                                       (8.0, [0.0])])
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_estimates_equal_full_sampler(self, t, xs, n_workers):
+        config = cfg(t, seed=23)
+        n = 400 if t < 8 else 100
+        xm, _ = mc.sample_xmax(config, n)
+        ests = mc.estimate_tail(config, xs, n, n_workers=n_workers)
+        for x, est in zip(xs, ests):
+            assert est == mc._binomial_estimate(xm <= x, config.seed, est.sampler)
+        by_x = dict(zip(xs, ests))
+        assert [by_x[x] for x in sorted(xs)] == mc.estimate_tail(config, sorted(xs), n)
+
+    def test_segments_count_simulated_work(self):
+        config = cfg(4.0, seed=29)
+        xs = [3.0, 4.5]
+        _, nf, segments = xmax_one_at_a_time(config, 0, 300, stop=4.5)
+        est = mc.estimate_tail(config, xs, 300)[0]
+        assert est.sampler == mc.SamplerStats(300, int(segments.sum()), int(nf.max()))
+        _, full_nf = mc.sample_xmax(config, 300)
+        assert est.sampler.particle_segments < int(2 * full_nf.sum() - 300)
+
+    def test_particle_cap_applies_before_a_tree_is_decided(self):
+        # trees of about 3,000 leaves pass a cap of 256, but each of these is
+        # decided first; with TestSimulate.test_particle_cap's 64 one is not
+        config = cfg(8.0, max_particles=256)
+        with pytest.raises(mc.ParticleCapError):
+            mc.sample_xmax(config, 100)
+        est = mc.estimate_tail(config, [0.0], 100)[0]
+        assert est == mc.estimate_tail(cfg(8.0), [0.0], 100)[0]
+        assert est.sampler.peak_population <= 256
+        with pytest.raises(mc.ParticleCapError):
+            mc.estimate_tail(replace(config, max_particles=64), [0.0], 100)
 
 
 class TestEstimateTail:
@@ -171,8 +229,10 @@ class TestEstimateTail:
         ests = mc.estimate_tail(cfg(2.0), [0.0, 1.0, 1e10], 500)
         assert [e.n_trials for e in ests] == [500, 500, 500]
         assert ests[0].p_hat <= ests[1].p_hat <= ests[2].p_hat == 1.0
+        # the same numbers; the trials stop once the largest threshold decides them
         single = mc.estimate_tail(cfg(2.0), [1.0], 500)[0]
-        assert single == ests[1]
+        assert single == replace(ests[1], sampler=single.sampler)
+        assert single.sampler.particle_segments < ests[1].sampler.particle_segments
 
     def test_requires_minimum_trials(self):
         with pytest.raises(ValueError):
