@@ -6,7 +6,7 @@ event-driven Monte Carlo with a conditional scenario estimator (`mc`), and a
 CLI harness (`cli`).
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .model import RHO, SQRT2, ModelParams
 from .rates import (

@@ -470,8 +470,9 @@ def solve(
     hi = x_max if x_max is not None else crit * t_final + 20.0 * sigma
     grid = Grid.build(lo, hi, dx, dt)
 
-    for a, tp in probes:
-        xp = a * crit * tp
+    # each probe's point, as checked, read and written
+    probe_x = [a * crit * tp for a, tp in probes]
+    for (a, tp), xp in zip(probes, probe_x):
         if xp - 20.0 * sigma * math.sqrt(tp) < grid.x_min - 1e-9:
             raise DomainOverflowError(
                 f"probe (alpha={a}, t={tp}) closer than 20*sigma*sqrt(t) to x_min"
@@ -510,8 +511,7 @@ def solve(
             front_t.append(T)
             front_x.append(front_position(fld))
         for idx in probe_at.get(T, ()):
-            a, tp = probes[idx]
-            probe_val[idx] = float(fld.log_u(a * crit * tp))
+            probe_val[idx] = float(fld.log_u(probe_x[idx]))
         if T in snap_set:
             snapshots[T] = fld
 
@@ -531,9 +531,8 @@ def solve(
         idxs = sorted(by_alpha[a], key=lambda i: probes[i][1])
         times = np.asarray([probes[i][1] for i in idxs])
         logu = np.asarray([probe_val[i] for i in idxs])
-        tails.append(
-            TailSeries(alpha=a, times=times, log_u=logu, x_probe=times * a * crit)
-        )
+        xp = np.asarray([probe_x[i] for i in idxs])
+        tails.append(TailSeries(alpha=a, times=times, log_u=logu, x_probe=xp))
     return SolveResult(
         front=front, tails=tails, snapshots=snapshots, grid=grid,
         smoothing_eps=eps, steps=fld.steps, max_violation=fld.max_violation,

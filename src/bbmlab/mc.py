@@ -9,13 +9,15 @@ these.  Every trial owns a counter-based random stream keyed by
 or execution order.  Streams come from a per-process pool of Philox
 Generators, not shared across threads, re-keyed per trial.
 
-Trials run in blocks of about 2^15 / e^t (at most 1024), the jobs that run
+Trials run in blocks of about 2^17 / e^t (at most 1024), the jobs that run
 serially or over a worker pool: a block advances one generation per pass in
 shared arrays, so its per-generation arithmetic costs a few numpy calls for
-all of its trials.  The stream contract is the same as for a trial simulated
-alone: per generation, a trial with k live particles draws k lifetimes and
-then k displacements from its own stream, so every draw, x_max and
-population is independent of the block size.
+all of its trials.  The budget allows for trees that estimate_tail stops,
+which simulate about half their segments: at t = 8 a block holds 43 trials.
+The stream contract is the same as for a trial simulated alone: per
+generation, a trial with k live particles draws k lifetimes and then k
+displacements from its own stream, so every draw, x_max and population is
+independent of the block size.
 
 A naive tail reads a tree only through 1{x_max <= x}, so estimate_tail stops
 a tree once a particle ends at t above the highest threshold, which sets every
@@ -38,9 +40,10 @@ from .rates import scenario_geometry
 from .varopt import log_normal_cdf
 
 DEFAULT_MAX_PARTICLES = 1 << 23
-# A block of trials holds about this many particles on average (its arrays
-# stay near 1 MB) and at most this many trials (the bound of the Generator pool).
-_BLOCK_PARTICLES = 1 << 15
+# A block of trials holds about this many particles at the horizon on average
+# (each array stays near 1 MB; a stopped tree reaches about half as many) and
+# at most this many trials (the bound of the Generator pool).
+_BLOCK_PARTICLES = 1 << 17
 _BLOCK_TRIALS = 1 << 10
 _POOL: list[np.random.Generator] = []
 
@@ -159,8 +162,8 @@ def _xmax_block(config: SimConfig, lo: int, hi: int,
     """Exact realizations of trials lo..hi-1: (x_max, particles at t, segments drawn).
 
     The block advances one generation per pass.  Its particles sit in shared
-    arrays, each live trial's in one contiguous segment in trial order (masks
-    and np.repeat keep that order).  A trial with k live particles draws k
+    arrays, each live trial's in one contiguous segment in trial order
+    (np.repeat keeps that order).  A trial with k live particles draws k
     lifetimes, then k displacements, from its own stream, just as a trial
     simulated alone does; all other arithmetic is one pass over the block,
     with per-trial sums and maxima reduced over the segments.
@@ -171,6 +174,8 @@ def _xmax_block(config: SimConfig, lo: int, hi: int,
     """
     n = hi - lo
     rngs = _trial_rngs(config.seed, lo, hi)
+    exponentials = [rng.standard_exponential for rng in rngs]
+    normals = [rng.standard_normal for rng in rngs]
     cap = config.max_particles
     pos = np.zeros(n)
     rem = np.full(n, float(config.t))
@@ -185,33 +190,38 @@ def _xmax_block(config: SimConfig, lo: int, hi: int,
         ends = np.cumsum(counts)
         starts = ends - counts
         for j, a, b in zip(ids.tolist(), starts.tolist(), ends.tolist()):
-            rng = rngs[j]
-            rng.standard_exponential(out=lives[a:b])
-            rng.standard_normal(out=z[a:b])
+            exponentials[j](out=lives[a:b])
+            normals[j](out=z[a:b])
         branch = lives < rem
-        step = np.minimum(lives, rem)
-        np.sqrt(step, out=step)
-        z *= step
+        # each particle's step, min(life, rem), is its life where it branches,
+        # so rem - step is the remaining time its children inherit
+        np.minimum(lives, rem, out=lives)
+        rem -= lives
+        z *= np.sqrt(lives, out=lives)
         pos += z
         branched = np.add.reduceat(branch, starts, dtype=np.int64)
-        ended_max = np.maximum.reduceat(np.where(branch, -math.inf, pos), starts)
-        running = np.maximum(x_max[ids], ended_max)
+        # the displacement buffer takes the positions, -inf where a particle
+        # branches, so its segment maxima are the trials' ended maxima
+        np.copyto(z, pos)
+        z[branch] = -math.inf
+        running = np.maximum(x_max[ids], np.maximum.reduceat(z, starts))
         x_max[ids] = running
         n_final[ids] += counts - branched
         segments[ids] += counts
-        decided = running > stop
-        if decided.any():
-            branch &= np.repeat(~decided, counts)
-            branched[decided] = 0
-        sub_rem = rem[branch]
-        sub_rem -= lives[branch]
-        pos = np.repeat(pos[branch], 2)
-        rem = np.repeat(sub_rem, 2)
+        if stop < math.inf:
+            decided = running > stop
+            if decided.any():
+                branch &= np.repeat(~decided, counts)
+                branched[decided] = 0
         counts = 2 * branched
-        # per trial, as alone: n_final + live only grows, so this fails iff
-        # some undecided trial's population exceeds the cap
+        # per trial, as alone, before the doubled arrays exist: n_final + live
+        # only grows, so this fails iff some undecided trial's population
+        # exceeds the cap
         if (n_final[ids] + counts > cap).any():
             raise ParticleCapError(f"population exceeded max_particles={cap} at t={config.t}")
+        twice = 2 * branch
+        pos = np.repeat(pos, twice)
+        rem = np.repeat(rem, twice)
         alive = counts > 0
         ids, counts = ids[alive], counts[alive]
     return x_max, n_final, segments

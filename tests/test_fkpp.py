@@ -453,6 +453,17 @@ class TestSolve:
             assert series.log_u[0] == pytest.approx(LN_HALF, rel=1e-12)
         assert res.front.positions[0] == pytest.approx(0.0, abs=1e-9)
 
+    def test_x_probe_is_the_point_read(self):
+        # read back at x_probe from the snapshot taken at the probe's time, the
+        # field gives the probe's ln u bit for bit; for several of these
+        # probes (a * crit) * t and (t * a) * crit differ in the last bit
+        alphas, times = (-0.7, -0.3, 0.2, 0.3, 0.6, 0.7), (1.7, 3.0)
+        res = fkpp.solve(P1, 3.0, probes=[(a, tp) for a in alphas for tp in times], dx=0.1,
+                         snapshot_times=times, track_front=False)
+        for series in res.tails:
+            for tp, xp, lu in zip(series.times, series.x_probe, series.log_u):
+                assert res.snapshots[tp].log_u(xp) == lu, (series.alpha, tp)
+
     def test_deep_probes_read_the_field_not_the_clip(self):
         # ln u >= -t + ln Phi(alpha sqrt(2 t)), the chance that the first particle
         # never branches and ends below alpha sqrt(2) t; at alpha = -3 and

@@ -103,11 +103,11 @@ class TestBlockSampler:
             assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
     def test_large_trees_span_blocks(self):
-        # 90 trials in nine blocks of 10
+        # 100 trials in blocks of 43, 43 and 14
         config = cfg(8.0, seed=8)
-        assert mc._block_trials(8.0) == 10
-        xm, nf = mc.sample_xmax(config, 90)
-        want_xm, want_nf, _ = xmax_one_at_a_time(config, 0, 90)
+        assert mc._block_trials(8.0) == 43
+        xm, nf = mc.sample_xmax(config, 100)
+        want_xm, want_nf, _ = xmax_one_at_a_time(config, 0, 100)
         assert np.array_equal(xm, want_xm) and np.array_equal(nf, want_nf)
 
     def test_particle_cap_is_per_trial_and_tight(self):
@@ -140,8 +140,10 @@ class TestBlockSampler:
 
     def test_block_size_follows_mean_population(self):
         assert mc._block_trials(0.0) == mc._block_trials(1.0) == 1024
-        assert mc._block_trials(4.0) == 600
-        assert mc._block_trials(11.0) == 1
+        assert mc._block_trials(4.0) == 1024
+        assert mc._block_trials(8.0) == 43
+        assert mc._block_trials(11.0) == 2
+        assert mc._block_trials(12.0) == 1
         assert mc._block_trials(1e6) == 1
 
 
@@ -159,7 +161,7 @@ class TestDecidedTrees:
     """estimate_tail stops a tree once a particle ends at t above its largest threshold."""
 
     @pytest.mark.parametrize("t, stop, n", [(2.0, 1.0, 400), (4.0, 3.0, 300), (4.0, -math.inf, 300),
-                                            (8.0, 8.0, 40)])
+                                            (8.0, 8.0, 60)])
     def test_xmax_exact_up_to_stop(self, t, stop, n):
         config = cfg(t, seed=17)
         full_xm, full_nf, full_segments = xmax_one_at_a_time(config, 0, n)
