@@ -25,7 +25,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -323,6 +322,8 @@ def _run_sweep(cfg: ExperimentConfig) -> Output:
     for entry in cfgs:
         entry.validate()
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_entry, cfgs))
     else:

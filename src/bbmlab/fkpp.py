@@ -24,11 +24,19 @@ Scheme notes (these are constraints, not history):
     only the spread of the window maxima is not enough: for a kernel that
     is nearly a delta (h <= 1e-16) the sum is the center term alone, which
     can lie hundreds of e-folds below its window maximum and underflow.
-  * Where L >= -1, H convolves 1 - u = -expm1(L) instead.  u = 1 is an
+  * Where L >= -1, H convolves u - 1 = expm1(L) instead.  u = 1 is an
     unstable state of R, which multiplies 1 - u by e^h per step; a
     log-space sum there rounds at 1e-16 absolute, not relative to 1 - u, and
     R grows that noise like e^t, into monotonicity defects or a slide of the
-    whole leading edge off u = 1.
+    whole leading edge off u = 1.  Summing u - 1 rather than 1 - u changes
+    no bit: rounding to nearest is symmetric in sign, so every product and
+    partial sum is the exact negative of the other's, and log1p of the sum
+    equals log1p of minus the other.  Where u = 1 only the sign of a zero
+    result differs (-0.0 from 1 - u, +0.0 from u - 1), and the clip at L = 0,
+    np.minimum(out, 0.0), writes +0.0 for both.
+  * Both sums are np.correlate with the kernel, which is symmetric, so this
+    is np.convolve's own computation: one dot product per output, whose
+    order of additions sets the rounding.
   * The kernel's variance must be exactly sigma2 h: every step adds it, so a
     per-step deficit accumulates over thousands of short steps (between
     closely spaced events).  A sampled Gaussian is exact to 2e-7 once
@@ -41,6 +49,14 @@ Scheme notes (these are constraints, not history):
     right; probes keep 20 sigma sqrt(t) from x_min, so the left edge cannot
     reach them.  Probes and quadrature nodes read ln u through
     LogField.log_u, linear in L, which refuses any x off the grid.
+  * advance keeps two fields of N + 2w points, w the kernel's half-width,
+    and swaps them each step: H reads one and writes the N inner points of
+    the other, and R works on those in place.  The pads carry the boundary
+    rule above: the right pads are never written and stay at L = 0, and the
+    left pad is refilled with L[0] before each H, because R moves L[0].
+    One scratch array of N + 2w takes the exponentials and expm1 terms of H
+    and R, and one of N - 1 the differences of the step check, so a step
+    allocates nothing of the grid's size but np.correlate's outputs.
   * Every grid contains x = 0: Grid.build snaps x_min down to a multiple of
     dx, so the initial step is sampled at the same phase whatever t_final,
     the probes or explicit bounds.  A probe's value then depends on the rest
@@ -55,7 +71,12 @@ Scheme notes (these are constraints, not history):
     margin moves no probe by 1e-12.
   * A non-finite value or a monotonicity defect above MONO_TOL after any step
     raises SolverInstabilityError; smaller defects are rounding, recorded as
-    max_violation and left in place.
+    max_violation and left in place.  One pass finds both: viol, the largest
+    of 0 and every L[i] - L[i+1], is NaN if any value is NaN, and +inf or
+    NaN if any L[i] with i >= 1 is -inf, so only -inf at L[0] escapes it and
+    L[0] is tested alone.  +inf cannot arise, since H clips at L = 0 and R
+    only lowers L.  np.isfinite runs only once the check has failed, to
+    choose the message.
   * The initial profile ln(Phi(x/eps)) is clipped at a floor, which raises u
     by at most e^floor.  Both sub-flows are order preserving and Lipschitz in
     u (H with constant 1, R with e^h), so the excess stays below
@@ -217,40 +238,47 @@ def _kernel(s: float) -> np.ndarray:
     return K / K.sum()
 
 
-def _heat(L: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Exact lattice heat flow of u = e^L: u <- K * u, with u = 1 beyond x_max."""
-    n, w = L.size, K.size // 2
-    P = np.concatenate([np.full(w, L[0]), L, np.zeros(w)])
-    out = np.empty(n)
-    i1 = int(np.searchsorted(L, -1.0))
+def _heat(P: np.ndarray, out: np.ndarray, K: np.ndarray, E: np.ndarray) -> None:
+    """Exact lattice heat flow of u = e^L: out <- ln(K * e^P), with u = 1 beyond x_max.
+
+    P is L padded with w = K.size // 2 cells on each side, L[0] on the left
+    and 0 on the right; out takes the P.size - 2w results, and E is scratch
+    of P.size."""
+    n, w = out.size, K.size // 2
+    # searchsorted as a method: np.searchsorted's wrapper costs about a
+    # microsecond a call, some percent of a step on a grid of 1,500 points
+    i1 = int(P[w: w + n].searchsorted(-1.0))
     # log-sum-exp in blocks of outputs that share one shift: the largest
     # window maximum in the block (window maxima are right ends, since L
     # is nondecreasing), at most _SPAN above every center in the block
     m = P[2 * w: i1 + 2 * w]
     b0 = 0
     while b0 < i1:
-        b1 = max(b0 + 1, int(np.searchsorted(m, P[b0 + w] + _SPAN, "right")))
+        b1 = max(b0 + 1, int(m.searchsorted(P[b0 + w] + _SPAN, "right")))
         shift = m[b1 - 1]
-        E = np.exp(P[b0: b1 + 2 * w] - shift)
-        np.log(np.convolve(E, K, "valid"), out=out[b0:b1])
+        e = np.subtract(P[b0: b1 + 2 * w], shift, out=E[: b1 - b0 + 2 * w])
+        np.exp(e, out=e)
+        np.log(np.correlate(e, K, "valid"), out=out[b0:b1])
         out[b0:b1] += shift
         b0 = b1
     if i1 < n:
-        # near u = 1 convolve 1 - u, which keeps its relative precision
-        c = np.convolve(-np.expm1(P[i1:]), K, "valid")
-        np.log1p(-c, out=out[i1:])
-    return np.minimum(out, 0.0, out=out)
+        # near u = 1 convolve u - 1, which keeps its relative precision
+        e = np.expm1(P[i1:], out=E[: P.size - i1])
+        np.log1p(np.correlate(e, K, "valid"), out=out[i1:])
+    np.minimum(out, 0.0, out=out)
 
 
-def _react(L: np.ndarray, h: float) -> None:
-    """Exact logistic flow du/dt = u^2 - u over time h, in place."""
+def _react(L: np.ndarray, h: float, E: np.ndarray) -> None:
+    """Exact logistic flow du/dt = u^2 - u over time h, in place; E is
+    scratch of at least L.size."""
     a = math.expm1(h)
     # expm1(L) is -1 to machine precision below L = -40: a plain shift there
-    i0 = int(np.searchsorted(L, -40.0))
+    i0 = int(L.searchsorted(-40.0))
     L[:i0] -= math.log1p(a)
-    e = np.expm1(L[i0:])
+    e = np.expm1(L[i0:], out=E[: L.size - i0])
     e *= -a
-    L[i0:] -= np.log1p(e)
+    np.log1p(e, out=e)
+    L[i0:] -= e
 
 
 def advance(fld: LogField, t_end: float, sigma2: float) -> LogField:
@@ -261,26 +289,40 @@ def advance(fld: LogField, t_end: float, sigma2: float) -> LogField:
         raise ValueError("cannot advance backwards")
     fld.validate(pinned_right=False)
     grid = fld.grid
-    L = fld.L.copy()
     worst = fld.max_violation
     n = max(1, math.ceil(amount / grid.dt - 1e-9)) if amount > 0.0 else 0
-    if n:
-        h = amount / n
-        K = _kernel(math.sqrt(sigma2 * h) / grid.dx)
-        # R(h/2) H(h) R(h/2) per step; adjacent reaction half-steps fuse
-        _react(L, 0.5 * h)
-        for i in range(n):
-            L = _heat(L, K)
-            _react(L, h if i < n - 1 else 0.5 * h)
+    if not n:
+        return LogField(L=fld.L.copy(), time=t_end, grid=grid, max_violation=worst,
+                        steps=fld.steps)
+    h = amount / n
+    K = _kernel(math.sqrt(sigma2 * h) / grid.dx)
+    # two padded fields that swap roles each step (module notes), the
+    # heat and reaction scratch, and the differences of the step check
+    size, w = fld.L.size, K.size // 2
+    src, dst = np.zeros(size + 2 * w), np.zeros(size + 2 * w)
+    E = np.empty(size + 2 * w)
+    d = np.empty(size - 1)
+    L = src[w: w + size]
+    L[:] = fld.L
+    # R(h/2) H(h) R(h/2) per step; adjacent reaction half-steps fuse
+    _react(L, 0.5 * h, E)
+    for i in range(n):
+        src[:w] = L[0]
+        L = dst[w: w + size]
+        _heat(src, L, K, E)
+        _react(L, h if i < n - 1 else 0.5 * h, E)
+        np.subtract(L[:-1], L[1:], out=d)
+        viol = float(d.max(initial=0.0))
+        if not (viol <= MONO_TOL and L[0] > -math.inf):
             if not np.all(np.isfinite(L)):
                 raise SolverInstabilityError("non-finite values after a step")
-            viol = float(np.max(L[:-1] - L[1:], initial=0.0))
-            if viol > MONO_TOL:
-                raise SolverInstabilityError(
-                    f"monotonicity violated by {viol:.3e} (tolerance {MONO_TOL:g})"
-                )
-            worst = max(worst, viol)
-    return LogField(L=L, time=t_end, grid=grid, max_violation=worst, steps=fld.steps + n)
+            raise SolverInstabilityError(
+                f"monotonicity violated by {viol:.3e} (tolerance {MONO_TOL:g})"
+            )
+        worst = max(worst, viol)
+        src, dst = dst, src
+    return LogField(L=L.copy(), time=t_end, grid=grid, max_violation=worst,
+                    steps=fld.steps + n)
 
 
 # -- measurements ------------------------------------------------------------

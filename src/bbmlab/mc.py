@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -243,6 +242,8 @@ def _sample(config: SimConfig, n_trials: int, n_workers: int,
     if n_workers <= 1:
         parts = list(map(block, los, his))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(block, los, his,
                                   chunksize=max(1, len(los) // (4 * n_workers))))

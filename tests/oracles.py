@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from bbmlab import fkpp
 from bbmlab.mc import ParticleCapError
 
 # ln(Phi(z)) at the acceptance grid
@@ -74,3 +75,67 @@ def xmax_one_at_a_time(config, lo, hi, stop=math.inf):
                 )
         xm[i - lo], nf[i - lo] = x_max, n_final
     return xm, nf, segments
+
+
+def heat_reference(L, K):
+    """One heat pass of the allocating stepper: u <- K * u with u = e^L, u = 1 beyond x_max.
+
+    The stepper before fkpp.advance kept two padded fields: every step pads
+    L with np.concatenate and sums with np.convolve, and near u = 1 it
+    convolves 1 - u = -expm1(L).  fkpp's pass does the same arithmetic, so
+    the two agree bit for bit.
+    """
+    n, w = L.size, K.size // 2
+    P = np.concatenate([np.full(w, L[0]), L, np.zeros(w)])
+    out = np.empty(n)
+    i1 = int(np.searchsorted(L, -1.0))
+    m = P[2 * w: i1 + 2 * w]
+    b0 = 0
+    while b0 < i1:
+        b1 = max(b0 + 1, int(np.searchsorted(m, P[b0 + w] + fkpp._SPAN, "right")))
+        shift = m[b1 - 1]
+        E = np.exp(P[b0: b1 + 2 * w] - shift)
+        np.log(np.convolve(E, K, "valid"), out=out[b0:b1])
+        out[b0:b1] += shift
+        b0 = b1
+    if i1 < n:
+        c = np.convolve(-np.expm1(P[i1:]), K, "valid")
+        np.log1p(-c, out=out[i1:])
+    return np.minimum(out, 0.0, out=out)
+
+
+def react_reference(L, h):
+    """Exact logistic flow du/dt = u^2 - u over time h, in place, allocating its temporaries."""
+    a = math.expm1(h)
+    i0 = int(np.searchsorted(L, -40.0))
+    L[:i0] -= math.log1p(a)
+    e = np.expm1(L[i0:])
+    e *= -a
+    L[i0:] -= np.log1p(e)
+
+
+def advance_reference(fld, t_end, sigma2):
+    """fkpp.advance as a loop over heat_reference and react_reference, with
+    separate finiteness and monotonicity checks after each step."""
+    amount = t_end - fld.time
+    fld.validate(pinned_right=False)
+    grid = fld.grid
+    L = fld.L.copy()
+    worst = fld.max_violation
+    n = max(1, math.ceil(amount / grid.dt - 1e-9)) if amount > 0.0 else 0
+    if n:
+        h = amount / n
+        K = fkpp._kernel(math.sqrt(sigma2 * h) / grid.dx)
+        react_reference(L, 0.5 * h)
+        for i in range(n):
+            L = heat_reference(L, K)
+            react_reference(L, h if i < n - 1 else 0.5 * h)
+            if not np.all(np.isfinite(L)):
+                raise fkpp.SolverInstabilityError("non-finite values after a step")
+            viol = float(np.max(L[:-1] - L[1:], initial=0.0))
+            if viol > fkpp.MONO_TOL:
+                raise fkpp.SolverInstabilityError(
+                    f"monotonicity violated by {viol:.3e} (tolerance {fkpp.MONO_TOL:g})"
+                )
+            worst = max(worst, viol)
+    return fkpp.LogField(L=L, time=t_end, grid=grid, max_violation=worst, steps=fld.steps + n)

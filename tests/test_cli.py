@@ -678,8 +678,10 @@ class TestProcess:
         assert in_process["csv_sha256"] == fresh["csv_sha256"]
 
     def test_import_loads_no_scipy(self):
+        # nor multiprocessing, which only a pool of --workers > 1 needs
         code = ("import bbmlab.cli, sys; "
-                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+                "print([m for m in sys.modules if m.split('.')[0] in "
+                "('scipy', 'multiprocessing', 'concurrent')])")
         done = subprocess.run(
             [sys.executable, "-c", code], check=True, capture_output=True, text=True,
             env=SRC_ENV,

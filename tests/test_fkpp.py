@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ive
 
 from bbmlab.model import SQRT2, ModelParams
-from bbmlab import fkpp, mc
+from bbmlab import cli, fkpp, mc
 from bbmlab.rates import bramson_centering
 from bbmlab.varopt import log_normal_cdf
+
+from oracles import advance_reference
 
 P1 = ModelParams(sigma2=1.0)
 LN_HALF = math.log(0.5)
@@ -19,12 +22,22 @@ def small_grid(dx=0.2, span=10.0):
     return fkpp.Grid.build(-span, span, dx, fkpp.DEFAULT_DT)
 
 
+def heat(L, K):
+    """fkpp's heat pass on an unpadded field: L padded with w = K.size // 2
+    cells of L[0] on the left and of 0 (u = 1) on the right."""
+    w = K.size // 2
+    P = np.concatenate([np.full(w, L[0]), L, np.zeros(w)])
+    out = np.empty(L.size)
+    fkpp._heat(P, out, K, np.empty(P.size))
+    return out
+
+
 def heat_steps(g, L, h, n):
     """n exact lattice heat steps of size h with no reaction: u solves the
     plain heat equation."""
     K = fkpp._kernel(math.sqrt(P1.sigma2 * h) / g.dx)
     for _ in range(n):
-        L = fkpp._heat(L, K)
+        L = heat(L, K)
     return L
 
 
@@ -290,7 +303,7 @@ class TestHeatPass:
         n = L.size
         g = fkpp.Grid(x_min=-dx * (n // 2), x_max=dx * (n - 1 - n // 2), dx=dx, dt=h)
         K = fkpp._kernel(math.sqrt(P1.sigma2 * h) / g.dx)
-        got, ref = fkpp._heat(L, K), windowed_heat(L, K)
+        got, ref = heat(L, K), windowed_heat(L, K)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (dx, h)
 
@@ -316,6 +329,116 @@ class TestHeatPass:
         # thousands of e-folds apart
         L = np.minimum(0.0, slope * np.arange(-300.0, 100.0))
         self.assert_matches_reference(L, 0.1, 1e-16)
+
+
+class TestReferenceStepper:
+    """fkpp.advance against the allocating stepper it replaced: the arithmetic
+    is unchanged, so every advance must agree bit for bit."""
+
+    @staticmethod
+    def check_every_advance(monkeypatch):
+        real = fkpp.advance
+        calls = []
+
+        def checked(fld, t_end, sigma2):
+            got, ref = real(fld, t_end, sigma2), advance_reference(fld, t_end, sigma2)
+            assert got.L.tobytes() == ref.L.tobytes(), (fld.time, t_end)
+            assert (got.steps, got.max_violation) == (ref.steps, ref.max_violation)
+            calls.append(t_end)
+            return got
+
+        monkeypatch.setattr(fkpp, "advance", checked)
+        return calls
+
+    @pytest.mark.parametrize("sigma2,t_final,kw", [
+        (1.0, 40.0, dict(dx=0.1, front_samples=40)),
+        (1.0, 8.0, dict(probes=[(a, t) for a in (0.05, -0.3, -0.9, -1.8) for t in (2.0, 4.0, 8.0)],
+                        dx=0.05, smoothing_eps=0.05, track_front=False)),
+        (1.0, 0.5, dict(dx=0.2, dt=0.001, front_samples=5)),  # sigma sqrt(h) < dx
+        (4.0, 5.0, dict(probes=[(-0.5, 2.0), (-0.5, 5.0)], dx=0.1, front_samples=10)),
+        (1.0, 3.0, dict(probes=[(-0.5, 0.0012), (-0.5, 2.3)], dx=0.1, front_samples=3,
+                        snapshot_times=[0.0005, 0.003, 0.5, 2.99])),
+    ], ids=["front", "four_rays", "short_steps", "sigma2_4", "uneven_events"])
+    def test_solve_advances_match(self, monkeypatch, sigma2, t_final, kw):
+        calls = self.check_every_advance(monkeypatch)
+        fkpp.solve(ModelParams(sigma2=sigma2), t_final, **kw)
+        assert len(calls) >= 3
+
+    def test_steep_field_with_near_delta_kernel(self, monkeypatch):
+        calls = self.check_every_advance(monkeypatch)
+        g = fkpp.Grid(x_min=-30.0, x_max=9.9, dx=0.1, dt=1e-16)
+        L = np.minimum(0.0, 100.0 * np.arange(-300.0, 100.0))
+        fkpp.advance(fkpp.LogField(L=L, time=0.0, grid=g), 3e-16, P1.sigma2)
+        assert calls == [3e-16]
+
+
+def corrupt_step_two(monkeypatch, corrupt):
+    """Apply corrupt(L, k) after the real flow of fkpp._react's third call, the
+    reaction that ends step 2; k is where L first reaches -5."""
+    real = fkpp._react
+    calls = []
+
+    def wrapped(L, h, *scratch):
+        real(L, h, *scratch)
+        calls.append(h)
+        if len(calls) == 3:
+            corrupt(L, int(np.searchsorted(L, -5.0)))
+
+    monkeypatch.setattr(fkpp, "_react", wrapped)
+
+
+class TestInstability:
+    """The per-step check raises SolverInstabilityError on every non-finite
+    value and on a monotonicity defect above MONO_TOL."""
+
+    @staticmethod
+    def two_steps():
+        g = small_grid()
+        return fkpp.advance(fkpp.init_field(g, smoothing_eps=0.2), 2 * g.dt, P1.sigma2)
+
+    @pytest.mark.parametrize("where,value", [
+        ("inside", math.nan), ("first", math.nan), ("first", -math.inf), ("inside", -math.inf),
+    ])
+    def test_non_finite_values_raise(self, monkeypatch, where, value):
+        def corrupt(L, k):
+            L[0 if where == "first" else k] = value
+
+        corrupt_step_two(monkeypatch, corrupt)
+        with pytest.raises(fkpp.SolverInstabilityError, match="^non-finite values after a step$"):
+            self.two_steps()
+
+    def test_monotonicity_defect_raises(self, monkeypatch):
+        def corrupt(L, k):
+            L[k] = L[k + 1] + 1e-6
+
+        corrupt_step_two(monkeypatch, corrupt)
+        with pytest.raises(fkpp.SolverInstabilityError) as err:
+            self.two_steps()
+        assert str(err.value) == "monotonicity violated by 1.000e-06 (tolerance 1e-09)"
+
+    def test_rounding_defect_is_recorded(self, monkeypatch):
+        defects = []
+
+        def corrupt(L, k):
+            L[k] = L[k + 1] + 1e-12
+            defects.append(float(np.max(L[:-1] - L[1:])))
+
+        corrupt_step_two(monkeypatch, corrupt)
+        out = self.two_steps()
+        assert out.steps == 2 and out.max_violation == defects[0]
+        assert defects[0] == pytest.approx(1e-12, rel=1e-3)
+
+    def test_cli_exits_3(self, monkeypatch, tmp_path, capsys):
+        def corrupt(L, k):
+            L[k] = math.nan
+
+        corrupt_step_two(monkeypatch, corrupt)
+        argv = ["fkpp-rate", "--alphas", "0", "-0.5", "--t-list", "1", "2",
+                "--dx", "0.2", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "solver-instability"
+        assert err["message"] == "non-finite values after a step"
 
 
 class TestDomain:
