@@ -104,6 +104,7 @@ DEFAULT_DT = 0.02  # splitting step; the exact sub-flows impose no diffusive bou
 MONO_TOL = 1e-9  # a monotonicity defect above this aborts the run
 _SPAN = 500.0  # e-folds from a heat block's shift down to its lowest center value
 TAIL_FLOOR = -700.0  # highest clip of the initial ln u (module notes)
+MAX_POINTS = 2**22  # largest grid (32 MiB per field), refused before anything is allocated
 
 
 class SolverInstabilityError(RuntimeError):
@@ -142,11 +143,11 @@ class Grid:
             raise ValueError(f"dx must be positive, got {self.dx!r}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
+        if not 8 <= self.n_points <= MAX_POINTS:
+            raise ValueError(f"grid needs 8 to {MAX_POINTS} points, got {self.n_points}")
         span = self.x_max - self.x_min
         if abs(span / self.dx - round(span / self.dx)) > 1e-6:
             raise ValueError("x_max - x_min must be an integer multiple of dx")
-        if self.n_points < 8:
-            raise ValueError("grid needs at least 8 points")
 
     @property
     def n_points(self) -> int:

@@ -7,8 +7,8 @@ particle branches after tau and has drifted deep enough by then, with
 endpoint(tau) = alpha*sqrt(2)*t - sqrt(2)*(t - tau) - 1: the -1 leaves the
 tree spawned at tau one sigma of room above its linear front
 sqrt(2)*(t - tau).  That is the lower-bound form, the only one computed
-here.  Maximizing over tau in (0, t] and dividing by -t recovers the
-closed-form rate psi(alpha) as t grows.
+here.  Maximizing over tau in (0, t], where the objective is concave,
+and dividing by -t recovers the closed-form rate psi(alpha) as t grows.
 
 Everything is computed in log space; the Gaussian tail mass routinely sits
 near exp(-800) at the horizons of interest.
@@ -26,7 +26,6 @@ from .model import SQRT2
 _SQRT_HALF = math.sqrt(0.5)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 ENDPOINT_MARGIN = -1.0  # offset of the pre-branch endpoint in the lower-bound form, in sigma
-_N_COARSE = 2048  # scan points that bracket the maximum
 
 _ASYMPTOTIC_Z = -20.0  # below this, ln Phi comes from the asymptotic series
 # (-1)^k (2k-1)!! for k = 1..15: the series' terms at z = -20 fall below 1e-23
@@ -95,21 +94,21 @@ class Optimum:
     empirical_rate: float
 
 
-def _objective_values(tau, spec: ObjectiveSpec):
-    endpoint = spec.alpha * SQRT2 * spec.t - SQRT2 * (spec.t - tau) + ENDPOINT_MARGIN
-    return -tau + log_normal_cdf(endpoint / np.sqrt(tau))
+def _z(tau: float, spec: ObjectiveSpec) -> float:
+    """Pre-branch endpoint over sqrt(tau), the quantile whose Gaussian mass is read."""
+    return (spec.alpha * SQRT2 * spec.t - SQRT2 * (spec.t - tau) + ENDPOINT_MARGIN) / math.sqrt(tau)
 
 
 def objective(tau: float, spec: ObjectiveSpec) -> float:
     """Log of exp(-tau) times the Gaussian mass below the moving endpoint."""
     if not (0.0 < tau <= spec.t):
         raise ValueError(f"tau must lie in (0, t], got tau={tau!r}, t={spec.t!r}")
-    return float(_objective_values(np.asarray(tau, dtype=float), spec))
+    return -tau + log_normal_cdf(_z(tau, spec))
 
 
 def _slope(tau: float, spec: ObjectiveSpec) -> float:
     """d/dtau of the objective: -1 + M(z) z'(tau), M = phi / Phi the inverse Mills ratio."""
-    z = (spec.alpha * SQRT2 * spec.t - SQRT2 * (spec.t - tau) + ENDPOINT_MARGIN) / math.sqrt(tau)
+    z = _z(tau, spec)
     dz = SQRT2 / math.sqrt(tau) - z / (2.0 * tau)
     return -1.0 + math.exp(-0.5 * z * z - _LN_SQRT_2PI - log_normal_cdf(z)) * dz
 
@@ -117,24 +116,23 @@ def _slope(tau: float, spec: ObjectiveSpec) -> float:
 def maximize(spec: ObjectiveSpec) -> Optimum:
     """Maximize the objective over tau in (0, t].
 
-    A scan over _N_COARSE equally spaced tau values brackets the best
-    gridpoint (the objective is smooth and empirically unimodal, but that is
-    not proven).  If the bracket reaches t and the slope there is not
-    negative, the maximum is the boundary and tau_star is exactly t.
-    Otherwise the bracket is bisected on the sign of the slope until its
-    ends are adjacent floats, so tau_star is a sign change of the computed
-    slope to the last bit; how close that is to the true root depends only
-    on the slope's rounding, not on comparisons of the flat objective.
+    The objective f(tau) = -tau + ln Phi(z(tau)) is strictly concave.  With
+    c = sqrt(2) t (alpha - 1) + ENDPOINT_MARGIN < 0, z(tau) = c / sqrt(tau)
+    + sqrt(2 tau) is concave, since z'' = (3c/4) tau^(-5/2) - (sqrt(2)/4)
+    tau^(-3/2) < 0, and ln Phi is concave and increasing, so ln Phi(z) is
+    concave; -tau is linear.  The slope therefore changes sign at most once.
+    If it is not negative at t, the maximum is the boundary and tau_star is
+    exactly t.  Otherwise (0, t) is bisected on the sign of the slope until
+    its ends are adjacent floats, so tau_star is a sign change of the
+    computed slope to the last bit; how close that is to the true root
+    depends only on the slope's rounding, not on comparisons of the flat
+    objective.
     """
     t = spec.t
-    taus = t * np.arange(1, _N_COARSE + 1) / _N_COARSE
-    k = int(np.argmax(_objective_values(taus, spec)))
-    lo = float(taus[k - 1]) if k > 0 else 0.5 * float(taus[0])
-    hi = float(taus[k + 1]) if k < _N_COARSE - 1 else t
-    if hi == t and _slope(t, spec) >= 0.0:
+    if _slope(t, spec) >= 0.0:
         tau_star = t
     else:
-        mid = 0.5 * (lo + hi)
+        lo, hi, mid = 0.0, t, 0.5 * t
         while lo < mid < hi:
             if _slope(mid, spec) > 0.0:
                 lo = mid

@@ -146,6 +146,50 @@ class TestValidation:
     def test_missing_required_flag(self, tmp_path):
         assert run_cli(["tau-opt", "--t", 10, "--out", tmp_path / "x.csv"]) == 2
 
+    @pytest.mark.parametrize("argv,config,message", [
+        (["rate"], None, "rate requires --alphas or --alpha-grid"),
+        (["tau-opt", "--v", 0], None, "tau_opt requires --t or --t-list"),
+        (["fkpp-rate", "--alphas", 0], None, "fkpp_rate requires --alphas and --t-list"),
+        (["mc-tail", "--alphas", 0], None, "mc_tail requires --alphas and --t"),
+        (["scenario-lb", "--t", 8], None, "scenario_lb requires --alphas and --t"),
+        (["mc-tail", "--alphas", 0, "--t", 2, "--n-trials", 99], None, "n_trials must be >= 100"),
+        (["fit"], None, "fit requires --input"),
+        (["sweep"], None, "sweep requires config entries"),
+        (["sweep"], {"entries": [{"kind": "bogus"}]}, "unknown kind 'bogus'"),
+        (["sweep"], {"entries": [{"alphas": [0.0]}]}, "config requires 'kind'"),
+        (["sweep"], {"entries": [{"kind": "sweep", "entries": [{"kind": "rate", "alphas": [0.0]}]}]},
+         "sweep entries cannot be sweeps"),
+    ], ids=["rate", "tau-opt-t", "fkpp-rate-t-list", "mc-tail-t", "scenario-lb-alphas",
+            "n-trials-99", "fit-input", "sweep-entries", "unknown-kind", "entry-without-kind",
+            "sweep-of-sweeps"])
+    def test_config_error_names_the_problem(self, tmp_path, capsys, argv, config, message):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", path]
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert run_cli(argv + ["--out", out]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "config-invalid", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,points", [("--dx", 1e-9, 51414213564),
+                                                   ("--sigma2", 1e20, 10282842712476)])
+    def test_grid_too_large_is_config_invalid(self, tmp_path, capsys, flag, value, points):
+        out = tmp_path / "x.csv"
+        argv = ["fkpp-rate", "--alphas", 0, "--t-list", 1, flag, value, "--out", out]
+        assert run_cli(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config-invalid", "message": f"grid needs 8 to 4194304 points, got {points}"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["rate", "--alphas", 0]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config-invalid", "message": "an output path is required (--out)"}
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_config_field(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": "rate", "bogus": 1}))
@@ -465,6 +509,18 @@ class TestFkppAndFit:
         assert float(cols["relative_slope_error"]) < 1e-9
         assert cols["status"] == "PASS"
 
+    @pytest.mark.parametrize("content,message", [("\n\n", "empty file"), (None, "No such file")],
+                             ids=["empty", "missing"])
+    def test_fit_unreadable_input(self, tmp_path, capsys, content, message):
+        probe = tmp_path / "probe.csv"
+        if content is not None:
+            probe.write_text(content)
+        out = tmp_path / "report.csv"
+        assert run_cli(["fit", "--input", probe, "--out", out]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid" and message in err["message"]
+        assert not out.exists()
+
     def test_fit_missing_columns(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("foo,bar\n1,2\n")
@@ -624,9 +680,11 @@ class TestSweepAndReplay:
         # every 0.4.0 manifest holds the retired margin field, refused by version;
         # 0.5.0 computed ln Phi, the short-step heat kernel and log-sum-exps with SciPy;
         # 0.6.0 put tau-opt's endpoint margin in x units and clipped every PDE tail at -700;
-        # 0.7.0 found tau-opt's tau_star by golden-section search
+        # 0.7.0 found tau-opt's tau_star by golden-section search;
+        # 0.8.0 wrote fkpp-rate's x_probe as (t alpha) sqrt(2 sigma2);
+        # 0.9.0 bracketed tau-opt's tau_star with a 2048-point scan
         manifest["config"]["margin"] = -1.0
-        for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0", "0.6.0", "0.7.0"):
+        for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0", "0.6.0", "0.7.0", "0.8.0", "0.9.0"):
             manifest["version"] = version
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh)
@@ -636,19 +694,24 @@ class TestSweepAndReplay:
             assert version in err and cli.__version__ in err
         assert not (tmp_path / "rate.csv.replay.csv").exists()
 
-    @pytest.mark.parametrize("drop,message", [("csv_sha256", "['csv_sha256']"),
-                                              ("config", "['config']"),
-                                              (None, "expected a JSON object")],
-                             ids=["no-csv-sha256", "no-config", "not-an-object"])
-    def test_malformed_manifest_is_config_invalid(self, tmp_path, capsys, drop, message):
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m.pop("csv_sha256"), "['csv_sha256']"),
+        (lambda m: m.pop("config"), "['config']"),
+        (None, "expected a JSON object"),
+        (lambda m: m.update(config=[m["config"]]), "config must be a JSON object"),
+        (lambda m: m["config"].pop("kind"), "config requires 'kind'"),
+        (lambda m: m["config"].update(kind="bogus"), "unknown kind 'bogus'"),
+    ], ids=["no-csv-sha256", "no-config", "not-an-object", "config-not-an-object",
+            "config-without-kind", "unknown-kind"])
+    def test_malformed_manifest_is_config_invalid(self, tmp_path, capsys, edit, message):
         out = tmp_path / "rate.csv"
         run_cli(["rate", "--alphas", 0, "--out", out])
         manifest_path = str(out) + ".manifest.json"
         manifest = json.loads(read(manifest_path))
-        if drop is None:
+        if edit is None:
             manifest = [manifest]
         else:
-            del manifest[drop]
+            edit(manifest)
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         capsys.readouterr()

@@ -54,6 +54,16 @@ class TestGrid:
         for dx in (math.inf, math.nan, -0.1):
             with pytest.raises(ValueError, match="dx must be positive"):
                 fkpp.Grid.build(-1.0, 1.0, dx, 0.001)
+        with pytest.raises(ValueError, match="grid needs 8 to 4194304 points, got 7"):
+            fkpp.Grid(x_min=-0.3, x_max=0.3, dx=0.1, dt=0.001)
+
+    def test_point_bound(self):
+        # refused before anything of the grid's size is allocated
+        dx = 2.0**-10
+        inside = fkpp.Grid.build(-1.0, -1.0 + (fkpp.MAX_POINTS - 1) * dx, dx, 0.001)
+        assert inside.n_points == fkpp.MAX_POINTS == 2**22
+        with pytest.raises(ValueError, match="grid needs 8 to 4194304 points, got 4194305"):
+            fkpp.Grid.build(-1.0, -1.0 + fkpp.MAX_POINTS * dx, dx, 0.001)
 
     def test_build_snaps_to_lattice(self):
         g = fkpp.Grid.build(-1.0, 1.05, 0.2, 0.001)
@@ -158,6 +168,17 @@ class TestStep:
         L[5] = L[6] + 1e-8  # violation above tolerance
         fld = fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g)
         with pytest.raises(ValueError):
+            fkpp.advance(fld, g.dt, P1.sigma2)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda L: L[:-1], "field length does not match grid"),
+        (lambda L: np.where(np.arange(L.size) == 5, math.nan, L), "non-finite"),
+        (lambda L: np.where(np.arange(L.size) == L.size - 1, 1e-9, L), "ln u must be <= 0"),
+    ], ids=["short", "nan", "positive"])
+    def test_rejects_malformed_input(self, edit, message):
+        g = small_grid()
+        fld = fkpp.LogField(L=edit(np.linspace(-5.0, 0.0, g.n_points)), time=0.0, grid=g)
+        with pytest.raises(ValueError, match=message):
             fkpp.advance(fld, g.dt, P1.sigma2)
 
     def test_tolerates_sub_tolerance_wiggle(self):
@@ -479,6 +500,12 @@ class TestMeasurements:
         fld = fkpp.init_field(g, smoothing_eps=0.2)
         assert fkpp.front_position(fld) == pytest.approx(0.0, abs=1e-12)
 
+    def test_front_at_the_left_edge(self):
+        g = small_grid()
+        L = np.linspace(LN_HALF, 0.0, g.n_points)
+        assert L[0] == LN_HALF
+        assert fkpp.front_position(fkpp.LogField(L=L, time=0.0, grid=g)) == g.x_min
+
     def test_front_not_bracketed(self):
         g = small_grid()
         fld = fkpp.LogField(L=np.linspace(-9.0, -2.0, g.n_points), time=0.0, grid=g)
@@ -528,6 +555,14 @@ class TestMeasurements:
         assert speed == pytest.approx(1.4, abs=1e-9)
         assert blog == pytest.approx(-1.05, abs=1e-8)
         assert c == pytest.approx(0.3, abs=1e-8)
+
+    def test_front_trace_refuses_reads_outside_its_samples(self):
+        trace = fkpp.FrontTrace(times=np.linspace(1.0, 8.0, 8), positions=np.linspace(0.0, 7.0, 8))
+        for t in (0.5, 8.5, math.nan):
+            with pytest.raises(ValueError, match="outside sampled range"):
+                trace.position_at(t)
+        with pytest.raises(fkpp.InsufficientSamplesError):
+            trace.fit_window(1.0, 7.5)
 
 
 class TestTailFit:
@@ -611,9 +646,24 @@ class TestSolve:
             with pytest.raises(ValueError):
                 fkpp.solve(P1, 2.0, probes=[(0.0, tp)], dx=0.2)
 
+    def test_validates_horizon_and_snapshots(self):
+        for t_final in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="t_final must be nonnegative"):
+                fkpp.solve(P1, t_final, dx=0.2)
+        with pytest.raises(ValueError, match="snapshot time 3.0 outside"):
+            fkpp.solve(P1, 2.0, dx=0.2, snapshot_times=[1.0, 3.0])
+
+    def test_tail_for_unknown_alpha(self):
+        res = fkpp.solve(P1, 1.0, probes=[(0.0, 1.0)], dx=0.2, track_front=False)
+        assert res.tail_for(0.0).alpha == 0.0
+        with pytest.raises(KeyError, match="alpha=0.5"):
+            res.tail_for(0.5)
+
     def test_probe_margin_enforced_with_override(self):
         with pytest.raises(fkpp.DomainOverflowError):
             fkpp.solve(P1, 4.0, probes=[(-1.0, 4.0)], dx=0.2, x_min=-10.0, x_max=10.0)
+        with pytest.raises(fkpp.DomainOverflowError, match="beyond x_max"):
+            fkpp.solve(P1, 4.0, probes=[(0.5, 4.0)], dx=0.2, x_min=-50.0, x_max=2.0)
 
     def test_small_solve_bounds_and_renewal(self):
         # sandwich at every probe: exp(-t) * no-branch mass below, and the

@@ -40,6 +40,10 @@ class TestSimulate:
         with pytest.raises(mc.ParticleCapError):
             mc.sample_xmax(cfg(8.0, max_particles=64), 10)
 
+    def test_requires_a_trial(self):
+        with pytest.raises(ValueError, match="n_trials must be >= 1"):
+            mc.sample_xmax(cfg(1.0), 0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             mc.SimConfig(t=-1.0, seed=3)
@@ -273,6 +277,10 @@ class TestScenarioEstimate:
         est = mc.scenario_estimate(cfg(t, seed=31), scen, 40000)
         assert abs(est.p_hat - ref) <= 3.0 * est.stderr
 
+    def test_requires_minimum_trials(self):
+        with pytest.raises(ValueError, match="n_trials must be >= 100"):
+            mc.scenario_estimate(cfg(2.0), mc.ScenarioConfig(tau=1.0, threshold=0.0), 99)
+
     def test_tau_validation(self):
         with pytest.raises(ValueError):
             mc.scenario_estimate(cfg(2.0), mc.ScenarioConfig(tau=3.0, threshold=0.0), 200)
@@ -331,3 +339,8 @@ class TestFirstMoment:
     def test_population_growth_dominates_at_v0(self):
         val = mc.upper_tail_first_moment(400.0, 0.0)
         assert val / 400.0 == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_requires_positive_t(self, t):
+        with pytest.raises(ValueError, match="t must be positive"):
+            mc.upper_tail_first_moment(t, 0.0)
