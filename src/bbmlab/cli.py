@@ -5,11 +5,13 @@ an operation in rates, varopt, fkpp or mc.  Of those, only fkpp takes
 sigma2: rates, varopt and mc work in alpha and in lengths of one sigma, and
 the CLI converts (x = sigma x_1, and tau-opt's v = alpha sqrt(2 sigma2)).
 The CLI alone knows the CSV formats: one header constant per output, rows
-written by serialize.csv_lines.  Each run writes a CSV plus a sibling
-manifest (<out>.manifest.json) recording the fully resolved config,
-package version, seed, run statistics, timings and environment; `replay`
-reruns a manifest written by the same package version and verifies the CSV
-body is byte-identical.
+written by serialize.csv_lines.  Each kind reads the fields that _KINDS
+lists for it, plus `out` and `workers`; a setting it does not read is a
+config error.  Each run writes a CSV plus a sibling manifest
+(<out>.manifest.json) recording the resolved config (those fields only),
+package version, run statistics, timings and environment; `replay` reruns a
+manifest written by the same package version and verifies the CSV body is
+byte-identical.
 
 Exit codes: 0 ok, 2 config-invalid, 3 solver-instability, 4 particle-cap,
 5 domain-overflow, 6 check-failed (fit --check and replay mismatches).
@@ -25,8 +27,9 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple
+from dataclasses import asdict
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,87 +70,43 @@ def _is_object_list(x) -> bool:
     return isinstance(x, list) and all(isinstance(e, dict) for e in x)
 
 
-# type check per field; None is also accepted where None is the default
-_FIELD_TYPES = {
-    **dict.fromkeys(("n_trials", "seed", "workers"), (_is_int, "an integer")),
-    **dict.fromkeys(("sigma2", "v", "t", "dx", "dt", "eps", "tau"),
-                    (_is_number, "a number")),
-    **dict.fromkeys(("alphas", "t_list", "alpha_grid"), (_is_number_list, "a list of numbers")),
-    **dict.fromkeys(("out", "input"), (lambda x: isinstance(x, str), "a string")),
-    "check": (lambda x: isinstance(x, bool), "a boolean"),
-    "entries": (_is_object_list, "a list of JSON objects"),
+class _Field(NamedTuple):
+    check: Callable[[object], bool]  # type check; None passes where the kind's default is None
+    expected: str  # the type, as "<field> must be <expected>" names it
+    flag: dict | None  # argparse options of its flag ("flags": names); None: config files only
+
+
+_INT = _Field(_is_int, "an integer", {"type": int})
+_NUMBER = _Field(_is_number, "a number", {"type": float})
+_NUMBERS = _Field(_is_number_list, "a list of numbers", {"type": float, "nargs": "+"})
+_STR = _Field(lambda x: isinstance(x, str), "a string", {})
+
+# every setting of every kind: how to check it and how to set it by flag
+_FIELDS = {
+    **dict.fromkeys(("n_trials", "seed"), _INT),
+    **dict.fromkeys(("sigma2", "v", "t", "dx", "dt", "eps", "tau"), _NUMBER),
+    "alphas": _NUMBERS._replace(flag={**_NUMBERS.flag, "flags": ("--alphas", "--alpha")}),
+    "t_list": _NUMBERS,
+    "alpha_grid": _NUMBERS._replace(flag={"type": float, "nargs": 3,
+                                          "metavar": ("MIN", "MAX", "COUNT")}),
+    "input": _STR._replace(flag={"help": "probe CSV from fkpp-rate"}),
+    "check": _Field(lambda x: isinstance(x, bool), "a boolean", {
+        "action": "store_true",
+        "help": "exit 6 when any relative slope error exceeds tolerance"}),
+    "entries": _Field(_is_object_list, "a list of JSON objects", None),
+    "out": _STR,
+    "workers": _INT._replace(flag={"type": int,
+                                   "help": f"worker count (default from ${WORKERS_ENV} or 1)"}),
 }
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    sigma2: float = 1.0
-    alphas: list = field(default_factory=list)
-    v: float | None = None
-    t: float | None = None
-    t_list: list | None = None
-    n_trials: int = 10000
-    seed: int = 1
-    out: str | None = None
-    dx: float = 0.05
-    dt: float | None = None
-    eps: float | None = None
-    tau: float | None = None
-    workers: int = 1
-    input: str | None = None
-    check: bool = False
-    alpha_grid: list | None = None  # [min, max, count]
-    entries: list | None = None     # sweep sub-configs
+def _flags(name: str) -> tuple[str, ...]:
+    return _FIELDS[name].flag.get("flags", ("--" + name.replace("_", "-"),))
 
-    def validate(self) -> None:
-        if self.kind not in _RUNNERS:
-            raise ConfigError(f"unknown kind {self.kind!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            check, expected = _FIELD_TYPES.get(f.name, (None, None))
-            if check and not check(value) and not (value is None and f.default is None):
-                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ConfigError("sigma2 must be finite and positive")
-        if self.t_list is not None:
-            if len(self.t_list) == 0:
-                raise ConfigError("t_list must not be empty")
-            if any(b <= a for a, b in zip(self.t_list, self.t_list[1:])):
-                raise ConfigError("t_list must be strictly increasing")
-        if self.kind in ("tau_opt", "fkpp_rate", "mc_tail", "scenario_lb"):
-            if not all(math.isfinite(a) and a < 1.0 for a in self.alphas):
-                raise ConfigError("lower-deviation kinds require finite alphas < 1")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.kind == "rate" and not self.alphas and not self.alpha_grid:
-            raise ConfigError("rate requires --alphas or --alpha-grid")
-        grid = self.alpha_grid
-        if grid is not None and not (len(grid) == 3 and grid[2] >= 1 and float(grid[2]).is_integer()):
-            raise ConfigError("alpha_grid must be [min, max, count] with an integer count >= 1")
-        if self.kind == "tau_opt":
-            if self.v is None and not self.alphas:
-                raise ConfigError("tau_opt requires --v or --alphas")
-            crit = math.sqrt(2.0 * self.sigma2)
-            if self.v is not None and not (math.isfinite(self.v) and self.v < crit):
-                raise ConfigError(f"tau_opt requires a finite v < sqrt(2 sigma2) = {crit!r}")
-            if self.t is None and self.t_list is None:
-                raise ConfigError("tau_opt requires --t or --t-list")
-        if self.kind == "fkpp_rate" and (not self.alphas or self.t_list is None):
-            raise ConfigError("fkpp_rate requires --alphas and --t-list")
-        if self.kind in ("mc_tail", "scenario_lb"):
-            if not self.alphas or self.t is None:
-                raise ConfigError(f"{self.kind} requires --alphas and --t")
-            if self.n_trials < 100:
-                raise ConfigError("n_trials must be >= 100")
-        if self.kind == "fit" and self.input is None:
-            raise ConfigError("fit requires --input")
-        if self.kind == "sweep" and not self.entries:
-            raise ConfigError("sweep requires config entries")
 
-    def resolved(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if v is not None}
-        return out
+def _setting(name: str) -> str:
+    """How an error message names a field: its flag, or its config key."""
+    return _flags(name)[0] if _FIELDS[name].flag is not None else f"config {name}"
 
 
 # -- CSV schemas: one header per output, rows written by serialize.csv_lines ----
@@ -176,7 +135,7 @@ class Output(NamedTuple):
     check_failed: bool = False  # a fit --check found a slope outside tolerance
 
 
-def _run_rate(cfg: ExperimentConfig) -> Output:
+def _run_rate(cfg: SimpleNamespace) -> Output:
     alphas = list(cfg.alphas)
     if cfg.alpha_grid:
         lo, hi, count = cfg.alpha_grid
@@ -191,7 +150,7 @@ def _run_rate(cfg: ExperimentConfig) -> Output:
     return Output(csv_lines(RATE_CSV_HEADER, rows), {})
 
 
-def _run_tau_opt(cfg: ExperimentConfig) -> Output:
+def _run_tau_opt(cfg: SimpleNamespace) -> Output:
     crit = math.sqrt(2.0 * cfg.sigma2)
     if cfg.v is not None:
         pairs = [(cfg.v, cfg.v / crit)]
@@ -208,7 +167,7 @@ def _run_tau_opt(cfg: ExperimentConfig) -> Output:
     return Output(csv_lines(TAU_CSV_HEADER, rows), {})
 
 
-def _run_fkpp_rate(cfg: ExperimentConfig) -> Output:
+def _run_fkpp_rate(cfg: SimpleNamespace) -> Output:
     params = ModelParams(sigma2=cfg.sigma2)
     probes = [(a, t) for a in cfg.alphas for t in cfg.t_list]
     result = fkpp.solve(
@@ -229,7 +188,7 @@ def _run_fkpp_rate(cfg: ExperimentConfig) -> Output:
     return Output(csv_lines(PROBE_CSV_HEADER, rows), stats)
 
 
-def _run_mc_tail(cfg: ExperimentConfig) -> Output:
+def _run_mc_tail(cfg: SimpleNamespace) -> Output:
     sigma = math.sqrt(cfg.sigma2)
     config = mc.SimConfig(t=cfg.t, seed=cfg.seed)
     xs = [a * SQRT2 * cfg.t for a in cfg.alphas]  # in sigma units
@@ -240,7 +199,7 @@ def _run_mc_tail(cfg: ExperimentConfig) -> Output:
     return Output(csv_lines(ESTIMATE_CSV_HEADER, rows), asdict(ests[0].sampler))
 
 
-def _run_scenario_lb(cfg: ExperimentConfig) -> Output:
+def _run_scenario_lb(cfg: SimpleNamespace) -> Output:
     sigma = math.sqrt(cfg.sigma2)
     config = mc.SimConfig(t=cfg.t, seed=cfg.seed)
     rows, estimates, samplers = [], [], []
@@ -280,7 +239,7 @@ def _read_probe_csv(path: str) -> dict[float, tuple[list[float], list[float]]]:
     return series
 
 
-def _run_fit(cfg: ExperimentConfig) -> Output:
+def _run_fit(cfg: SimpleNamespace) -> Output:
     series = _read_probe_csv(cfg.input)
     rows = []
     prefactor_ref = -rates.prefactor_exponent()
@@ -307,20 +266,19 @@ def _run_fit(cfg: ExperimentConfig) -> Output:
     return Output(csv_lines(FIT_CSV_HEADER, rows), {}, check_failed=cfg.check and any_fail)
 
 
-def _run_entry(cfg: ExperimentConfig) -> Output:
-    return _RUNNERS[cfg.kind](cfg)
+def _run_entry(cfg: SimpleNamespace) -> Output:
+    return _KINDS[cfg.kind].run(cfg)
 
 
-def _run_sweep(cfg: ExperimentConfig) -> Output:
-    entries = cfg.entries or []
-    kinds = {e.get("kind") for e in entries}
+def _run_sweep(cfg: SimpleNamespace) -> Output:
+    kinds = {e.get("kind") for e in cfg.entries}
     if len(kinds) != 1:
         raise ConfigError("sweep entries must all share one kind")
     if kinds == {"sweep"}:
         raise ConfigError("sweep entries cannot be sweeps")
-    cfgs = [_config_from_dict(e) for e in entries]
-    for entry in cfgs:
-        entry.validate()
+    if any("out" in e for e in cfg.entries):
+        raise ConfigError("sweep entries cannot set out: the sweep writes one CSV")
+    cfgs = [_config(e) for e in cfg.entries]
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
 
@@ -336,20 +294,41 @@ def _run_sweep(cfg: ExperimentConfig) -> Output:
                   check_failed=any(res.check_failed for res in results))
 
 
-_RUNNERS = {
-    "rate": _run_rate,
-    "tau_opt": _run_tau_opt,
-    "fkpp_rate": _run_fkpp_rate,
-    "mc_tail": _run_mc_tail,
-    "scenario_lb": _run_scenario_lb,
-    "fit": _run_fit,
-    "sweep": _run_sweep,
+# -- kinds: the fields each reads, and config plumbing ------------------------------
+
+_REQUIRED = object()  # in place of a default: the kind cannot run without the field
+
+
+class _Kind(NamedTuple):
+    run: Callable[[SimpleNamespace], Output]
+    help: str
+    fields: dict  # each field the kind reads -> its default, or _REQUIRED
+    one_of: tuple = ()  # groups of fields of which at least one must be set
+
+
+_MC_FIELDS = {"sigma2": 1.0, "alphas": _REQUIRED, "t": _REQUIRED, "n_trials": 10000, "seed": 1}
+
+_KINDS = {
+    "rate": _Kind(_run_rate, "closed-form rate table / curve points",
+                  {"alphas": [], "alpha_grid": None}, one_of=(("alphas", "alpha_grid"),)),
+    "tau_opt": _Kind(_run_tau_opt, "optimize the first-branch time",
+                     {"sigma2": 1.0, "alphas": [], "v": None, "t": None, "t_list": None},
+                     one_of=(("v", "alphas"), ("t", "t_list"))),
+    "fkpp_rate": _Kind(_run_fkpp_rate, "PDE tail probes along alpha rays",
+                       {"sigma2": 1.0, "alphas": _REQUIRED, "t_list": _REQUIRED,
+                        "dx": 0.05, "dt": None, "eps": None}),
+    "mc_tail": _Kind(_run_mc_tail, "naive Monte Carlo tail estimate", _MC_FIELDS),
+    "scenario_lb": _Kind(_run_scenario_lb, "no-early-branching lower bound",
+                         {**_MC_FIELDS, "tau": None}),
+    "sweep": _Kind(_run_sweep, "run a list of config entries, one CSV", {"entries": _REQUIRED}),
+    "fit": _Kind(_run_fit, "slope fits of -ln u with pass/fail report",
+                 {"input": _REQUIRED, "t_list": None, "check": False}),
 }
 
+# read by every kind; neither changes an output
+_DEPLOYMENT = {"out": None, "workers": 1}
 
-# -- config plumbing ------------------------------------------------------------
-
-_CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
+_LOWER_KINDS = ("tau_opt", "fkpp_rate", "mc_tail", "scenario_lb")
 
 
 def _read_json_object(path: str) -> dict:
@@ -360,35 +339,64 @@ def _read_json_object(path: str) -> dict:
     return d
 
 
-def _config_from_dict(d: dict) -> ExperimentConfig:
+def _config(d: dict) -> SimpleNamespace:
+    """The checked config of one run: d's kind, and its fields over their defaults."""
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(d) - _CONFIG_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if "kind" not in d:
         raise ConfigError("config requires 'kind'")
-    return ExperimentConfig(**d)
+    kind = d["kind"]
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown kind {kind!r}")
+    spec = _KINDS[kind]
+    defaults = {**spec.fields, **_DEPLOYMENT}
+    unread = sorted(set(d) - set(defaults) - {"kind"})
+    if unread:
+        raise ConfigError(f"{kind} does not read {unread}")
+    cfg = {}
+    for name, default in defaults.items():
+        value = cfg[name] = d.get(name, None if default is _REQUIRED else default)
+        check, expected, _ = _FIELDS[name]
+        if name in d and not check(value) and not (value is None and default in (None, _REQUIRED)):
+            raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    required = tuple(name for name, default in spec.fields.items() if default is _REQUIRED)
+    for group, met, joiner in [(required, all, " and "), *((g, any, " or ") for g in spec.one_of)]:
+        if not met(cfg[name] not in (None, []) for name in group):
+            raise ConfigError(f"{kind} requires {joiner.join(map(_setting, group))}")
+    sigma2 = cfg.get("sigma2", 1.0)
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ConfigError("sigma2 must be finite and positive")
+    t_list = cfg.get("t_list")
+    if t_list is not None:
+        if len(t_list) == 0:
+            raise ConfigError("t_list must not be empty")
+        if any(b <= a for a, b in zip(t_list, t_list[1:])):
+            raise ConfigError("t_list must be strictly increasing")
+    if kind in _LOWER_KINDS and not all(math.isfinite(a) and a < 1.0 for a in cfg["alphas"]):
+        raise ConfigError("lower-deviation kinds require finite alphas < 1")
+    if cfg["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {cfg['workers']}")
+    grid = cfg.get("alpha_grid")
+    if grid is not None and not (len(grid) == 3 and grid[2] >= 1 and float(grid[2]).is_integer()):
+        raise ConfigError("alpha_grid must be [min, max, count] with an integer count >= 1")
+    crit = math.sqrt(2.0 * sigma2)
+    if cfg.get("v") is not None and not (math.isfinite(cfg["v"]) and cfg["v"] < crit):
+        raise ConfigError(f"tau_opt requires a finite v < sqrt(2 sigma2) = {crit!r}")
+    if cfg.get("n_trials", 100) < 100:
+        raise ConfigError("n_trials must be >= 100")
+    return SimpleNamespace(kind=kind, **cfg)
 
 
-def _merge_config(kind: str, file_cfg: dict, flag_cfg: dict) -> ExperimentConfig:
-    merged = dict(file_cfg)
-    merged.update({k: v for k, v in flag_cfg.items() if v is not None})
-    merged["kind"] = kind
-    return _config_from_dict(merged)
-
-
-def run(cfg: ExperimentConfig, expected_sha256: str | None = None) -> int:
+def run(cfg: SimpleNamespace, expected_sha256: str | None = None) -> int:
     """Execute one experiment: write CSV and manifest, return an exit code.
 
     A failed fit check exits 6 after writing every row.  With expected_sha256
     (a replay), a CSV body of another hash exits 6 as well.
     """
-    cfg.validate()
     if cfg.out is None:
         raise ConfigError("an output path is required (--out)")
     started = time.perf_counter()
-    res = _RUNNERS[cfg.kind](cfg)
+    res = _KINDS[cfg.kind].run(cfg)
     sha = _write_outputs(cfg, res, started)
     code = EXIT_OK
     if res.check_failed:
@@ -403,7 +411,7 @@ def run(cfg: ExperimentConfig, expected_sha256: str | None = None) -> int:
     return code
 
 
-def _write_outputs(cfg: ExperimentConfig, res: Output, started: float) -> str:
+def _write_outputs(cfg: SimpleNamespace, res: Output, started: float) -> str:
     """Write the CSV and its manifest; return the body's sha256."""
     body = "\n".join(res.lines) + "\n"
     sha = sha256_text(body)
@@ -413,8 +421,8 @@ def _write_outputs(cfg: ExperimentConfig, res: Output, started: float) -> str:
         fh.write(body)
     manifest = {
         "version": __version__,
-        "config": _move_inputs(cfg.resolved(), lambda path: os.path.relpath(path, out_dir)),
-        "seed": cfg.seed,
+        "config": _move_inputs({k: v for k, v in vars(cfg).items() if v is not None},
+                               lambda path: os.path.relpath(path, out_dir)),
         "csv_path": os.path.basename(cfg.out),
         "csv_sha256": sha,
         "stats": res.stats,
@@ -458,7 +466,7 @@ def _replay(manifest_path: str, out: str | None) -> int:
     if missing:
         raise ConfigError(f"{manifest_path}: manifest lacks {missing}")
     base = os.path.dirname(manifest_path)
-    cfg = _config_from_dict(_move_inputs(manifest["config"], lambda path: os.path.join(base, path)))
+    cfg = _config(_move_inputs(manifest["config"], lambda path: os.path.join(base, path)))
     cfg.out = out or (manifest_path[: -len(".manifest.json")] + ".replay.csv")
     return run(cfg, expected_sha256=manifest["csv_sha256"])
 
@@ -483,50 +491,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bbmlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, trials=False, solver=False):
+    for kind, spec in _KINDS.items():
+        # no abbreviations: --t would be --t-list where the kind does not read t
+        sp = sub.add_parser(kind.replace("_", "-"), help=spec.help, allow_abbrev=False)
         sp.add_argument("--config", help="JSON config file (flags override it)")
-        sp.add_argument("--sigma2", type=float, default=None)
-        sp.add_argument("--alphas", "--alpha", type=float, nargs="+", default=None)
-        sp.add_argument("--t", type=float, default=None)
-        sp.add_argument("--t-list", type=float, nargs="+", dest="t_list", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--workers", type=int, default=None,
-                        help=f"worker count (default from ${WORKERS_ENV} or 1)")
-        if trials:
-            sp.add_argument("--n-trials", type=int, dest="n_trials", default=None)
-        if solver:
-            sp.add_argument("--dx", type=float, default=None)
-            sp.add_argument("--dt", type=float, default=None)
-            sp.add_argument("--eps", type=float, default=None)
-
-    sp = sub.add_parser("rate", help="closed-form rate table / curve points")
-    common(sp)
-    sp.add_argument("--alpha-grid", type=float, nargs=3, dest="alpha_grid",
-                    metavar=("MIN", "MAX", "COUNT"), default=None)
-
-    sp = sub.add_parser("tau-opt", help="optimize the first-branch time")
-    common(sp)
-    sp.add_argument("--v", type=float, default=None)
-
-    sp = sub.add_parser("fkpp-rate", help="PDE tail probes along alpha rays")
-    common(sp, solver=True)
-
-    sp = sub.add_parser("mc-tail", help="naive Monte Carlo tail estimate")
-    common(sp, trials=True)
-
-    sp = sub.add_parser("scenario-lb", help="no-early-branching lower bound")
-    common(sp, trials=True)
-    sp.add_argument("--tau", type=float, default=None)
-
-    sp = sub.add_parser("sweep", help="run a list of config entries, one CSV")
-    common(sp)
-
-    sp = sub.add_parser("fit", help="slope fits of -ln u with pass/fail report")
-    common(sp)
-    sp.add_argument("--input", default=None, help="probe CSV from fkpp-rate")
-    sp.add_argument("--check", action="store_true", default=None,
-                    help="exit 6 when any relative slope error exceeds tolerance")
+        for name in (*spec.fields, *_DEPLOYMENT):
+            opts = _FIELDS[name].flag
+            if opts is not None:
+                opts = {k: v for k, v in opts.items() if k != "flags"}
+                sp.add_argument(*_flags(name), dest=name, default=None, **opts)
 
     sp = sub.add_parser("replay", help="rerun a manifest and verify the CSV")
     sp.add_argument("--manifest", required=True)
@@ -549,21 +522,15 @@ def main(argv=None) -> int:
         if args.command == "replay":
             return _replay(args.manifest, args.out)
         kind = args.command.replace("-", "_")
-        file_cfg = {}
-        if args.config:
-            file_cfg = _read_json_object(args.config)
-            file_cfg.pop("kind", None)
-        flag_cfg = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command", "config") and v is not None
-        }
-        if flag_cfg.get("workers") is None and "workers" not in file_cfg:
-            env = os.environ.get(WORKERS_ENV)
-            if env:
-                flag_cfg["workers"] = int(env)
-        cfg = _merge_config(kind, file_cfg, flag_cfg)
-        return run(cfg)
+        settings = _read_json_object(args.config) if args.config else {}
+        named = settings.setdefault("kind", kind)
+        if named != kind:
+            raise ConfigError(f"{args.config} is a config for {named!r}, not for {kind!r}")
+        settings.update((k, v) for k, v in vars(args).items()
+                        if k not in ("command", "config") and v is not None)
+        if "workers" not in settings and os.environ.get(WORKERS_ENV):
+            settings["workers"] = int(os.environ[WORKERS_ENV])
+        return run(_config(settings))
     except tuple(exc for exc, _, _ in _EXCEPTION_EXITS) as err:
         for exc_type, code, category in _EXCEPTION_EXITS:
             if isinstance(err, exc_type):

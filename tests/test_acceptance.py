@@ -112,6 +112,13 @@ def scenario_bundle_t8():
     return out, naive
 
 
+@pytest.fixture(scope="module")
+def whole_trees_t123():
+    """(x_max, final population) of 100,000 whole trees at each of t = 1, 2, 3."""
+    return {t: mc.sample_xmax(mc.SimConfig(t=t, seed=SEED_LAWS + int(t)), 100000)
+            for t in (1.0, 2.0, 3.0)}
+
+
 # -- criteria -------------------------------------------------------------------
 
 
@@ -264,7 +271,7 @@ def test_criterion_07_scenario_estimator(scenario_bundle_t8):
     assert report("7 ", ok, "; ".join(details))
 
 
-def test_criterion_08_simulator_laws():
+def test_criterion_08_simulator_laws(whole_trees_t123):
     started = time.time()
     sample = mc.first_branch_times(SEED_LAWS, 100000)
     ks = stats.kstest(sample, "expon", alternative="greater")
@@ -272,8 +279,7 @@ def test_criterion_08_simulator_laws():
 
     pop_ok = True
     pop_details = []
-    for t in (1.0, 2.0, 3.0):
-        _, nf = mc.sample_xmax(mc.SimConfig(t=t, seed=SEED_LAWS + int(t)), 100000)
+    for t, (_, nf) in whole_trees_t123.items():
         mean = float(nf.mean())
         se = float(nf.std(ddof=1)) / math.sqrt(nf.size)
         pop_ok &= abs(mean - math.exp(t)) <= 3.0 * se
@@ -290,6 +296,28 @@ def test_criterion_08_simulator_laws():
         f"KS p={ks.pvalue:.3g}; population {'; '.join(pop_details)}; "
         f"worker-count determinism={'yes' if det_ok else 'NO'} ({elapsed:.0f}s)",
     )
+
+
+def test_xmax_law_matches_pde_cdf(whole_trees_t123):
+    # the whole law of X_max(t), not three thresholds: the Kolmogorov distance
+    # D = sup_x |F_n(x) - u(x, t)| between criterion 8's trees and the PDE's
+    # CDF.  The band is fixed in advance: the DKW bound at delta = 1e-3, plus
+    # the PDE's own error, measured as its change when dx is halved
+    delta = 1e-3
+    solves = [fkpp.solve(P1, 3.0, dx=dx, snapshot_times=[1.0, 2.0, 3.0], track_front=False)
+              for dx in (0.05, 0.025)]
+    ok = True
+    details = []
+    for t, (xm, _) in whole_trees_t123.items():
+        x = np.sort(xm)
+        n = x.size
+        u, u_half = (np.exp(res.snapshots[t].log_u(x)) for res in solves)
+        dist = max(float(np.max(np.arange(1, n + 1) / n - u)), float(np.max(u - np.arange(n) / n)))
+        band = math.sqrt(math.log(2.0 / delta) / (2.0 * n)) + float(np.max(np.abs(u - u_half)))
+        ok &= dist <= band
+        details.append(f"t={t:g}: D={dist:.2e} (sqrt(n) D={math.sqrt(n) * dist:.2f}) "
+                       f"vs {band:.2e}")
+    assert report("8+", ok, "Monte Carlo law of X_max vs PDE CDF: " + "; ".join(details))
 
 
 def test_criterion_09_upper_deviation_first_moment():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -120,7 +119,7 @@ class TestValidation:
         (["mc-tail", "--alphas", "inf", "--t", 2, "--n-trials", 200], None),
         (["mc-tail", "--alphas", 0, "--t", 2, "--n-trials", 200, "--workers", 0], None),
         (["mc-tail", "--alphas", 0, "--t", 2, "--n-trials", 200, "--workers", -2], None),
-        (["rate", "--alphas", 0, "--sigma2", "nan"], None),
+        (["tau-opt", "--alphas", 0, "--t", 10, "--sigma2", "nan"], None),
         (["mc-tail"], {"alphas": [math.nan], "t": 2.0, "n_trials": 200}),
         (["fkpp-rate"], {"alphas": [-math.inf], "t_list": [1.0, 2.0]}),
         (["sweep"], {"entries": [{"kind": "mc_tail", "alphas": [math.inf], "t": 2.0,
@@ -159,9 +158,11 @@ class TestValidation:
         (["sweep"], {"entries": [{"alphas": [0.0]}]}, "config requires 'kind'"),
         (["sweep"], {"entries": [{"kind": "sweep", "entries": [{"kind": "rate", "alphas": [0.0]}]}]},
          "sweep entries cannot be sweeps"),
+        (["sweep"], {"entries": [{"kind": "rate", "alphas": [0.5], "out": "zzz.csv"}]},
+         "sweep entries cannot set out: the sweep writes one CSV"),
     ], ids=["rate", "tau-opt-t", "fkpp-rate-t-list", "mc-tail-t", "scenario-lb-alphas",
             "n-trials-99", "fit-input", "sweep-entries", "unknown-kind", "entry-without-kind",
-            "sweep-of-sweeps"])
+            "sweep-of-sweeps", "entry-out"])
     def test_config_error_names_the_problem(self, tmp_path, capsys, argv, config, message):
         if config is not None:
             path = tmp_path / "cfg.json"
@@ -171,6 +172,16 @@ class TestValidation:
         capsys.readouterr()
         assert run_cli(argv + ["--out", out]) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "config-invalid", "message": message}
+        assert not out.exists()
+
+    def test_config_file_for_another_kind(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "rate", "alphas": [0.5]}))
+        out = tmp_path / "x.csv"
+        assert run_cli(["tau-opt", "--config", path, "--t", 10, "--out", out]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config-invalid",
+            "message": f"{path} is a config for 'rate', not for 'tau_opt'"}
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,points", [("--dx", 1e-9, 51414213564),
@@ -206,8 +217,12 @@ class TestValidation:
         assert not (tmp_path / "x.csv").exists()
 
     def test_every_config_field_has_a_type_check(self):
-        settable = {f.name for f in dataclasses.fields(cli.ExperimentConfig)} - {"kind"}
-        assert settable == set(cli._FIELD_TYPES)
+        named = {name for spec in cli._KINDS.values() for name in spec.fields}
+        assert named | set(cli._DEPLOYMENT) == set(cli._FIELDS)
+
+    # each field goes to a kind that reads it, with that kind's other settings
+    FIELD_KINDS = {"input": ("fit", {}), "check": ("fit", {"input": "probe.csv"}),
+                   "entries": ("sweep", {})}
 
     @pytest.mark.parametrize("field", [{"n_trials": 100.0}, {"workers": 1.5}, {"t": "8"},
                                        {"seed": 7.0}, {"out": 5}, {"input": 5},
@@ -217,8 +232,10 @@ class TestValidation:
         # the output path comes from the file too, so {"out": 5} is not overridden
         out = tmp_path / "x.csv"
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"t": 1.0, "n_trials": 100, "out": str(out), **field}))
-        assert run_cli(["mc-tail", "--config", path, "--alpha", 0]) == 2
+        kind, cfg = self.FIELD_KINDS.get(next(iter(field)),
+                                         ("mc_tail", {"alphas": [0.0], "t": 1.0, "n_trials": 100}))
+        path.write_text(json.dumps({**cfg, "out": str(out), **field}))
+        assert run_cli([kind.replace("_", "-"), "--config", path]) == 2
         assert f"{next(iter(field))} must be" in capsys.readouterr().err
         assert not out.exists()
 
@@ -250,13 +267,103 @@ class TestValidation:
             pytest.fail("DomainOverflowError has no exit-code mapping")
 
 
+class TestUnreadFields:
+    """A kind refuses a setting it does not read, by every route; its manifest
+    records only the fields it reads.  The lists are written out here, not
+    taken from cli's tables, so that a slip in a table shows."""
+
+    # per kind: a value for every field it reads, besides out and workers
+    EVERY_FIELD = {
+        "rate": {"alphas": [0.5], "alpha_grid": [0, 0.5, 2]},
+        "tau_opt": {"sigma2": 2.0, "alphas": [0.0], "v": 0.0, "t": 10.0, "t_list": [10, 20]},
+        "fkpp_rate": {"sigma2": 2.0, "alphas": [0.0], "t_list": [1.0], "dx": 0.2, "dt": 0.05,
+                      "eps": 0.2},
+        "mc_tail": {"sigma2": 2.0, "alphas": [0.0], "t": 1.0, "n_trials": 100, "seed": 3},
+        "scenario_lb": {"sigma2": 2.0, "alphas": [0.0], "t": 1.0, "n_trials": 100, "seed": 3,
+                        "tau": 0.5},
+        "fit": {"input": "probe.csv", "t_list": [10, 20, 30, 40, 50], "check": True},
+        "sweep": {"entries": [{"kind": "rate", "alphas": [0.5]}]},
+    }
+    # per kind: a field it does not read, that flag which another kind offers, and a value
+    UNREAD = [
+        ("rate", "seed", ["--seed", 3], 3),
+        ("tau_opt", "n_trials", ["--n-trials", 200], 200),
+        ("fkpp_rate", "t", ["--t", 2], 2.0),
+        ("mc_tail", "tau", ["--tau", 0.5], 0.5),
+        ("scenario_lb", "dx", ["--dx", 0.1], 0.1),
+        ("fit", "alphas", ["--alphas", 0], [0.0]),
+        ("sweep", "alphas", ["--alphas", 0], [0.0]),
+    ]
+
+    @staticmethod
+    def argv(tmp_path, kind):
+        """The kind's command with every field it reads set by flag (a sweep's by file)."""
+        write_probe(tmp_path / "probe.csv", slope=2.0 * RHO)
+        settings = TestUnreadFields.EVERY_FIELD[kind]
+        if kind == "sweep":
+            (tmp_path / "sweep.json").write_text(json.dumps(settings))
+            return ["sweep", "--config", tmp_path / "sweep.json"]
+        argv = [kind.replace("_", "-")]
+        for name, value in settings.items():
+            argv.append("--" + name.replace("_", "-"))
+            if name == "input":
+                argv.append(tmp_path / value)
+            elif value is not True:
+                argv.extend(value if isinstance(value, list) else [value])
+        return argv
+
+    @pytest.mark.parametrize("kind", list(EVERY_FIELD))
+    def test_manifest_records_only_read_fields(self, tmp_path, kind):
+        out = tmp_path / "x.csv"
+        assert run_cli([*self.argv(tmp_path, kind), "--out", out]) == 0
+        config = json.loads(read(str(out) + ".manifest.json"))["config"]
+        assert set(config) == set(self.EVERY_FIELD[kind]) | {"kind", "out", "workers"}
+
+    @pytest.mark.parametrize("kind,field,flag,value", UNREAD, ids=[k for k, *_ in UNREAD])
+    def test_unread_flag_is_refused(self, tmp_path, capsys, kind, field, flag, value):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*self.argv(tmp_path, kind), *flag, "--out", out])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,field,flag,value", UNREAD, ids=[k for k, *_ in UNREAD])
+    def test_unread_config_field_is_refused(self, tmp_path, capsys, kind, field, flag, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": kind, field: value}))
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert run_cli([*self.argv(tmp_path, kind), "--config", path, "--out", out]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config-invalid", "message": f"{kind} does not read ['{field}']"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,field,flag,value", UNREAD[:-1], ids=[k for k, *_ in UNREAD[:-1]])
+    def test_unread_sweep_entry_field_is_refused(self, tmp_path, capsys, kind, field, flag,
+                                                 value):
+        # the entry that sets every field of its kind runs; with the unread one it exits 2
+        write_probe(tmp_path / "probe.csv", slope=2.0 * RHO)
+        entry = {"kind": kind, **self.EVERY_FIELD[kind]}
+        if kind == "fit":
+            entry["input"] = str(tmp_path / "probe.csv")
+        path = tmp_path / "sweep.json"
+        for extra, code in (({}, 0), ({field: value}, 2)):
+            path.write_text(json.dumps({"entries": [{**entry, **extra}]}))
+            assert run_cli(["sweep", "--config", path, "--out", tmp_path / f"{code}.csv"]) == code
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "config-invalid", "message": f"{kind} does not read ['{field}']"}
+        assert not (tmp_path / "2.csv").exists()
+
+
 class TestFlagPrecedence:
     def test_flags_override_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"kind": "rate", "alphas": [0.0], "seed": 9}))
+        path.write_text(json.dumps({"kind": "mc_tail", "alphas": [0.0], "t": 1.0,
+                                    "n_trials": 100, "seed": 9}))
         out = tmp_path / "r.csv"
-        assert run_cli(["rate", "--config", path, "--alphas", -2, "--out", out]) == 0
-        assert read(out).splitlines()[1].startswith("-2,")
+        assert run_cli(["mc-tail", "--config", path, "--alphas", -2, "--out", out]) == 0
+        assert read(out).splitlines()[1].startswith("naive_tail,-2,")
         manifest = json.loads(read(str(out) + ".manifest.json"))
         assert manifest["config"]["seed"] == 9  # file value survives
 
@@ -682,9 +789,11 @@ class TestSweepAndReplay:
         # 0.6.0 put tau-opt's endpoint margin in x units and clipped every PDE tail at -700;
         # 0.7.0 found tau-opt's tau_star by golden-section search;
         # 0.8.0 wrote fkpp-rate's x_probe as (t alpha) sqrt(2 sigma2);
-        # 0.9.0 bracketed tau-opt's tau_star with a 2048-point scan
+        # 0.9.0 bracketed tau-opt's tau_star with a 2048-point scan;
+        # 0.10.0 recorded every kind's fields and a top-level seed in every manifest
         manifest["config"]["margin"] = -1.0
-        for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0", "0.6.0", "0.7.0", "0.8.0", "0.9.0"):
+        for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0", "0.6.0", "0.7.0", "0.8.0", "0.9.0",
+                        "0.10.0"):
             manifest["version"] = version
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh)
