@@ -71,8 +71,8 @@ def _is_object_list(x) -> bool:
 
 
 class _Field(NamedTuple):
-    check: Callable[[object], bool]  # type check; None passes where the kind's default is None
-    expected: str  # the type, as "<field> must be <expected>" names it
+    check: Callable[[object], bool]  # the field's domain; None passes where the default is None
+    expected: str  # the domain, as "<field> must be <expected>" names it
     flag: dict | None  # argparse options of its flag ("flags": names); None: config files only
 
 
@@ -81,22 +81,34 @@ _NUMBER = _Field(_is_number, "a number", {"type": float})
 _NUMBERS = _Field(_is_number_list, "a list of numbers", {"type": float, "nargs": "+"})
 _STR = _Field(lambda x: isinstance(x, str), "a string", {})
 
-# every setting of every kind: how to check it and how to set it by flag
+_MAX_ALPHA_GRID = 1 << 20  # rows of a rate --alpha-grid
+
+# every setting of every kind: its whole domain, and how to set it by flag (the
+# rules between fields are _config's)
 _FIELDS = {
     **dict.fromkeys(("n_trials", "seed"), _INT),
-    **dict.fromkeys(("sigma2", "v", "t", "dx", "dt", "eps", "tau"), _NUMBER),
+    **dict.fromkeys(("t", "dx", "dt", "eps", "tau"), _NUMBER),
+    "sigma2": _NUMBER._replace(check=lambda x: _is_number(x) and 0 < x < math.inf,
+                               expected="a finite number > 0"),
+    "v": _NUMBER._replace(check=lambda x: _is_number(x) and -math.inf < x < math.inf,
+                          expected="a finite number"),
     "alphas": _NUMBERS._replace(flag={**_NUMBERS.flag, "flags": ("--alphas", "--alpha")}),
-    "t_list": _NUMBERS,
-    "alpha_grid": _NUMBERS._replace(flag={"type": float, "nargs": 3,
-                                          "metavar": ("MIN", "MAX", "COUNT")}),
+    "t_list": _NUMBERS._replace(
+        check=lambda x: _is_number_list(x) and x != [] and all(a < b for a, b in zip(x, x[1:])),
+        expected="a non-empty, strictly increasing list of numbers"),
+    "alpha_grid": _Field(
+        lambda x: _is_number_list(x) and len(x) == 3 and 1 <= x[2] <= _MAX_ALPHA_GRID
+        and x[2] % 1 == 0,
+        f"[min, max, count] with an integer count from 1 to {_MAX_ALPHA_GRID}",
+        {"type": float, "nargs": 3, "metavar": ("MIN", "MAX", "COUNT")}),
     "input": _STR._replace(flag={"help": "probe CSV from fkpp-rate"}),
     "check": _Field(lambda x: isinstance(x, bool), "a boolean", {
         "action": "store_true",
         "help": "exit 6 when any relative slope error exceeds tolerance"}),
     "entries": _Field(_is_object_list, "a list of JSON objects", None),
     "out": _STR,
-    "workers": _INT._replace(flag={"type": int,
-                                   "help": f"worker count (default from ${WORKERS_ENV} or 1)"}),
+    "workers": _Field(lambda x: _is_int(x) and x >= 1, "an integer >= 1", {
+        "type": int, "help": f"worker count (default from ${WORKERS_ENV} or 1)"}),
 }
 
 
@@ -136,12 +148,11 @@ class Output(NamedTuple):
 
 
 def _run_rate(cfg: SimpleNamespace) -> Output:
-    alphas = list(cfg.alphas)
+    alphas = cfg.alphas
     if cfg.alpha_grid:
         lo, hi, count = cfg.alpha_grid
-        count = int(count)
         step = (hi - lo) / (count - 1) if count > 1 else 0.0
-        alphas += [lo + i * step for i in range(count)]
+        alphas = [lo + i * step for i in range(int(count))]
     rows = []
     for a in alphas:
         val = rates.psi(a)
@@ -266,10 +277,6 @@ def _run_fit(cfg: SimpleNamespace) -> Output:
     return Output(csv_lines(FIT_CSV_HEADER, rows), {}, check_failed=cfg.check and any_fail)
 
 
-def _run_entry(cfg: SimpleNamespace) -> Output:
-    return _KINDS[cfg.kind].run(cfg)
-
-
 def _run_sweep(cfg: SimpleNamespace) -> Output:
     kinds = {e.get("kind") for e in cfg.entries}
     if len(kinds) != 1:
@@ -278,14 +285,8 @@ def _run_sweep(cfg: SimpleNamespace) -> Output:
         raise ConfigError("sweep entries cannot be sweeps")
     if any("out" in e for e in cfg.entries):
         raise ConfigError("sweep entries cannot set out: the sweep writes one CSV")
-    cfgs = [_config(e) for e in cfg.entries]
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_entry, cfgs))
-    else:
-        results = [_run_entry(entry) for entry in cfgs]
+    jobs = [(_config(e),) for e in cfg.entries]
+    results = mc.run_jobs(_KINDS[kinds.pop()].run, jobs, cfg.workers)
     # one kind, so one header: concatenate bodies in config order under it
     lines = [results[0].lines[0]]
     for res in results:
@@ -303,7 +304,7 @@ class _Kind(NamedTuple):
     run: Callable[[SimpleNamespace], Output]
     help: str
     fields: dict  # each field the kind reads -> its default, or _REQUIRED
-    one_of: tuple = ()  # groups of fields of which at least one must be set
+    one_of: tuple = ()  # groups of alternative fields, of which exactly one must be set
 
 
 _MC_FIELDS = {"sigma2": 1.0, "alphas": _REQUIRED, "t": _REQUIRED, "n_trials": 10000, "seed": 1}
@@ -363,27 +364,13 @@ def _config(d: dict) -> SimpleNamespace:
     for group, met, joiner in [(required, all, " and "), *((g, any, " or ") for g in spec.one_of)]:
         if not met(cfg[name] not in (None, []) for name in group):
             raise ConfigError(f"{kind} requires {joiner.join(map(_setting, group))}")
-    sigma2 = cfg.get("sigma2", 1.0)
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise ConfigError("sigma2 must be finite and positive")
-    t_list = cfg.get("t_list")
-    if t_list is not None:
-        if len(t_list) == 0:
-            raise ConfigError("t_list must not be empty")
-        if any(b <= a for a, b in zip(t_list, t_list[1:])):
-            raise ConfigError("t_list must be strictly increasing")
+    for group in spec.one_of:
+        if all(cfg[name] not in (None, []) for name in group):
+            raise ConfigError(f"{kind} takes {' or '.join(map(_setting, group))}, not both")
     if kind in _LOWER_KINDS and not all(math.isfinite(a) and a < 1.0 for a in cfg["alphas"]):
         raise ConfigError("lower-deviation kinds require finite alphas < 1")
-    if cfg["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg['workers']}")
-    grid = cfg.get("alpha_grid")
-    if grid is not None and not (len(grid) == 3 and grid[2] >= 1 and float(grid[2]).is_integer()):
-        raise ConfigError("alpha_grid must be [min, max, count] with an integer count >= 1")
-    crit = math.sqrt(2.0 * sigma2)
-    if cfg.get("v") is not None and not (math.isfinite(cfg["v"]) and cfg["v"] < crit):
-        raise ConfigError(f"tau_opt requires a finite v < sqrt(2 sigma2) = {crit!r}")
-    if cfg.get("n_trials", 100) < 100:
-        raise ConfigError("n_trials must be >= 100")
+    if cfg.get("v") is not None and not cfg["v"] < (crit := math.sqrt(2.0 * cfg["sigma2"])):
+        raise ConfigError(f"tau_opt requires v < sqrt(2 sigma2) = {crit!r}")
     return SimpleNamespace(kind=kind, **cfg)
 
 
@@ -528,8 +515,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.config} is a config for {named!r}, not for {kind!r}")
         settings.update((k, v) for k, v in vars(args).items()
                         if k not in ("command", "config") and v is not None)
-        if "workers" not in settings and os.environ.get(WORKERS_ENV):
-            settings["workers"] = int(os.environ[WORKERS_ENV])
+        if "workers" not in settings and (env := os.environ.get(WORKERS_ENV)):
+            try:
+                settings["workers"] = int(env)
+            except ValueError:
+                raise ConfigError(f"${WORKERS_ENV} must be an integer, got {env!r}") from None
         return run(_config(settings))
     except tuple(exc for exc, _, _ in _EXCEPTION_EXITS) as err:
         for exc_type, code, category in _EXCEPTION_EXITS:

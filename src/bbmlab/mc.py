@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -226,27 +227,33 @@ def _xmax_block(config: SimConfig, lo: int, hi: int,
     return x_max, n_final, segments
 
 
+def run_jobs(fn: Callable, jobs: Sequence[tuple], n_workers: int) -> list:
+    """[fn(*job) for job in jobs], in order, over min(n_workers, len(jobs), cores) processes.
+
+    A pool forks all of its processes at its first task, so it is never larger
+    than its jobs or the machine; where that size is 1 the jobs run here.
+    """
+    size = min(n_workers, len(jobs), os.cpu_count() or 1)
+    if size <= 1:
+        return [fn(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
+
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, *zip(*jobs), chunksize=max(1, len(jobs) // (4 * size))))
+
+
 def _sample(config: SimConfig, n_trials: int, n_workers: int,
             stop: float = math.inf) -> tuple[np.ndarray, np.ndarray, SamplerStats]:
     """(x_max, final population, work) over trials 0..n_trials-1, each decided at stop.
 
-    The jobs are blocks of _block_trials(t) trials, run serially or over a
-    pool of n_workers processes and assembled in trial order.
+    The jobs are blocks of _block_trials(t) trials, run by run_jobs over at
+    most n_workers processes and assembled in trial order.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     size = _block_trials(config.t)
-    los = range(0, n_trials, size)
-    his = [min(lo + size, n_trials) for lo in los]
-    block = functools.partial(_xmax_block, config, stop=stop)
-    if n_workers <= 1:
-        parts = list(map(block, los, his))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(block, los, his,
-                                  chunksize=max(1, len(los) // (4 * n_workers))))
+    blocks = [(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
+    parts = run_jobs(functools.partial(_xmax_block, config, stop=stop), blocks, n_workers)
     xm, nf, segments = (np.concatenate(p) for p in zip(*parts))
     return xm, nf, SamplerStats(n_trials, int(segments.sum()), int(nf.max()))
 

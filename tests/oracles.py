@@ -1,10 +1,12 @@
-"""Reference values and reference implementations used across test modules.
+"""Reference values, reference implementations and stand-ins used across test modules.
 
 The ln Phi table was computed with 60-digit arithmetic (mpmath) before the
 implementation existed; 25 significant figures are retained here.
 """
 
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 
@@ -139,3 +141,32 @@ def advance_reference(fld, t_end, sigma2):
                 )
             worst = max(worst, viol)
     return fkpp.LogField(L=L, time=t_end, grid=grid, max_violation=worst, steps=fld.steps + n)
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process, maps here."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return list(map(fn, *iterables))
+
+
+def serial_pools(monkeypatch, cores):
+    """Put SerialPool in place of every process pool on a machine of `cores` cores.
+
+    Returns the list that each pool's size is appended to.
+    """
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    return SerialPool.sizes

@@ -39,6 +39,7 @@ P1 = ModelParams(sigma2=1.0)
 SEED_MC_PDE = 31415926
 SEED_SCENARIO = 777
 SEED_LAWS = 909090
+SEED_STOPPED = 271828
 
 
 def report(tag: str, ok: bool, detail: str) -> bool:
@@ -318,6 +319,31 @@ def test_xmax_law_matches_pde_cdf(whole_trees_t123):
         details.append(f"t={t:g}: D={dist:.2e} (sqrt(n) D={math.sqrt(n) * dist:.2f}) "
                        f"vs {band:.2e}")
     assert report("8+", ok, "Monte Carlo law of X_max vs PDE CDF: " + "; ".join(details))
+
+
+def test_stopped_xmax_law_matches_pde_cdf():
+    # the stopped sampler, as estimate_tail runs it, knows x_max exactly up to
+    # stop; above it only that x_max exceeds stop.  So its empirical CDF on
+    # (-inf, stop] meets the PDE's there: D = sup_{x <= stop} |F_n(x) - u(x, t)|,
+    # taken at the samples below stop and at stop itself.  The band is fixed in
+    # advance, as above: the DKW bound at delta = 1e-3, plus the PDE's change
+    # when dx is halved at those points
+    t, stop, delta = 4.0, 3.0, 1e-3
+    xm, _, _ = mc._sample(mc.SimConfig(t=t, seed=SEED_STOPPED), 100000, 1, stop)
+    n = xm.size
+    below = np.sort(xm[xm <= stop])
+    k = below.size
+    at = np.append(below, stop)
+    u, u_half = (np.exp(fkpp.solve(P1, t, dx=dx, snapshot_times=[t], track_front=False)
+                        .snapshots[t].log_u(at)) for dx in (0.05, 0.025))
+    upper = np.append(np.arange(1, k + 1), k) / n  # F_n at each point
+    lower = np.append(np.arange(k), k) / n  # and just left of it
+    dist = max(float(np.max(upper - u)), float(np.max(u - lower)))
+    band = math.sqrt(math.log(2.0 / delta) / (2.0 * n)) + float(np.max(np.abs(u - u_half)))
+    assert report("8+", dist <= band,
+                  f"stopped sampler's law of X_max below {stop:g} vs PDE CDF at t={t:g}: "
+                  f"D={dist:.2e} (sqrt(n) D={math.sqrt(n) * dist:.2f}) vs {band:.2e}; "
+                  f"F_n({stop:g}) = {k / n:.4f}")
 
 
 def test_criterion_09_upper_deviation_first_moment():

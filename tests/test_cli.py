@@ -2,6 +2,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ from bbmlab.model import RHO, SQRT2
 from bbmlab.serialize import sha256_text
 from bbmlab.varopt import log_normal_cdf
 
-from oracles import xmax_one_at_a_time
+from oracles import serial_pools, xmax_one_at_a_time
 
 
 # environment for a fresh interpreter that imports this checkout's bbmlab
@@ -152,6 +153,8 @@ class TestValidation:
         (["mc-tail", "--alphas", 0], None, "mc_tail requires --alphas and --t"),
         (["scenario-lb", "--t", 8], None, "scenario_lb requires --alphas and --t"),
         (["mc-tail", "--alphas", 0, "--t", 2, "--n-trials", 99], None, "n_trials must be >= 100"),
+        (["scenario-lb", "--alphas", 0, "--t", 2, "--n-trials", 99], None,
+         "n_trials must be >= 100"),
         (["fit"], None, "fit requires --input"),
         (["sweep"], None, "sweep requires config entries"),
         (["sweep"], {"entries": [{"kind": "bogus"}]}, "unknown kind 'bogus'"),
@@ -161,7 +164,7 @@ class TestValidation:
         (["sweep"], {"entries": [{"kind": "rate", "alphas": [0.5], "out": "zzz.csv"}]},
          "sweep entries cannot set out: the sweep writes one CSV"),
     ], ids=["rate", "tau-opt-t", "fkpp-rate-t-list", "mc-tail-t", "scenario-lb-alphas",
-            "n-trials-99", "fit-input", "sweep-entries", "unknown-kind", "entry-without-kind",
+            "n-trials-99", "n-trials-99-scenario", "fit-input", "sweep-entries", "unknown-kind", "entry-without-kind",
             "sweep-of-sweeps", "entry-out"])
     def test_config_error_names_the_problem(self, tmp_path, capsys, argv, config, message):
         if config is not None:
@@ -171,6 +174,64 @@ class TestValidation:
         out = tmp_path / "x.csv"
         capsys.readouterr()
         assert run_cli(argv + ["--out", out]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "config-invalid", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,settings,message", [
+        ("tau_opt", {"v": 0.0, "t": 10.0, "sigma2": 0}, "sigma2 must be a finite number > 0, got 0"),
+        ("fkpp_rate", {"alphas": [0.0], "t_list": [1.0], "sigma2": -math.inf},
+         "sigma2 must be a finite number > 0, got -inf"),
+        ("tau_opt", {"v": math.inf, "t": 10.0}, "v must be a finite number, got inf"),
+        ("fkpp_rate", {"alphas": [0.0], "t_list": []},
+         "t_list must be a non-empty, strictly increasing list of numbers, got []"),
+        ("fit", {"input": "probe.csv", "t_list": [10, 20, 20]},
+         "t_list must be a non-empty, strictly increasing list of numbers, got [10, 20, 20]"),
+        ("rate", {"alpha_grid": [0, 0.5, 0]},
+         "alpha_grid must be [min, max, count] with an integer count from 1 to 1048576, "
+         "got [0, 0.5, 0]"),
+        # refused before a row is built, though 2^20 + 1 rows would still be cheap
+        ("rate", {"alpha_grid": [0, 0.5, 2 ** 20 + 1]},
+         "alpha_grid must be [min, max, count] with an integer count from 1 to 1048576, "
+         "got [0, 0.5, 1048577]"),
+        ("rate", {"alpha_grid": [0, 0.5]},
+         "alpha_grid must be [min, max, count] with an integer count from 1 to 1048576, "
+         "got [0, 0.5]"),
+        ("rate", {"alphas": [0.5], "workers": 0}, "workers must be an integer >= 1, got 0"),
+    ], ids=["sigma2-0", "sigma2-neg-inf", "v-inf", "t-list-empty", "t-list-repeat",
+            "alpha-grid-count-0", "alpha-grid-count-2^20+1", "alpha-grid-short", "workers-0"])
+    def test_field_domain_names_the_field(self, tmp_path, capsys, kind, settings, message):
+        # each field's domain is checked where its type is, in every kind that reads it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(settings))
+        out = tmp_path / "x.csv"
+        assert run_cli([kind.replace("_", "-"), "--config", path, "--out", out]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "config-invalid", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config", "sweep-entry"])
+    @pytest.mark.parametrize("kind,settings,message", [
+        ("rate", {"alphas": [0.5], "alpha_grid": [0, 0.5, 2]},
+         "rate takes --alphas or --alpha-grid, not both"),
+        ("tau_opt", {"v": 0.0, "alphas": [0.5], "t": 10.0, "t_list": [20]},
+         "tau_opt takes --v or --alphas, not both"),
+        ("tau_opt", {"alphas": [0.5], "t": 10.0, "t_list": [20]},
+         "tau_opt takes --t or --t-list, not both"),
+    ], ids=["rate", "tau-opt-v-alphas", "tau-opt-t-t-list"])
+    def test_alternatives_exclude_each_other(self, tmp_path, capsys, kind, settings, message,
+                                             route):
+        # before, tau-opt --v 0 --alphas 0.5 --t 10 --t-list 20 wrote one row, for v = 0
+        # at t = 20, and its manifest recorded the alphas and t it had dropped
+        path = tmp_path / "cfg.json"
+        if route == "flag":
+            argv = TestUnreadFields.argv(tmp_path, kind, settings)
+        elif route == "config":
+            path.write_text(json.dumps(settings))
+            argv = [kind.replace("_", "-"), "--config", path]
+        else:
+            path.write_text(json.dumps({"entries": [{"kind": kind, **settings}]}))
+            argv = ["sweep", "--config", path]
+        out = tmp_path / "x.csv"
+        assert run_cli([*argv, "--out", out]) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "config-invalid", "message": message}
         assert not out.exists()
 
@@ -272,17 +333,20 @@ class TestUnreadFields:
     records only the fields it reads.  The lists are written out here, not
     taken from cli's tables, so that a slip in a table shows."""
 
-    # per kind: a value for every field it reads, besides out and workers
+    # per kind: cases that between them give a value to every field it reads,
+    # besides out and workers.  A kind takes exactly one field of each group of
+    # alternatives, so rate and tau_opt need a second case for the others
     EVERY_FIELD = {
-        "rate": {"alphas": [0.5], "alpha_grid": [0, 0.5, 2]},
-        "tau_opt": {"sigma2": 2.0, "alphas": [0.0], "v": 0.0, "t": 10.0, "t_list": [10, 20]},
-        "fkpp_rate": {"sigma2": 2.0, "alphas": [0.0], "t_list": [1.0], "dx": 0.2, "dt": 0.05,
-                      "eps": 0.2},
-        "mc_tail": {"sigma2": 2.0, "alphas": [0.0], "t": 1.0, "n_trials": 100, "seed": 3},
-        "scenario_lb": {"sigma2": 2.0, "alphas": [0.0], "t": 1.0, "n_trials": 100, "seed": 3,
-                        "tau": 0.5},
-        "fit": {"input": "probe.csv", "t_list": [10, 20, 30, 40, 50], "check": True},
-        "sweep": {"entries": [{"kind": "rate", "alphas": [0.5]}]},
+        "rate": [{"alphas": [0.5]}, {"alpha_grid": [0, 0.5, 2]}],
+        "tau_opt": [{"sigma2": 2.0, "v": 0.0, "t": 10.0},
+                    {"sigma2": 2.0, "alphas": [0.0], "t_list": [10, 20]}],
+        "fkpp_rate": [{"sigma2": 2.0, "alphas": [0.0], "t_list": [1.0], "dx": 0.2, "dt": 0.05,
+                       "eps": 0.2}],
+        "mc_tail": [{"sigma2": 2.0, "alphas": [0.0], "t": 1.0, "n_trials": 100, "seed": 3}],
+        "scenario_lb": [{"sigma2": 2.0, "alphas": [0.0], "t": 1.0, "n_trials": 100, "seed": 3,
+                         "tau": 0.5}],
+        "fit": [{"input": "probe.csv", "t_list": [10, 20, 30, 40, 50], "check": True}],
+        "sweep": [{"entries": [{"kind": "rate", "alphas": [0.5]}]}],
     }
     # per kind: a field it does not read, that flag which another kind offers, and a value
     UNREAD = [
@@ -296,10 +360,12 @@ class TestUnreadFields:
     ]
 
     @staticmethod
-    def argv(tmp_path, kind):
-        """The kind's command with every field it reads set by flag (a sweep's by file)."""
+    def argv(tmp_path, kind, settings=None):
+        """The kind's command with settings (its first case by default) set by flag, a
+        sweep's by file."""
         write_probe(tmp_path / "probe.csv", slope=2.0 * RHO)
-        settings = TestUnreadFields.EVERY_FIELD[kind]
+        if settings is None:
+            settings = TestUnreadFields.EVERY_FIELD[kind][0]
         if kind == "sweep":
             (tmp_path / "sweep.json").write_text(json.dumps(settings))
             return ["sweep", "--config", tmp_path / "sweep.json"]
@@ -314,10 +380,18 @@ class TestUnreadFields:
 
     @pytest.mark.parametrize("kind", list(EVERY_FIELD))
     def test_manifest_records_only_read_fields(self, tmp_path, kind):
+        # each case's manifest holds the fields it set, and over the cases the
+        # kind's manifests hold no field that no case set
         out = tmp_path / "x.csv"
-        assert run_cli([*self.argv(tmp_path, kind), "--out", out]) == 0
-        config = json.loads(read(str(out) + ".manifest.json"))["config"]
-        assert set(config) == set(self.EVERY_FIELD[kind]) | {"kind", "out", "workers"}
+        base = {"kind", "out", "workers"}
+        recorded, given = set(), set()
+        for settings in self.EVERY_FIELD[kind]:
+            assert run_cli([*self.argv(tmp_path, kind, settings), "--out", out]) == 0
+            config = set(json.loads(read(str(out) + ".manifest.json"))["config"])
+            assert set(settings) | base <= config
+            recorded |= config
+            given |= set(settings)
+        assert recorded == given | base
 
     @pytest.mark.parametrize("kind,field,flag,value", UNREAD, ids=[k for k, *_ in UNREAD])
     def test_unread_flag_is_refused(self, tmp_path, capsys, kind, field, flag, value):
@@ -342,18 +416,20 @@ class TestUnreadFields:
     @pytest.mark.parametrize("kind,field,flag,value", UNREAD[:-1], ids=[k for k, *_ in UNREAD[:-1]])
     def test_unread_sweep_entry_field_is_refused(self, tmp_path, capsys, kind, field, flag,
                                                  value):
-        # the entry that sets every field of its kind runs; with the unread one it exits 2
+        # each entry that sets a case of its kind runs; with the unread field it exits 2
         write_probe(tmp_path / "probe.csv", slope=2.0 * RHO)
-        entry = {"kind": kind, **self.EVERY_FIELD[kind]}
-        if kind == "fit":
-            entry["input"] = str(tmp_path / "probe.csv")
         path = tmp_path / "sweep.json"
-        for extra, code in (({}, 0), ({field: value}, 2)):
-            path.write_text(json.dumps({"entries": [{**entry, **extra}]}))
-            assert run_cli(["sweep", "--config", path, "--out", tmp_path / f"{code}.csv"]) == code
-        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
-            "error": "config-invalid", "message": f"{kind} does not read ['{field}']"}
-        assert not (tmp_path / "2.csv").exists()
+        for settings in self.EVERY_FIELD[kind]:
+            entry = {"kind": kind, **settings}
+            if kind == "fit":
+                entry["input"] = str(tmp_path / "probe.csv")
+            for extra, code in (({}, 0), ({field: value}, 2)):
+                path.write_text(json.dumps({"entries": [{**entry, **extra}]}))
+                out = tmp_path / f"{code}.csv"
+                assert run_cli(["sweep", "--config", path, "--out", out]) == code
+            assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+                "error": "config-invalid", "message": f"{kind} does not read ['{field}']"}
+            assert not (tmp_path / "2.csv").exists()
 
 
 class TestFlagPrecedence:
@@ -380,6 +456,42 @@ class TestFlagPrecedence:
         assert run_cli(["rate", "--alphas", 0, "--workers", 3, "--out", out]) == 0
         manifest = json.loads(read(str(out) + ".manifest.json"))
         assert manifest["config"]["workers"] == 3
+
+
+class TestWorkerPool:
+    """A run never starts more processes than it has jobs or the machine has cores."""
+
+    @pytest.mark.parametrize("cores", [2, 64])
+    def test_sweep_pool_is_bounded(self, tmp_path, monkeypatch, cores):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"entries": [{"kind": "rate", "alphas": [a]} for a in (0, 0.5)]}))
+        assert run_cli(["sweep", "--config", path, "--out", tmp_path / "serial.csv"]) == 0
+        started = serial_pools(monkeypatch, cores)
+        assert run_cli(["sweep", "--config", path, "--workers", 10000,
+                        "--out", tmp_path / "pool.csv"]) == 0
+        assert started == [2]
+        assert read(tmp_path / "pool.csv") == read(tmp_path / "serial.csv")
+
+    @pytest.mark.parametrize("cores", [2, 64])
+    def test_env_workers_pool_is_bounded(self, tmp_path, monkeypatch, cores):
+        # at t = 2 a block holds 1024 trials, so 3000 trials are 3 jobs
+        argv = ["mc-tail", "--alphas", 0, "--t", 2, "--n-trials", 3000]
+        assert run_cli([*argv, "--out", tmp_path / "serial.csv"]) == 0
+        started = serial_pools(monkeypatch, cores)
+        monkeypatch.setenv(cli.WORKERS_ENV, "10000")
+        out = tmp_path / "pool.csv"
+        assert run_cli([*argv, "--out", out]) == 0
+        assert started == [min(3, cores)]
+        assert read(out) == read(tmp_path / "serial.csv")
+        assert json.loads(read(str(out) + ".manifest.json"))["config"]["workers"] == 10000
+
+    def test_env_workers_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.WORKERS_ENV, "two")
+        out = tmp_path / "r.csv"
+        assert run_cli(["rate", "--alphas", 0, "--out", out]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config-invalid", "message": "$BBM_LDP_WORKERS must be an integer, got 'two'"}
+        assert not out.exists()
 
 
 class TestMcSubcommands:
@@ -538,6 +650,23 @@ class TestCsvSchemas:
         assert lines[0] == header
         assert len(lines) >= 2
         assert all(len(ln.split(",")) == header.count(",") + 1 for ln in lines[1:])
+
+
+    def test_kind_fields_match_readme(self):
+        # the README's list of the fields each kind reads, and its alternatives
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+            cli_section = fh.read().split("\n## CLI\n", 1)[1]
+        listed = {}
+        for line in re.search(r"^(\* .*\n)+", cli_section, re.M).group(0).splitlines():
+            kind, fields = re.fullmatch(r"\* `([a-z-]+)`: (.*)", line).groups()
+            listed[kind.replace("-", "_")] = (
+                re.findall(r"`(\w+)`", fields),
+                [tuple(sorted(g)) for g in re.findall(r"one of `(\w+)` or `(\w+)`", fields)])
+        assert sorted(listed) == sorted(cli._KINDS)
+        for kind, spec in cli._KINDS.items():
+            fields, groups = listed[kind]
+            assert sorted(fields) == sorted(spec.fields)
+            assert sorted(groups) == sorted(tuple(sorted(g)) for g in spec.one_of)
 
 
 class TestFkppAndFit:

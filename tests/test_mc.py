@@ -10,7 +10,7 @@ from bbmlab.model import RHO, SQRT2, ModelParams
 from bbmlab import fkpp, mc
 from bbmlab.varopt import log_normal_cdf
 
-from oracles import xmax_one_at_a_time
+from oracles import serial_pools, xmax_one_at_a_time
 
 P1 = ModelParams(sigma2=1.0)
 
@@ -89,6 +89,25 @@ class TestDeterminism:
         s1 = mc.scenario_estimate(cfg(2.0, seed=seed), scen, 100, n_workers=1)
         s3 = mc.scenario_estimate(cfg(2.0, seed=seed), scen, 100, n_workers=3)
         assert s1 == s3
+
+
+class TestRunJobs:
+    """run_jobs starts no more processes than it has jobs or the machine has cores."""
+
+    @pytest.mark.parametrize("cores,sizes", [(None, []), (1, []), (2, [2]), (64, [3])])
+    def test_estimate_tail_pool_is_bounded(self, monkeypatch, cores, sizes):
+        # at t = 2 a block holds 1024 trials, so 3000 trials are 3 jobs
+        serial = mc.estimate_tail(cfg(2.0), [0.0], 3000)
+        started = serial_pools(monkeypatch, cores)
+        assert mc.estimate_tail(cfg(2.0), [0.0], 3000, n_workers=10_000) == serial
+        assert started == sizes
+
+    def test_jobs_in_order(self, monkeypatch):
+        started = serial_pools(monkeypatch, 64)
+        jobs = [(2, 3), (3, 2), (5, 0)]
+        assert mc.run_jobs(pow, jobs, 1) == mc.run_jobs(pow, jobs, 2) == [8, 9, 1]
+        assert mc.run_jobs(pow, [], 4) == []
+        assert started == [2]
 
 
 class TestBlockSampler:
