@@ -59,7 +59,8 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    # a JSON integer beyond the largest float would overflow in the run
+    return (_is_int(x) and abs(x) <= sys.float_info.max) or isinstance(x, float)
 
 
 def _is_number_list(x) -> bool:
@@ -283,8 +284,9 @@ def _run_sweep(cfg: SimpleNamespace) -> Output:
         raise ConfigError("sweep entries must all share one kind")
     if kinds == {"sweep"}:
         raise ConfigError("sweep entries cannot be sweeps")
-    if any("out" in e for e in cfg.entries):
-        raise ConfigError("sweep entries cannot set out: the sweep writes one CSV")
+    for name, why in (("out", "the sweep writes one CSV"), ("workers", "the sweep runs one pool")):
+        if any(name in e for e in cfg.entries):
+            raise ConfigError(f"sweep entries cannot set {name}: {why}")
     jobs = [(_config(e),) for e in cfg.entries]
     results = mc.run_jobs(_KINDS[kinds.pop()].run, jobs, cfg.workers)
     # one kind, so one header: concatenate bodies in config order under it
@@ -526,7 +528,6 @@ def main(argv=None) -> int:
             if isinstance(err, exc_type):
                 _emit_error(category, str(err))
                 return code
-        raise
     except OSError as err:
         _emit_error("config-invalid", str(err))
         return EXIT_CONFIG

@@ -112,19 +112,7 @@ class SolverInstabilityError(RuntimeError):
 
 
 class DomainOverflowError(ValueError):
-    """A probe or quadrature point falls outside (or too close to) the grid."""
-
-
-class FrontNotBracketedError(RuntimeError):
-    """The field does not cross the half level anywhere on the grid."""
-
-
-class RankDeficientFitError(ValueError):
-    """Least-squares design matrix is rank deficient (samples too clustered)."""
-
-
-class InsufficientSamplesError(ValueError):
-    """Too few samples, or too narrow a time span, for a meaningful fit."""
+    """A probe, quadrature point or the front falls outside (or too close to) the grid."""
 
 
 @dataclass(frozen=True)
@@ -330,10 +318,10 @@ def advance(fld: LogField, t_end: float, sigma2: float) -> LogField:
 
 
 def front_position(fld: LogField) -> float:
-    """x where L crosses ln(1/2), linearly interpolated."""
+    """x where L crosses ln(1/2), linearly interpolated; off the grid, DomainOverflowError."""
     L = fld.L
     if L[0] > _LN_HALF or L[-1] < _LN_HALF:
-        raise FrontNotBracketedError("field does not bracket the half level")
+        raise DomainOverflowError("field does not bracket the half level")
     i = int(np.searchsorted(L, _LN_HALF))
     if i == 0:
         return float(fld.grid.x_min)
@@ -384,7 +372,7 @@ class FrontTrace:
         sel = (self.times >= t_lo) & (self.times <= t_hi) & (self.times > 0.0)
         t = self.times[sel]
         if t.size < 8:
-            raise InsufficientSamplesError("need at least 8 front samples in the window")
+            raise ValueError("need at least 8 front samples in the window")
         beta, _, _ = _fit_t_log_t(t, self.positions[sel])
         return float(beta[0]), float(beta[1]), float(beta[2])
 
@@ -419,9 +407,9 @@ def fit_tail_series(times: Sequence[float], log_u: Sequence[float]) -> TailFit:
     if not (np.all(np.isfinite(t)) and np.all(t > 0.0) and np.all(np.isfinite(y))):
         raise ValueError("every sample time must be finite and positive, every ln u finite")
     if t.size < 5:
-        raise InsufficientSamplesError(f"need at least 5 samples, got {t.size}")
+        raise ValueError(f"need at least 5 samples, got {t.size}")
     if float(np.max(t)) < 4.0 * float(np.min(t)) - 1e-12:
-        raise InsufficientSamplesError("samples must span at least a factor 4 in t")
+        raise ValueError("samples must span at least a factor 4 in t")
     beta, se, rss = _fit_t_log_t(t, y)
     a, b, c = (float(v) for v in beta)
     se_a, se_b, se_c = (float(v) for v in se)
@@ -435,7 +423,7 @@ def _fit_t_log_t(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     X = np.column_stack([t, np.log(t), np.ones_like(t)])
     beta, _, rank, sv = np.linalg.lstsq(X, y, rcond=None)
     if rank < 3 or sv[-1] <= 1e-12 * sv[0]:
-        raise RankDeficientFitError("{t, ln t, 1} design matrix is rank deficient")
+        raise ValueError("{t, ln t, 1} design matrix is rank deficient")
     resid = y - X @ beta
     rss = float(resid @ resid)
     cov = rss / (t.size - 3) * np.linalg.inv(X.T @ X)
@@ -487,35 +475,33 @@ def solve(
     DomainOverflowError raised if violated; x_min is snapped down to the
     dx lattice through x = 0 either way.  dt is the splitting step:
     each interval between consecutive probe, snapshot and front-sample times
-    is split into ceil(interval / dt) equal steps.
+    is split into ceil(interval / dt) equal steps.  The tails come in
+    ascending alpha, each in ascending t, whatever the order of the probes.
     """
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be nonnegative, got {t_final!r}")
     crit = params.critical_velocity
     sigma = params.sigma
-    probes = [(float(a), float(tp)) for a, tp in probes]
-    for a, tp in probes:
+    # the probes as columns, in tail order: ascending alpha, then ascending t
+    pairs = sorted((float(a), float(tp)) for a, tp in probes)
+    pa, pt = np.array(pairs, dtype=float).reshape(-1, 2).T
+    snapshot_times = [float(ts) for ts in snapshot_times]
+    for a in pa.tolist():
         if not (math.isfinite(a) and a < 1.0):
             raise ValueError(f"probe alpha must be finite and < 1, got {a!r}")
-        if not 0.0 <= tp <= t_final + 1e-12:
-            raise ValueError(f"probe time {tp!r} outside [0, {t_final!r}]")
-    snapshot_times = [float(ts) for ts in snapshot_times]
-    for ts in snapshot_times:
+    for what, ts in [*(("probe", tp) for tp in pt.tolist()),
+                     *(("snapshot", ts) for ts in snapshot_times)]:
         if not 0.0 <= ts <= t_final + 1e-12:
-            raise ValueError(f"snapshot time {ts!r} outside [0, {t_final!r}]")
+            raise ValueError(f"{what} time {ts!r} outside [0, {t_final!r}]")
 
-    if dt is None:
-        dt = DEFAULT_DT
-    v_min = min([0.0] + [a * crit for a, _ in probes])
+    px = pa * crit * pt  # each probe's point, as checked, read and written
+    v_min = float(pa.min(initial=0.0)) * crit
     root_t = math.sqrt(t_final) if t_final > 0.0 else 0.0
-    left_margin = 20.0 * sigma * root_t if probes or snapshot_times else 0.0
+    left_margin = 20.0 * sigma * root_t if pairs or snapshot_times else 0.0
     lo = x_min if x_min is not None else v_min * t_final - left_margin - 10.0 * sigma
     hi = x_max if x_max is not None else crit * t_final + 20.0 * sigma
-    grid = Grid.build(lo, hi, dx, dt)
-
-    # each probe's point, as checked, read and written
-    probe_x = [a * crit * tp for a, tp in probes]
-    for (a, tp), xp in zip(probes, probe_x):
+    grid = Grid.build(lo, hi, dx, DEFAULT_DT if dt is None else dt)
+    for a, tp, xp in zip(pa.tolist(), pt.tolist(), px.tolist()):
         if xp - 20.0 * sigma * math.sqrt(tp) < grid.x_min - 1e-9:
             raise DomainOverflowError(
                 f"probe (alpha={a}, t={tp}) closer than 20*sigma*sqrt(t) to x_min"
@@ -525,57 +511,44 @@ def solve(
 
     eps = smoothing_eps if smoothing_eps is not None else dx
     floor = TAIL_FLOOR
-    timed = [(a, tp) for a, tp in probes if tp > 0.0]
-    if timed:
+    timed = pt > 0.0
+    if timed.any():
         # 40 e-folds of room under every probe's no-branch bound (module notes)
-        a, tp = np.array(timed).T
-        bound = float(np.min(-tp + log_normal_cdf(a * SQRT2 * np.sqrt(tp))))
+        tp = pt[timed]
+        bound = float(np.min(-tp + log_normal_cdf(pa[timed] * SQRT2 * np.sqrt(tp))))
         floor = min(TAIL_FLOOR, bound - t_final - 40.0)
     fld = init_field(grid, eps, floor)
 
     front_set: set[float] = set()
     if track_front:
         front_set = {float(ts) for ts in np.linspace(0.0, t_final, front_samples + 1)}
-    probe_at: dict[float, list[int]] = {}
-    for idx, (_, tp) in enumerate(probes):
-        probe_at.setdefault(tp, []).append(idx)
-    snap_set = set(snapshot_times)
+    probe_set, snap_set = set(pt.tolist()), set(snapshot_times)
 
-    events = sorted(front_set | set(probe_at) | snap_set | {t_final})
-    front_t: list[float] = []
+    events = sorted(front_set | probe_set | snap_set | {t_final})
     front_x: list[float] = []
-    probe_val: dict[int, float] = {}
+    log_u = np.empty(pt.size)
     snapshots: dict[float, LogField] = {}
 
     for T in events:
         if T > fld.time:
             fld = advance(fld, T, params.sigma2)
         if T in front_set:
-            front_t.append(T)
             front_x.append(front_position(fld))
-        for idx in probe_at.get(T, ()):
-            probe_val[idx] = float(fld.log_u(probe_x[idx]))
+        if T in probe_set:
+            at = pt == T
+            log_u[at] = fld.log_u(px[at])
         if T in snap_set:
             snapshots[T] = fld
 
     front = None
     if track_front:
-        front = FrontTrace(times=np.asarray(front_t), positions=np.asarray(front_x))
+        front = FrontTrace(times=np.array(sorted(front_set)), positions=np.asarray(front_x))
         window_lo = max(1.0, 0.1 * t_final)
-        in_window = (front.times >= window_lo) & (front.times > 0.0)
-        if int(np.count_nonzero(in_window)) >= 8:
+        if np.count_nonzero(front.times >= window_lo) >= 8:
             front.fitted_speed, front.log_coeff, _ = front.fit_window(window_lo, t_final)
 
-    by_alpha: dict[float, list[int]] = {}
-    for idx, (a, _) in enumerate(probes):
-        by_alpha.setdefault(a, []).append(idx)
-    tails = []
-    for a in sorted(by_alpha):
-        idxs = sorted(by_alpha[a], key=lambda i: probes[i][1])
-        times = np.asarray([probes[i][1] for i in idxs])
-        logu = np.asarray([probe_val[i] for i in idxs])
-        xp = np.asarray([probe_x[i] for i in idxs])
-        tails.append(TailSeries(alpha=a, times=times, log_u=logu, x_probe=xp))
+    tails = [TailSeries(alpha=a, times=pt[at], log_u=log_u[at], x_probe=px[at])
+             for a in dict.fromkeys(pa.tolist()) for at in [pa == a]]
     return SolveResult(
         front=front, tails=tails, snapshots=snapshots, grid=grid,
         smoothing_eps=eps, steps=fld.steps, max_violation=fld.max_violation,

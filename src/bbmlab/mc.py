@@ -40,6 +40,7 @@ from .rates import scenario_geometry
 from .varopt import log_normal_cdf
 
 DEFAULT_MAX_PARTICLES = 1 << 23
+MAX_TRIALS = 1 << 26  # a run peaks near 57 bytes a trial (at t = 0.5): 3.8 GB
 # A block of trials holds about this many particles at the horizon on average
 # (each array stays near 1 MB; a stopped tree reaches about half as many) and
 # at most this many trials (the bound of the Generator pool).
@@ -251,6 +252,8 @@ def _sample(config: SimConfig, n_trials: int, n_workers: int,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if n_trials > MAX_TRIALS:
+        raise ValueError(f"n_trials must be <= {MAX_TRIALS}, got {n_trials}")
     size = _block_trials(config.t)
     blocks = [(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
     parts = run_jobs(functools.partial(_xmax_block, config, stop=stop), blocks, n_workers)

@@ -197,8 +197,14 @@ class TestValidation:
          "alpha_grid must be [min, max, count] with an integer count from 1 to 1048576, "
          "got [0, 0.5]"),
         ("rate", {"alphas": [0.5], "workers": 0}, "workers must be an integer >= 1, got 0"),
+        # JSON integers beyond the largest float would overflow in the run
+        ("tau_opt", {"v": 0, "t": 10, "sigma2": 10**401},
+         f"sigma2 must be a finite number > 0, got {10**401}"),
+        ("mc_tail", {"alphas": [0], "t": 10**400}, f"t must be a number, got {10**400}"),
+        ("rate", {"alphas": [10**400]}, f"alphas must be a list of numbers, got [{10**400}]"),
     ], ids=["sigma2-0", "sigma2-neg-inf", "v-inf", "t-list-empty", "t-list-repeat",
-            "alpha-grid-count-0", "alpha-grid-count-2^20+1", "alpha-grid-short", "workers-0"])
+            "alpha-grid-count-0", "alpha-grid-count-2^20+1", "alpha-grid-short", "workers-0",
+            "sigma2-10^401", "t-10^400", "alphas-10^400"])
     def test_field_domain_names_the_field(self, tmp_path, capsys, kind, settings, message):
         # each field's domain is checked where its type is, in every kind that reads it
         path = tmp_path / "cfg.json"
@@ -326,6 +332,22 @@ class TestValidation:
                 break
         else:
             pytest.fail("DomainOverflowError has no exit-code mapping")
+
+    def test_every_error_class_has_an_exit_code(self):
+        # an error class without a row of its own in _EXCEPTION_EXITS would
+        # exit 1 with a traceback, or under a class that does not name it
+        import importlib
+        import pkgutil
+
+        import bbmlab
+
+        mapped = [exc for exc, _, _ in cli._EXCEPTION_EXITS]
+        for info in pkgutil.iter_modules(bbmlab.__path__):
+            module = importlib.import_module(f"bbmlab.{info.name}")
+            for obj in vars(module).values():
+                if (isinstance(obj, type) and issubclass(obj, Exception)
+                        and obj.__module__ == module.__name__):
+                    assert obj in mapped or obj is cli.ConfigError, obj
 
 
 class TestUnreadFields:
@@ -484,6 +506,30 @@ class TestWorkerPool:
         assert started == [min(3, cores)]
         assert read(out) == read(tmp_path / "serial.csv")
         assert json.loads(read(str(out) + ".manifest.json"))["config"]["workers"] == 10000
+
+    @pytest.mark.parametrize("cores", [2, 64])
+    def test_sweep_runs_the_only_pool(self, tmp_path, monkeypatch, capsys, cores):
+        # an entry's own workers would open a pool inside each of the sweep's
+        entry = {"kind": "mc_tail", "alphas": [0], "t": 2, "n_trials": 3000}
+        started = serial_pools(monkeypatch, cores)
+        path, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        path.write_text(json.dumps({"entries": [{**entry, "workers": 2}] * 2}))
+        assert run_cli(["sweep", "--config", path, "--workers", 2, "--out", out]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config-invalid",
+            "message": "sweep entries cannot set workers: the sweep runs one pool"}
+        assert not out.exists() and started == []
+        path.write_text(json.dumps({"entries": [entry] * 2}))
+        assert run_cli(["sweep", "--config", path, "--workers", 10000, "--out", out]) == 0
+        assert started == [2]
+
+    def test_mc_tail_trial_count_is_bounded(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mc, "MAX_TRIALS", 1000)
+        out = tmp_path / "mc.csv"
+        assert run_cli(["mc-tail", "--alphas", 0, "--t", 1, "--n-trials", 1001, "--out", out]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config-invalid", "message": "n_trials must be <= 1000, got 1001"}
+        assert not out.exists()
 
     def test_env_workers_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.WORKERS_ENV, "two")

@@ -44,6 +44,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match="n_trials must be >= 1"):
             mc.sample_xmax(cfg(1.0), 0)
 
+    def test_trial_count_is_bounded(self, monkeypatch):
+        # refused before the list of blocks is built: without the check this
+        # would cost a 1,001-trial run, not an out-of-memory one
+        monkeypatch.setattr(mc, "MAX_TRIALS", 1000)
+        with pytest.raises(ValueError, match="n_trials must be <= 1000, got 1001"):
+            mc.sample_xmax(cfg(1.0), 1001)
+
+    def test_trial_bound_fits_in_memory(self):
+        # about 57 bytes a trial at the peak: 2^26 trials need near 3.8 GB
+        assert mc.MAX_TRIALS == 2**26
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             mc.SimConfig(t=-1.0, seed=3)
