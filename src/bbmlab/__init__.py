@@ -6,4 +6,4 @@ event-driven Monte Carlo with a conditional scenario estimator (`mc`), and a
 CLI harness (`cli`).
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

@@ -4,17 +4,20 @@ The CLI computes nothing itself; every number in an output file comes from
 an operation in rates, varopt, fkpp or mc.  Of those, only fkpp takes
 sigma2: rates, varopt and mc work in alpha and in lengths of one sigma, and
 the CLI converts (x = sigma x_1, and tau-opt's v = alpha sqrt(2 sigma2)).
-The CLI alone knows the CSV formats: one header constant per output, rows
-written by serialize.csv_lines.  Each kind reads the fields that _KINDS
-lists for it, plus `out` and `workers`; a setting it does not read is a
-config error.  Each run writes a CSV plus a sibling manifest
+The CLI alone knows the CSV formats: one header constant per output, and
+each runner returns its header and rows, which _write_outputs alone formats
+with serialize.csv_lines.  Each kind reads the fields that _KINDS lists for
+it, plus `out` and `workers`; a setting it does not read is a config error.
+Each run writes a CSV plus a sibling manifest
 (<out>.manifest.json) recording the resolved config (those fields only),
 package version, run statistics, timings and environment; `replay` reruns a
 manifest written by the same package version and verifies the CSV body is
 byte-identical.
 
 Exit codes: 0 ok, 2 config-invalid, 3 solver-instability, 4 particle-cap,
-5 domain-overflow, 6 check-failed (fit --check and replay mismatches).
+5 domain-overflow, 6 acceptance-fail (a failed fit --check, a replay mismatch
+or a replay refused for another version).  Every failure reaches its exit
+code through one row of _EXCEPTION_EXITS.
 """
 
 from __future__ import annotations
@@ -38,13 +41,6 @@ from .model import SQRT2, ModelParams
 from . import fkpp, mc, rates, varopt
 from .serialize import csv_lines, sha256_text
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INSTABILITY = 3
-EXIT_PARTICLE_CAP = 4
-EXIT_DOMAIN = 5
-EXIT_CHECK_FAILED = 6
-
 WORKERS_ENV = "BBM_LDP_WORKERS"
 
 SLOPE_TOLERANCE = 0.05  # acceptance tolerance for |a - psi| / psi in fit reports
@@ -52,6 +48,10 @@ SLOPE_TOLERANCE = 0.05  # acceptance tolerance for |a - psi| / psi in fit report
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+class AcceptanceError(Exception):
+    """A run's output failed acceptance: a fit check, or a replay's hash or version."""
 
 
 def _is_int(x) -> bool:
@@ -122,7 +122,7 @@ def _setting(name: str) -> str:
     return _flags(name)[0] if _FIELDS[name].flag is not None else f"config {name}"
 
 
-# -- CSV schemas: one header per output, rows written by serialize.csv_lines ----
+# -- CSV schemas: one header per output, rows written by _write_outputs -----------
 
 RATE_CSV_HEADER = "alpha,psi,branch_tag,chen_lower_bound"
 TAU_CSV_HEADER = "v,sigma2,t,tau_star,tau_fraction,log_value,empirical_rate,phi"
@@ -143,7 +143,8 @@ def _estimate_row(name: str, alpha: float, t: float, x: float, est: mc.Estimate)
 
 
 class Output(NamedTuple):
-    lines: list[str]  # CSV header and rows
+    header: str  # one of the *_CSV_HEADER constants
+    rows: list[tuple]  # one tuple of cells per CSV row
     stats: dict  # recorded under the manifest's "stats"
     check_failed: bool = False  # a fit --check found a slope outside tolerance
 
@@ -159,7 +160,7 @@ def _run_rate(cfg: SimpleNamespace) -> Output:
         val = rates.psi(a)
         chen = rates.chen_lower_bound(a) if a < 1.0 else float("nan")
         rows.append((a, val.rate, val.branch_tag.name, chen))
-    return Output(csv_lines(RATE_CSV_HEADER, rows), {})
+    return Output(RATE_CSV_HEADER, rows, {})
 
 
 def _run_tau_opt(cfg: SimpleNamespace) -> Output:
@@ -176,7 +177,7 @@ def _run_tau_opt(cfg: SimpleNamespace) -> Output:
             opt = varopt.maximize(varopt.ObjectiveSpec(alpha=alpha, t=float(t)))
             rows.append((v, cfg.sigma2, t, opt.tau_star, opt.tau_star / t,
                          opt.log_value, opt.empirical_rate, ref))
-    return Output(csv_lines(TAU_CSV_HEADER, rows), {})
+    return Output(TAU_CSV_HEADER, rows, {})
 
 
 def _run_fkpp_rate(cfg: SimpleNamespace) -> Output:
@@ -197,7 +198,7 @@ def _run_fkpp_rate(cfg: SimpleNamespace) -> Output:
         "steps": result.steps,
         "max_violation": result.max_violation,
     }
-    return Output(csv_lines(PROBE_CSV_HEADER, rows), stats)
+    return Output(PROBE_CSV_HEADER, rows, stats)
 
 
 def _run_mc_tail(cfg: SimpleNamespace) -> Output:
@@ -208,7 +209,7 @@ def _run_mc_tail(cfg: SimpleNamespace) -> Output:
     ests = mc.estimate_tail(config, xs, cfg.n_trials, n_workers=cfg.workers)
     rows = [_estimate_row("naive_tail", a, cfg.t, sigma * x, est)
             for a, x, est in zip(cfg.alphas, xs, ests)]
-    return Output(csv_lines(ESTIMATE_CSV_HEADER, rows), asdict(ests[0].sampler))
+    return Output(ESTIMATE_CSV_HEADER, rows, asdict(ests[0].sampler))
 
 
 def _run_scenario_lb(cfg: SimpleNamespace) -> Output:
@@ -224,7 +225,7 @@ def _run_scenario_lb(cfg: SimpleNamespace) -> Output:
         samplers.append(est.sampler)
         estimates.append({"alpha": a, "ess": est.ess, "low_ess": est.low_ess})
     stats = {"estimates": estimates, **asdict(mc.SamplerStats.total(samplers))}
-    return Output(csv_lines(ESTIMATE_CSV_HEADER, rows), stats)
+    return Output(ESTIMATE_CSV_HEADER, rows, stats)
 
 
 def _read_probe_csv(path: str) -> dict[float, tuple[list[float], list[float]]]:
@@ -275,7 +276,7 @@ def _run_fit(cfg: SimpleNamespace) -> Output:
         sign_consistent = (fit.b < 0.0) == (prefactor_ref < 0.0)
         rows.append((a, fit.a, fit.b, fit.c, fit.se_a, fit.se_b, fit.se_c, psi_ref, rel,
                      prefactor_ref, sign_consistent, status))
-    return Output(csv_lines(FIT_CSV_HEADER, rows), {}, check_failed=cfg.check and any_fail)
+    return Output(FIT_CSV_HEADER, rows, {}, check_failed=cfg.check and any_fail)
 
 
 def _run_sweep(cfg: SimpleNamespace) -> Output:
@@ -289,11 +290,9 @@ def _run_sweep(cfg: SimpleNamespace) -> Output:
             raise ConfigError(f"sweep entries cannot set {name}: {why}")
     jobs = [(_config(e),) for e in cfg.entries]
     results = mc.run_jobs(_KINDS[kinds.pop()].run, jobs, cfg.workers)
-    # one kind, so one header: concatenate bodies in config order under it
-    lines = [results[0].lines[0]]
-    for res in results:
-        lines.extend(res.lines[1:])
-    return Output(lines, {"entries": [res.stats for res in results]},
+    # one kind, so one header: concatenate rows in config order under it
+    return Output(results[0].header, [row for res in results for row in res.rows],
+                  {"entries": [res.stats for res in results]},
                   check_failed=any(res.check_failed for res in results))
 
 
@@ -376,33 +375,28 @@ def _config(d: dict) -> SimpleNamespace:
     return SimpleNamespace(kind=kind, **cfg)
 
 
-def run(cfg: SimpleNamespace, expected_sha256: str | None = None) -> int:
-    """Execute one experiment: write CSV and manifest, return an exit code.
+def run(cfg: SimpleNamespace, expected_sha256: str | None = None) -> None:
+    """Execute one experiment: write its CSV and manifest.
 
-    A failed fit check exits 6 after writing every row.  With expected_sha256
-    (a replay), a CSV body of another hash exits 6 as well.
+    Raises AcceptanceError once every row is written: with expected_sha256
+    (a replay) when the CSV body has another hash, else when a fit check failed.
     """
     if cfg.out is None:
         raise ConfigError("an output path is required (--out)")
     started = time.perf_counter()
     res = _KINDS[cfg.kind].run(cfg)
     sha = _write_outputs(cfg, res, started)
-    code = EXIT_OK
-    if res.check_failed:
-        _emit_error("acceptance-fail", "fit check failed (relative slope error above tolerance)")
-        code = EXIT_CHECK_FAILED
     if expected_sha256 is not None:
         if sha != expected_sha256:
-            _emit_error("acceptance-fail",
-                        f"replay mismatch: sha256 {sha} != recorded {expected_sha256}")
-            return EXIT_CHECK_FAILED
+            raise AcceptanceError(f"replay mismatch: sha256 {sha} != recorded {expected_sha256}")
         print(f"replay ok: {cfg.out} matches recorded sha256")
-    return code
+    if res.check_failed:
+        raise AcceptanceError("fit check failed (relative slope error above tolerance)")
 
 
 def _write_outputs(cfg: SimpleNamespace, res: Output, started: float) -> str:
     """Write the CSV and its manifest; return the body's sha256."""
-    body = "\n".join(res.lines) + "\n"
+    body = "\n".join(csv_lines(res.header, res.rows)) + "\n"
     sha = sha256_text(body)
     out_dir = os.path.dirname(os.path.abspath(cfg.out))
     os.makedirs(out_dir, exist_ok=True)
@@ -441,27 +435,20 @@ def _move_inputs(config, move):
     return moved
 
 
-def _replay(manifest_path: str, out: str | None) -> int:
+def _replay(manifest_path: str, out: str | None) -> None:
     manifest = _read_json_object(manifest_path)
     recorded = manifest.get("version")
     if recorded != __version__:
-        _emit_error(
-            "acceptance-fail",
+        raise AcceptanceError(
             f"replay refused: manifest written by bbmlab {recorded}, "
-            f"this is bbmlab {__version__}; rerun it with the version that wrote it",
-        )
-        return EXIT_CHECK_FAILED
+            f"this is bbmlab {__version__}; rerun it with the version that wrote it")
     missing = [key for key in ("config", "csv_sha256") if key not in manifest]
     if missing:
         raise ConfigError(f"{manifest_path}: manifest lacks {missing}")
     base = os.path.dirname(manifest_path)
     cfg = _config(_move_inputs(manifest["config"], lambda path: os.path.join(base, path)))
-    cfg.out = out or (manifest_path[: -len(".manifest.json")] + ".replay.csv")
-    return run(cfg, expected_sha256=manifest["csv_sha256"])
-
-
-def _emit_error(category: str, message: str) -> None:
-    print(json.dumps({"error": category, "message": message}), file=sys.stderr)
+    cfg.out = out or manifest_path.removesuffix(".manifest.json") + ".replay.csv"
+    run(cfg, expected_sha256=manifest["csv_sha256"])
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -496,41 +483,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the only route from a failure to an exit code: the first row whose class matches
 _EXCEPTION_EXITS = [
-    (fkpp.DomainOverflowError, EXIT_DOMAIN, "domain-overflow"),
-    (fkpp.SolverInstabilityError, EXIT_INSTABILITY, "solver-instability"),
-    (mc.ParticleCapError, EXIT_PARTICLE_CAP, "particle-cap"),
-    (ValueError, EXIT_CONFIG, "config-invalid"),
+    (fkpp.DomainOverflowError, 5, "domain-overflow"),
+    (fkpp.SolverInstabilityError, 3, "solver-instability"),
+    (mc.ParticleCapError, 4, "particle-cap"),
+    (AcceptanceError, 6, "acceptance-fail"),
+    (ValueError, 2, "config-invalid"),
+    (OSError, 2, "config-invalid"),  # an unreadable input or unwritable output
 ]
 
 
+def _emit_error(category: str, message: str) -> None:
+    print(json.dumps({"error": category, "message": message}), file=sys.stderr)
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """A kind's settings: its flags over its --config file, workers from the environment."""
+    kind = args.command.replace("-", "_")
+    settings = _read_json_object(args.config) if args.config else {}
+    named = settings.setdefault("kind", kind)
+    if named != kind:
+        raise ConfigError(f"{args.config} is a config for {named!r}, not for {kind!r}")
+    settings.update((k, v) for k, v in vars(args).items()
+                    if k not in ("command", "config") and v is not None)
+    if "workers" not in settings and (env := os.environ.get(WORKERS_ENV)):
+        try:
+            settings["workers"] = int(env)
+        except ValueError:
+            raise ConfigError(f"${WORKERS_ENV} must be an integer, got {env!r}") from None
+    return settings
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "replay":
-            return _replay(args.manifest, args.out)
-        kind = args.command.replace("-", "_")
-        settings = _read_json_object(args.config) if args.config else {}
-        named = settings.setdefault("kind", kind)
-        if named != kind:
-            raise ConfigError(f"{args.config} is a config for {named!r}, not for {kind!r}")
-        settings.update((k, v) for k, v in vars(args).items()
-                        if k not in ("command", "config") and v is not None)
-        if "workers" not in settings and (env := os.environ.get(WORKERS_ENV)):
-            try:
-                settings["workers"] = int(env)
-            except ValueError:
-                raise ConfigError(f"${WORKERS_ENV} must be an integer, got {env!r}") from None
-        return run(_config(settings))
+            _replay(args.manifest, args.out)
+        else:
+            run(_config(_settings(args)))
     except tuple(exc for exc, _, _ in _EXCEPTION_EXITS) as err:
-        for exc_type, code, category in _EXCEPTION_EXITS:
-            if isinstance(err, exc_type):
-                _emit_error(category, str(err))
-                return code
-    except OSError as err:
-        _emit_error("config-invalid", str(err))
-        return EXIT_CONFIG
+        code, category = next((code, category) for exc, code, category in _EXCEPTION_EXITS
+                              if isinstance(err, exc))
+        _emit_error(category, str(err))
+        return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,6 +32,15 @@ _ASYMPTOTIC_Z = -20.0  # below this, ln Phi comes from the asymptotic series
 _SERIES = [(-1) ** k * math.prod(range(1, 2 * k, 2)) for k in range(1, 16)]
 
 
+def _tail_series(z):
+    """sum_k (-1)^k (2k-1)!! z^-2k, k = 1..15: Phi(z) = phi(z) (1 + this) / -z for z < -20."""
+    w = (1.0 / z) ** 2
+    series = 0.0
+    for c in reversed(_SERIES):
+        series = (series + c) * w
+    return series
+
+
 def _erfc(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.erfc, x), float, x.size)
 
@@ -56,12 +65,7 @@ def log_normal_cdf(z):
     out[near] = np.where(pos, np.log1p(-tail), np.log(np.where(pos, 1.0, tail)))
     if deep.any():
         zd = arr[deep]
-        w = (1.0 / zd) ** 2
-        series = np.zeros_like(w)
-        for c in reversed(_SERIES):
-            series += c
-            series *= w
-        out[deep] = -0.5 * zd * zd - np.log(-zd) - _LN_SQRT_2PI + np.log1p(series)
+        out[deep] = -0.5 * zd * zd - np.log(-zd) - _LN_SQRT_2PI + np.log1p(_tail_series(zd))
     if np.ndim(z) == 0:
         return float(out[0])
     return out.reshape(np.shape(z))
@@ -83,6 +87,12 @@ class ObjectiveSpec:
             raise ValueError(f"horizon t must be positive, got {self.t!r}")
         if not self.alpha < 1.0:
             raise ValueError(f"objective requires alpha < 1, got alpha={self.alpha!r}")
+        # maximize adds two taus, and the maximum is at least the objective at
+        # tau = t, about -t - z^2 / 2 there
+        z_t = _z(self.t, self)
+        if not (math.isfinite(2.0 * self.t) and math.isfinite(0.5 * z_t * z_t)):
+            raise ValueError(
+                f"horizon t={self.t!r} overflows the objective at alpha={self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -107,9 +117,15 @@ def objective(tau: float, spec: ObjectiveSpec) -> float:
 
 
 def _slope(tau: float, spec: ObjectiveSpec) -> float:
-    """d/dtau of the objective: -1 + M(z) z'(tau), M = phi / Phi the inverse Mills ratio."""
+    """d/dtau of the objective: -1 + M(z) z'(tau), M = phi / Phi the inverse Mills ratio.
+
+    Below _ASYMPTOTIC_Z, M = -z / (1 + series) from the asymptotic series of
+    Phi, since exp(-z^2/2 - ln Phi(z)) would cancel two terms of size z^2/2.
+    """
     z = _z(tau, spec)
     dz = SQRT2 / math.sqrt(tau) - z / (2.0 * tau)
+    if z < _ASYMPTOTIC_Z:
+        return -1.0 - z / (1.0 + _tail_series(z)) * dz
     return -1.0 + math.exp(-0.5 * z * z - _LN_SQRT_2PI - log_normal_cdf(z)) * dz
 
 

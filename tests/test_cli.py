@@ -83,6 +83,22 @@ class TestTauOpt:
         assert float(cols["empirical_rate"]) == pytest.approx(2.0 * RHO, rel=0.01)
         assert float(cols["phi"]) == pytest.approx(2.0 * RHO, rel=1e-12)
 
+    def test_huge_horizons(self, tmp_path, capsys):
+        # the slope keeps its precision where z is far below -20, so tau*/t and
+        # the rate hold at t = 1e300; at t = 1e308, 2 t is not a float
+        out = tmp_path / "tau.csv"
+        assert run_cli(["tau-opt", "--v", 0, "--t", 1e300, "--out", out]) == 0
+        header, row = read(out).splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert float(cols["tau_fraction"]) == pytest.approx(1.0 / SQRT2, rel=1e-9)
+        assert float(cols["empirical_rate"]) == pytest.approx(2.0 * RHO, rel=1e-9)
+        assert capsys.readouterr().err == ""
+        assert run_cli(["tau-opt", "--v", 0, "--t", 1e308, "--out", tmp_path / "x.csv"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config-invalid",
+            "message": "horizon t=1e+308 overflows the objective at alpha=0.0"}
+        assert not (tmp_path / "x.csv").exists()
+
     def test_phi_equals_rate_psi(self, tmp_path):
         # (alpha sqrt 2) / sqrt 2 is not alpha in the last bit for these two
         alphas = [0.87, -1.9534]
@@ -267,6 +283,14 @@ class TestValidation:
         assert json.loads(capsys.readouterr().err) == {
             "error": "config-invalid", "message": "an output path is required (--out)"}
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert run_cli(["rate", "--alphas", 0, "--out", tmp_path / "file" / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "config-invalid"
 
     def test_unknown_config_field(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -943,7 +967,7 @@ class TestSweepAndReplay:
         produced = manifest_path[: -len(".manifest.json")] + ".replay.csv"
         assert read(out) == read(produced)
 
-    def test_replay_detects_tampering(self, tmp_path):
+    def test_replay_detects_tampering(self, tmp_path, capsys):
         out = tmp_path / "rate.csv"
         run_cli(["rate", "--alphas", 0, "--out", out])
         manifest_path = str(out) + ".manifest.json"
@@ -951,7 +975,41 @@ class TestSweepAndReplay:
         manifest["csv_sha256"] = "0" * 64
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
+        capsys.readouterr()
         assert run_cli(["replay", "--manifest", manifest_path]) == 6
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "acceptance-fail"
+        assert "replay mismatch" in json.loads(line)["message"]
+
+    def test_tampered_replay_of_failed_check_reports_the_mismatch(self, tmp_path, capsys):
+        probe = tmp_path / "probe.csv"
+        write_probe(probe, slope=2.0)
+        out = tmp_path / "f.csv"
+        assert run_cli(["fit", "--input", probe, "--check", "--out", out]) == 6
+        manifest_path = str(out) + ".manifest.json"
+        manifest = json.loads(read(manifest_path))
+        manifest["csv_sha256"] = "0" * 64
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        assert run_cli(["replay", "--manifest", manifest_path]) == 6
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "acceptance-fail"
+        assert "replay mismatch" in json.loads(line)["message"]
+
+    def test_replay_writes_beside_a_manifest_of_any_name(self, tmp_path, monkeypatch):
+        out = tmp_path / "rate.csv"
+        run_cli(["rate", "--alphas", 0, "--out", out])
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "m.json").write_text(read(str(out) + ".manifest.json"))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["replay", "--manifest", os.path.join("sub", "m.json")]) == 0
+        assert read(tmp_path / "sub" / "m.json.replay.csv") == read(out)
+        assert sorted(os.listdir(tmp_path / "sub")) == [
+            "m.json", "m.json.replay.csv", "m.json.replay.csv.manifest.json"]
+        assert sorted(os.listdir(tmp_path)) == ["rate.csv", "rate.csv.manifest.json", "sub"]
 
     def test_replay_refuses_other_version(self, tmp_path, capsys):
         out = tmp_path / "rate.csv"
@@ -965,10 +1023,11 @@ class TestSweepAndReplay:
         # 0.7.0 found tau-opt's tau_star by golden-section search;
         # 0.8.0 wrote fkpp-rate's x_probe as (t alpha) sqrt(2 sigma2);
         # 0.9.0 bracketed tau-opt's tau_star with a 2048-point scan;
-        # 0.10.0 recorded every kind's fields and a top-level seed in every manifest
+        # 0.10.0 recorded every kind's fields and a top-level seed in every manifest;
+        # 0.11.0 lost the inverse Mills ratio's precision in tau-opt's slope below z = -20
         manifest["config"]["margin"] = -1.0
         for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0", "0.6.0", "0.7.0", "0.8.0", "0.9.0",
-                        "0.10.0"):
+                        "0.10.0", "0.11.0"):
             manifest["version"] = version
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh)

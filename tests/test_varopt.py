@@ -213,6 +213,18 @@ def slope_50_digits(alpha, t, tau):
         return -1 + mpmath.npdf(z) / mpmath.ncdf(z) * dz
 
 
+def root_error_50_digits(alpha, t, tau):
+    """|tau - root| / t for the slope's root, bracketed 1e-6 t either side of tau."""
+    with mpmath.workdps(50):
+        lo = mpmath.mpf(tau) - mpmath.mpf(1e-6) * t
+        hi = mpmath.mpf(tau) + mpmath.mpf(1e-6) * t
+        assert slope_50_digits(alpha, t, lo) > 0 > slope_50_digits(alpha, t, hi)
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope_50_digits(alpha, t, mid) > 0 else (lo, mid)
+        return abs(float(mpmath.mpf(tau) - lo)) / t
+
+
 ROOT_GRID = [(alpha, t) for alpha in (-3.0, -0.4, -0.2, 0.0, 0.5, 0.9, 0.99)
              for t in (5.0, 50.0, 500.0, 5000.0)]
 
@@ -226,17 +238,19 @@ class TestSlopeRoot:
                 assert opt.tau_star == t, (alpha, t)
                 continue
             interior += 1
-            with mpmath.workdps(50):
-                # a sign change 1e-6 t either side brackets the root independently
-                lo = mpmath.mpf(opt.tau_star) - mpmath.mpf(1e-6) * t
-                hi = mpmath.mpf(opt.tau_star) + mpmath.mpf(1e-6) * t
-                assert slope_50_digits(alpha, t, lo) > 0 > slope_50_digits(alpha, t, hi)
-                for _ in range(100):
-                    mid = (lo + hi) / 2
-                    lo, hi = (mid, hi) if slope_50_digits(alpha, t, mid) > 0 else (lo, mid)
-                err = abs(float(mpmath.mpf(opt.tau_star) - lo)) / t
+            err = root_error_50_digits(alpha, t, opt.tau_star)
             assert err <= 1e-12, (alpha, t, err)
         assert interior == 21
+
+    @pytest.mark.parametrize("alpha,t", [(-0.4, 2000.0), (-0.4, 5000.0), (-0.2, 2000.0),
+                                         (0.0, 5000.0), (0.3, 5000.0)])
+    def test_within_1e15_t_where_z_is_below_the_series_switch(self, alpha, t):
+        # there the inverse Mills ratio comes from the asymptotic series, not
+        # from exp(-z^2/2 - ln Phi(z)), which cancels two terms of size z^2/2
+        spec = ObjectiveSpec(alpha=alpha, t=t)
+        tau = maximize(spec).tau_star
+        assert varopt._z(tau, spec) < varopt._ASYMPTOTIC_Z
+        assert root_error_50_digits(alpha, t, tau) <= 1e-15
 
     def test_slope_changes_sign_across_interior_maxima(self):
         for alpha, t in ROOT_GRID:
@@ -246,6 +260,25 @@ class TestSlopeRoot:
             h = 1e-12 * t
             assert slope_50_digits(alpha, t, tau - h) > 0 > slope_50_digits(alpha, t, tau + h), \
                 (alpha, t)
+
+
+HUGE_ALPHAS = (-3.0, -2.0, -0.3, 0.0, 0.9, 0.999)
+
+
+class TestHugeHorizons:
+    @pytest.mark.parametrize("alpha", HUGE_ALPHAS)
+    def test_optimum_tracks_closed_form_up_to_1e307(self, alpha):
+        frac, ref = scenario_geometry(alpha).tau_fraction, psi(alpha).rate
+        for t in (1e16, 1e20, 1e100, 1e250, 1e307):
+            opt = maximize(ObjectiveSpec(alpha=alpha, t=t))
+            assert opt.tau_star / t == pytest.approx(frac, rel=1e-9), t
+            assert opt.empirical_rate == pytest.approx(ref, rel=1e-9), t
+
+    @pytest.mark.parametrize("alpha", HUGE_ALPHAS)
+    def test_refuses_1e308(self, alpha):
+        # 2 t is not a float, and neither is z^2 / 2 at tau = t for alpha <= -2
+        with pytest.raises(ValueError, match=r"horizon t=1e\+308 overflows"):
+            ObjectiveSpec(alpha=alpha, t=1e308)
 
 
 # alpha on both sides of the kink at -RHO
