@@ -196,6 +196,7 @@ def _run_fkpp_rate(cfg: SimpleNamespace) -> Output:
     stats = {
         "grid_points": grid.n_points,
         "steps": result.steps,
+        "point_steps": result.point_steps,
         "max_violation": result.max_violation,
     }
     return Output(PROBE_CSV_HEADER, rows, stats)

@@ -316,13 +316,21 @@ def scenario_estimate(
     conditional probability, so every trial adds positive mass.  The ESS is
     taken over these per-trial values.  The estimated functional is a
     certified lower bound on the plain tail probability at the same threshold.
+    Where every trial's weight underflows to 0 (alpha below about -1e154),
+    the estimate would be 0/0, so it raises ValueError naming alpha.
     """
     if n_trials < 100:
         raise ValueError("n_trials must be >= 100")
     if not 0.0 < scen.tau <= config.t:
         raise ValueError(f"tau must lie in (0, t], got tau={scen.tau!r}, t={config.t!r}")
     xm, _, sampler = _sample(replace(config, t=config.t - scen.tau), n_trials, n_workers)
-    logv = -scen.tau + log_normal_cdf((scen.threshold - xm) / math.sqrt(scen.tau))
+    # below z = -1.9e154, ln Phi(z) is less than the least float: -inf, a weight of 0
+    with np.errstate(over="ignore"):
+        logv = -scen.tau + log_normal_cdf((scen.threshold - xm) / math.sqrt(scen.tau))
+    if not np.any(logv > -math.inf):
+        alpha = scen.threshold / (SQRT2 * config.t)
+        raise ValueError(f"every trial's weight underflows to 0 at alpha={alpha:.6g} "
+                         f"(threshold {scen.threshold!r}, tau {scen.tau!r})")
 
     # values relative to the largest, so neither ess nor stderr underflows
     shift = float(logv.max())

@@ -58,15 +58,20 @@ def psi(alpha: float) -> RateValue:
     alpha^2 - 1 above 1 (one line moving anomalously fast).
 
     At the kinks the adjacent pieces agree in value; the tag is taken from
-    the piece on the right so it is deterministic.
+    the piece on the right so it is deterministic.  Where the rate is not a
+    float (|alpha| above about 1.3e154) it raises ValueError naming alpha.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha < -RHO:
-        return RateValue(1.0 + alpha * alpha, Regime.NO_BRANCH_REGIME)
-    if alpha < 1.0:
-        return RateValue(2.0 * RHO * (1.0 - alpha), Regime.DELAYED_BRANCH_REGIME)
-    return RateValue(alpha * alpha - 1.0, Regime.UPPER_REGIME)
+        value = RateValue(1.0 + alpha * alpha, Regime.NO_BRANCH_REGIME)
+    elif alpha < 1.0:
+        value = RateValue(2.0 * RHO * (1.0 - alpha), Regime.DELAYED_BRANCH_REGIME)
+    else:
+        value = RateValue(alpha * alpha - 1.0, Regime.UPPER_REGIME)
+    if not math.isfinite(value.rate):
+        raise ValueError(f"psi overflows a float at alpha={alpha!r}")
+    return value
 
 
 def bramson_centering(t: float) -> float:

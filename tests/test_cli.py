@@ -5,13 +5,14 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from bbmlab import cli, fkpp, mc
-from bbmlab.model import RHO, SQRT2
+from bbmlab.model import RHO, SQRT2, ModelParams
 from bbmlab.serialize import sha256_text
 from bbmlab.varopt import log_normal_cdf
 
@@ -255,6 +256,25 @@ class TestValidation:
         out = tmp_path / "x.csv"
         assert run_cli([*argv, "--out", out]) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "config-invalid", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["rate", "--alphas=-1e300"], "psi overflows a float at alpha=-1e+300"),
+        (["rate", "--alphas", 0, 1e300], "psi overflows a float at alpha=1e+300"),
+        (["tau-opt", "--alphas=-1.3e184", "--t", 10], "psi overflows a float at alpha=-1.3e+184"),
+        (["scenario-lb", "--alphas=-1e160", "--t", 1, "--n-trials", 100],
+         "every trial's weight underflows to 0 at alpha=-1e+160 (threshold "),
+    ], ids=["rate-psi-deep", "rate-psi-upper", "tau-opt-phi", "scenario-lb-zero-weights"])
+    def test_non_finite_result_is_config_invalid(self, tmp_path, capsys, argv, message):
+        # a rate or estimate that is not a finite number exits 2, naming alpha,
+        # where it wrote inf or nan with exit 0 before; no warning on the way
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([*argv, "--out", out]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config-invalid" and err["message"].startswith(message)
         assert not out.exists()
 
     def test_config_file_for_another_kind(self, tmp_path, capsys):
@@ -875,6 +895,28 @@ class TestFkppAndFit:
         assert stats["steps"] == 100  # t = 2 in steps of the default 0.02
         assert 0.0 <= stats["max_violation"] <= fkpp.MONO_TOL
         assert stats["grid_points"] > 0
+
+    def test_fit_alpha_beyond_psi_is_config_invalid(self, tmp_path, capsys):
+        # psi_reference was inf and relative_slope_error nan, with exit 0
+        probe = tmp_path / "deep.csv"
+        probe.write_text("alpha,t,x_probe,ln_u,dx,dt,eps\n" + "".join(
+            f"-1e300,{t},0,{-t},0.1,0.02,0.1\n" for t in (10, 20, 30, 40, 50)))
+        assert run_cli(["fit", "--input", probe, "--out", tmp_path / "f.csv"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config-invalid", "message": "psi overflows a float at alpha=-1e+300"}
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_manifest_records_point_steps(self, tmp_path):
+        # the cells the solve stepped, summed over its steps: before t = 1 the
+        # window leaves out the cells left of -30 sigma sqrt(1) - 10 sigma
+        probe = tmp_path / "probe.csv"
+        assert run_cli(["fkpp-rate", "--alphas", 0, "--t-list", 1, 4, "--dx", 0.2,
+                        "--out", probe]) == 0
+        stats = json.loads(read(str(probe) + ".manifest.json"))["stats"]
+        res = fkpp.solve(ModelParams(), 4.0, probes=[(0.0, 1.0), (0.0, 4.0)], dx=0.2,
+                         track_front=False)
+        assert stats["point_steps"] == res.point_steps
+        assert stats["point_steps"] < stats["grid_points"] * stats["steps"]
 
     def test_fit_insufficient_samples(self, tmp_path):
         probe = tmp_path / "probe.csv"

@@ -22,6 +22,12 @@ def small_grid(dx=0.2, span=10.0):
     return fkpp.Grid.build(-span, span, dx, fkpp.DEFAULT_DT)
 
 
+def lattice(size, grid):
+    """A grid of size points with grid's dx and dt: the stepper reads no x."""
+    k = size // 2
+    return fkpp.Grid(x_min=-grid.dx * k, x_max=grid.dx * (size - 1 - k), dx=grid.dx, dt=grid.dt)
+
+
 def heat(L, K):
     """fkpp's heat pass on an unpadded field: L padded with w = K.size // 2
     cells of L[0] on the left and of 0 (u = 1) on the right."""
@@ -354,18 +360,26 @@ class TestHeatPass:
 
 class TestReferenceStepper:
     """fkpp.advance against the allocating stepper it replaced: the arithmetic
-    is unchanged, so every advance must agree bit for bit."""
+    is unchanged, so every advance must agree bit for bit with the reference
+    run on the cells it steps, and leave the value of the first of them to
+    their left and L = 0 to their right."""
 
     @staticmethod
     def check_every_advance(monkeypatch):
         real = fkpp.advance
         calls = []
 
-        def checked(fld, t_end, sigma2):
-            got, ref = real(fld, t_end, sigma2), advance_reference(fld, t_end, sigma2)
-            assert got.L.tobytes() == ref.L.tobytes(), (fld.time, t_end)
+        def checked(fld, t_end, sigma2, lo=0, hi=None):
+            got = real(fld, t_end, sigma2, lo, hi)
+            window = fld.L[lo:hi]
+            ref = advance_reference(fkpp.LogField(
+                L=window.copy(), time=fld.time, grid=lattice(window.size, fld.grid),
+                max_violation=fld.max_violation, steps=fld.steps), t_end, sigma2)
+            end = lo + window.size
+            assert got.L[lo:end].tobytes() == ref.L.tobytes(), (fld.time, t_end)
+            assert np.all(got.L[:lo] == ref.L[0]) and np.all(got.L[end:] == 0.0)
             assert (got.steps, got.max_violation) == (ref.steps, ref.max_violation)
-            calls.append(t_end)
+            calls.append((t_end, window.size, got.steps - fld.steps))
             return got
 
         monkeypatch.setattr(fkpp, "advance", checked)
@@ -382,15 +396,62 @@ class TestReferenceStepper:
     ], ids=["front", "four_rays", "short_steps", "sigma2_4", "uneven_events"])
     def test_solve_advances_match(self, monkeypatch, sigma2, t_final, kw):
         calls = self.check_every_advance(monkeypatch)
-        fkpp.solve(ModelParams(sigma2=sigma2), t_final, **kw)
+        res = fkpp.solve(ModelParams(sigma2=sigma2), t_final, **kw)
         assert len(calls) >= 3
+        assert res.point_steps == sum(size * n for _, size, n in calls)
 
     def test_steep_field_with_near_delta_kernel(self, monkeypatch):
         calls = self.check_every_advance(monkeypatch)
         g = fkpp.Grid(x_min=-30.0, x_max=9.9, dx=0.1, dt=1e-16)
         L = np.minimum(0.0, 100.0 * np.arange(-300.0, 100.0))
         fkpp.advance(fkpp.LogField(L=L, time=0.0, grid=g), 3e-16, P1.sigma2)
-        assert calls == [3e-16]
+        assert calls == [(3e-16, 400, 3)]
+
+
+def whole_grid(monkeypatch):
+    """Make every advance step the whole grid, as solve did before its window."""
+    real = fkpp.advance
+    monkeypatch.setattr(fkpp, "advance", lambda fld, t_end, sigma2, lo=0, hi=None:
+                        real(fld, t_end, sigma2))
+
+
+RAYS = [(a, t) for a in (0.05, -0.3, -0.9, -1.8) for t in (2.0, 4.0, 8.0)]
+
+
+class TestWindow:
+    """solve steps only the cells its reads depend on (module notes), and
+    every front position and probe keeps its bits."""
+
+    @pytest.mark.parametrize("t_final,kw,ratio", [
+        (40.0, dict(dx=0.1, front_samples=40), 0.74),
+        (8.0, dict(probes=RAYS, dx=0.05, smoothing_eps=0.05, track_front=False), 0.93),
+        (8.0, dict(probes=RAYS, dx=0.05, smoothing_eps=0.05, front_samples=40), 0.88),
+        (200.0, dict(dx=0.1, front_samples=400), 0.32),
+    ], ids=["front", "four_rays", "four_rays_and_front", "front_200"])
+    def test_window_keeps_every_bit(self, monkeypatch, t_final, kw, ratio):
+        res = fkpp.solve(P1, t_final, **kw)
+        whole_grid(monkeypatch)
+        ref = fkpp.solve(P1, t_final, **kw)
+        whole = ref.grid.n_points * ref.steps
+        assert res.point_steps <= ratio * whole, res.point_steps / whole
+        assert (res.front is None) == (ref.front is None)
+        if res.front is not None:
+            assert res.front.positions.tobytes() == ref.front.positions.tobytes()
+        for a, b in zip(res.tails, ref.tails, strict=True):
+            assert a.log_u.tobytes() == b.log_u.tobytes(), a.alpha
+        assert (res.steps, res.max_violation) == (ref.steps, ref.max_violation)
+
+    def test_snapshot_solve_steps_every_cell(self, monkeypatch):
+        # a snapshot reads the whole grid, so every interval up to the last
+        # snapshot steps every cell, and the window starts after it
+        res = fkpp.solve(P1, 8.0, probes=RAYS, dx=0.05, front_samples=40, snapshot_times=[8.0])
+        assert res.point_steps == res.grid.n_points * res.steps
+        early = fkpp.solve(P1, 8.0, probes=RAYS, dx=0.05, front_samples=40,
+                           snapshot_times=[4.0])
+        assert early.point_steps < res.point_steps
+        whole_grid(monkeypatch)
+        ref = fkpp.solve(P1, 8.0, probes=RAYS, dx=0.05, front_samples=40, snapshot_times=[4.0])
+        assert early.snapshots[4.0].L.tobytes() == ref.snapshots[4.0].L.tobytes()
 
 
 def corrupt_step_two(monkeypatch, corrupt):

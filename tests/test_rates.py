@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,15 @@ class TestPsi:
         assert psi(-2.0).rate == 5.0
         assert psi(-2.0).branch_tag is Regime.NO_BRANCH_REGIME
         assert psi(-5.0).rate == 26.0
+
+    @pytest.mark.parametrize("alpha", [-1e300, -1.4e154, 1.4e154, 1e300])
+    def test_rate_beyond_a_float_raises(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"psi overflows a float at alpha={alpha!r}")):
+            psi(alpha)
+
+    def test_largest_alphas_are_finite(self):
+        assert psi(-1.3e154).rate == 1.3e154 ** 2
+        assert psi(1.3e154).rate == 1.3e154 ** 2
 
     def test_upper_branch(self):
         assert psi(2.0).rate == 3.0
