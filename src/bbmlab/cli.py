@@ -89,8 +89,8 @@ _MAX_ALPHA_GRID = 1 << 20  # rows of a rate --alpha-grid
 _FIELDS = {
     **dict.fromkeys(("n_trials", "seed"), _INT),
     **dict.fromkeys(("t", "dx", "dt", "eps", "tau"), _NUMBER),
-    "sigma2": _NUMBER._replace(check=lambda x: _is_number(x) and 0 < x < math.inf,
-                               expected="a finite number > 0"),
+    "sigma2": _NUMBER._replace(check=lambda x: _is_number(x) and 0 < 2.0 * x < math.inf,
+                               expected="a number > 0 with sqrt(2 sigma2) finite"),
     "v": _NUMBER._replace(check=lambda x: _is_number(x) and -math.inf < x < math.inf,
                           expected="a finite number"),
     "alphas": _NUMBERS._replace(flag={**_NUMBERS.flag, "flags": ("--alphas", "--alpha")}),
@@ -371,6 +371,14 @@ def _config(d: dict) -> SimpleNamespace:
             raise ConfigError(f"{kind} takes {' or '.join(map(_setting, group))}, not both")
     if kind in _LOWER_KINDS and not all(math.isfinite(a) and a < 1.0 for a in cfg["alphas"]):
         raise ConfigError("lower-deviation kinds require finite alphas < 1")
+    # each point alpha sqrt(2 sigma2) t, and alpha sqrt(2) t in units of sigma,
+    # is a float at every finite t (the routes refuse the other t)
+    scale = max(math.sqrt(2.0 * cfg.get("sigma2", 1.0)), SQRT2)
+    ts = [t for t in (cfg.get("t"), *(cfg.get("t_list") or ())) if t is not None]
+    for a, t in ((a, t) for a in cfg.get("alphas", ()) for t in ts if math.isfinite(t)):
+        if not math.isfinite(a * scale * t):
+            raise ConfigError(f"alpha={a!r} at t={t!r}: its point alpha sqrt(2 sigma2) t, "
+                              f"or alpha sqrt(2) t in units of sigma, is not a finite float")
     if cfg.get("v") is not None and not cfg["v"] < (crit := math.sqrt(2.0 * cfg["sigma2"])):
         raise ConfigError(f"tau_opt requires v < sqrt(2 sigma2) = {crit!r}")
     return SimpleNamespace(kind=kind, **cfg)

@@ -17,13 +17,16 @@ Scheme notes (these are constraints, not history):
     this is a log-sum-exp, one exp per grid point: the outputs are cut into
     blocks that share one shift, the largest window maximum in the block,
     and a block ends before that maximum would lie more than _SPAN = 500
-    e-folds above the center value of its first output (a window steeper
-    than that is a block of one, shifted by its own maximum).  Since L is
-    nondecreasing, every output's own center term is then at least e^-500
-    and nothing it depends on underflows, whatever the step h.  Bounding
-    only the spread of the window maxima is not enough: for a kernel that
-    is nearly a delta (h <= 1e-16) the sum is the center term alone, which
-    can lie hundreds of e-folds below its window maximum and underflow.
+    e-folds above the center value of its first output.  Since L is
+    nondecreasing, each output then sums its own center term at no less than
+    K_0 e^-500, unless its window is steeper than that: it is then a block
+    of one, shifted by its window's maximum, its right end, so it sums the
+    edge weight K_w times e^0, and _kernel drops weights below e^-700 (a
+    sampled Gaussian's all lie above e^-85 / (2.6 s), s its width in cells).
+    So no output's sum underflows, whatever the step h.  Bounding only the
+    spread of the window maxima is not enough: for a kernel that is nearly a
+    delta (h <= 1e-16) the sum is the center term alone, which can lie
+    hundreds of e-folds below its window maximum and underflow.
   * Where L >= -1, H convolves u - 1 = expm1(L) instead.  u = 1 is an
     unstable state of R, which multiplies 1 - u by e^h per step; a
     log-space sum there rounds at 1e-16 absolute, not relative to 1 - u, and
@@ -67,11 +70,13 @@ Scheme notes (these are constraints, not history):
     1e-12.
   * The grid is sized by what is read.  With probes or snapshots x_min is
     v_min t - 20 sigma sqrt(t) - 10 sigma, v_min the lowest probe velocity
-    or 0, so a probe's ray keeps 20 sigma sqrt(t) from x_min; a front-only
-    solve reads nothing left of its front and starts at -10 sigma.  x_max is
-    sqrt(2 sigma2) t + 20 sigma: 1 - u decays like e^{-sqrt 2 (x - front)/sigma}
-    ahead of the front, so u = 1 to rounding at x_max (ln u = -1.4e-16 there
-    at t = 80, dx = 0.1) and doubling that margin moves no probe by 1e-12.
+    or 0; a front-only solve reads nothing left of its front and starts at
+    -10 sigma.  x_max is sqrt(2 sigma2) t + 20 sigma: 1 - u decays like
+    e^{-sqrt 2 (x - front)/sigma} ahead of the front, so u = 1 to rounding
+    at x_max (ln u = -1.4e-16 there at t = 80, dx = 0.1) and doubling that
+    margin moves no probe by 1e-12.  Explicit bounds only widen this grid,
+    so every probe (alpha, t_p <= t) lies on it by construction, at least
+    20 sigma sqrt(t_p) inside: alpha sqrt(2 sigma2) t_p >= v_min t, alpha < 1.
   * Each interval between events steps only the cells that a later read
     depends on.  For the interval that ends at T the window is [x_lo, x_hi]
     clipped to the grid, with x_hi = sqrt(2 sigma2) T + 20 sigma + 4 sigma
@@ -132,6 +137,8 @@ MONO_TOL = 1e-9  # a monotonicity defect above this aborts the run
 _SPAN = 500.0  # e-folds from a heat block's shift down to its lowest center value
 TAIL_FLOOR = -700.0  # highest clip of the initial ln u (module notes)
 MAX_POINTS = 2**22  # largest grid (32 MiB per field), refused before anything is allocated
+MAX_WORK = 2**37  # largest nominal point-tap-steps of a solve, refused before anything is allocated
+_MIN_WEIGHT = math.exp(-700.0)  # least weight a short-step kernel keeps
 
 
 class SolverInstabilityError(RuntimeError):
@@ -139,34 +146,31 @@ class SolverInstabilityError(RuntimeError):
 
 
 class DomainOverflowError(ValueError):
-    """A probe, quadrature point or the front falls outside (or too close to) the grid."""
+    """A read off the grid: an x given to log_u, or a front the field does not bracket."""
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform spatial grid and splitting step."""
+    """n_points on the dx lattice from x_min, and the splitting step."""
 
     x_min: float
-    x_max: float
     dx: float
+    n_points: int
     dt: float
 
     def __post_init__(self) -> None:
-        if not (self.x_min < 0.0 < self.x_max):
-            raise ValueError(f"grid must straddle the origin, got [{self.x_min}, {self.x_max}]")
         if not (self.dx > 0.0 and math.isfinite(self.dx)):
             raise ValueError(f"dx must be positive, got {self.dx!r}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not 8 <= self.n_points <= MAX_POINTS:
             raise ValueError(f"grid needs 8 to {MAX_POINTS} points, got {self.n_points}")
-        span = self.x_max - self.x_min
-        if abs(span / self.dx - round(span / self.dx)) > 1e-6:
-            raise ValueError("x_max - x_min must be an integer multiple of dx")
+        if not (self.x_min < 0.0 < self.x_max):
+            raise ValueError(f"grid must straddle the origin, got [{self.x_min}, {self.x_max}]")
 
     @property
-    def n_points(self) -> int:
-        return int(round((self.x_max - self.x_min) / self.dx)) + 1
+    def x_max(self) -> float:
+        return self.x_min + (self.n_points - 1) * self.dx
 
     def xs(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_points)
@@ -176,9 +180,11 @@ class Grid:
         """Grid on the dx lattice through x = 0: x_min snapped down, x_max up."""
         if not (dx > 0.0 and math.isfinite(dx)):
             raise ValueError(f"dx must be positive, got {dx!r}")
-        x_min = math.floor(x_min / dx + 1e-9) * dx
-        n_cells = max(7, int(math.ceil((x_max - x_min) / dx - 1e-9)))
-        return cls(x_min=x_min, x_max=x_min + n_cells * dx, dx=dx, dt=dt)
+        start = math.floor(x_min / dx + 1e-9) if math.isfinite(x_min / dx) else math.inf
+        cells = (x_max - start * dx) / dx - 1e-9  # not finite if a bound is off the floats
+        if not math.isfinite(cells):
+            raise ValueError(f"grid [{x_min!r}, {x_max!r}] spans no finite count of dx={dx!r}")
+        return cls(x_min=start * dx, dx=dx, n_points=max(7, math.ceil(cells)) + 1, dt=dt)
 
 
 @dataclass
@@ -199,7 +205,7 @@ class LogField:
             raise DomainOverflowError(f"x in [{lo!r}, {hi!r}] leaves grid [{g.x_min}, {g.x_max}]")
         return np.interp(x, g.xs(), self.L)
 
-    def validate(self, pinned_right: bool = True) -> None:
+    def validate(self) -> None:
         if self.L.shape != (self.grid.n_points,):
             raise ValueError("field length does not match grid")
         if not np.all(np.isfinite(self.L)):
@@ -209,8 +215,6 @@ class LogField:
         viol = float(np.max(self.L[:-1] - self.L[1:], initial=0.0))
         if viol > MONO_TOL:
             raise ValueError(f"field is non-monotone by {viol:.3e}")
-        if pinned_right and self.L[-1] < -1e-6:
-            raise ValueError("right boundary is not pinned near u = 1; widen the domain")
 
 
 def init_field(grid: Grid, smoothing_eps: float, floor: float = TAIL_FLOOR) -> LogField:
@@ -230,12 +234,19 @@ def init_field(grid: Grid, smoothing_eps: float, floor: float = TAIL_FLOOR) -> L
     np.minimum(L, 0.0, out=L)
     fld = LogField(L=L, time=0.0, grid=grid)
     fld.validate()
+    if L[-1] < -1e-6:
+        raise ValueError("right boundary is not pinned near u = 1; widen the domain")
     return fld
+
+
+def _half_width(s: float) -> int:
+    """Half-width in cells of the kernel of standard deviation s cells, before any trim."""
+    return max(math.ceil(12.0 * s), 8)
 
 
 def _kernel(s: float) -> np.ndarray:
     """Positive lattice kernel of sum 1 and variance s^2, s in cells."""
-    w = max(int(math.ceil(12.0 * s)), 8)
+    w = _half_width(s)
     k = np.arange(-w, w + 1, dtype=float)
     if s >= 1.0:
         K = np.exp(-0.5 * (k / s) ** 2)
@@ -251,7 +262,10 @@ def _kernel(s: float) -> np.ndarray:
         for m in range(1, 12):
             term *= a * a / (m * (m + j))
             K += term
-    return K / K.sum()
+    K /= K.sum()
+    # the edge weight carries a heat block of one (module notes): drop those
+    # below _MIN_WEIGHT, which only a short step's kernel has
+    return K[K >= _MIN_WEIGHT]
 
 
 def _heat(P: np.ndarray, out: np.ndarray, K: np.ndarray, E: np.ndarray) -> None:
@@ -306,7 +320,7 @@ def advance(fld: LogField, t_end: float, sigma2: float, lo: int = 0,
     amount = t_end - fld.time
     if amount < 0.0:
         raise ValueError("cannot advance backwards")
-    fld.validate(pinned_right=False)
+    fld.validate()
     grid = fld.grid
     worst = fld.max_violation
     n = max(1, math.ceil(amount / grid.dt - 1e-9)) if amount > 0.0 else 0
@@ -501,18 +515,16 @@ def solve(
     """Evolve from the smoothed step to t_final, recording probes on the way.
 
     probes are (alpha, t) pairs; each records ln u at x = alpha*sqrt(2
-    sigma2)*t by linear interpolation of L.  The domain is auto-sized by
-    what is read (module notes): every probe stays at least 20 sigma
-    sqrt(t) above the left edge, a front-only solve starts at -10 sigma,
-    and x_max sits 20 sigma beyond sqrt(2 sigma2) t_final.  The x bounds
-    can be overridden, at which point the probe margin is checked and
-    DomainOverflowError raised if violated; x_min is snapped down to the
-    dx lattice through x = 0 either way.  dt is the splitting step:
-    each interval between consecutive probe, snapshot and front-sample times
-    is split into ceil(interval / dt) equal steps, of the window of cells
-    that later reads depend on (module notes); point_steps counts the cells
-    stepped.  The tails come in ascending alpha, each in ascending t,
-    whatever the order of the probes.
+    sigma2)*t by linear interpolation of L.  The grid is sized by what is
+    read (module notes), so every probe lies on it; x_min and x_max only
+    widen it, and x_min is snapped down to the dx lattice through x = 0.
+    dt is the splitting step: each interval between consecutive probe,
+    snapshot and front-sample times is split into ceil(interval / dt) equal
+    steps, of the window of cells that later reads depend on (module
+    notes); point_steps counts the cells stepped.  A solve of more than
+    MAX_WORK grid points x kernel taps x steps is refused with ValueError
+    before anything is allocated.  The tails come in ascending alpha, each
+    in ascending t, whatever the order of the probes.
     """
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be nonnegative, got {t_final!r}")
@@ -527,23 +539,39 @@ def solve(
             raise ValueError(f"probe alpha must be finite and < 1, got {a!r}")
     for what, ts in [*(("probe", tp) for tp in pt.tolist()),
                      *(("snapshot", ts) for ts in snapshot_times)]:
-        if not 0.0 <= ts <= t_final + 1e-12:
+        if not 0.0 <= ts <= t_final:
             raise ValueError(f"{what} time {ts!r} outside [0, {t_final!r}]")
+    for a, tp in pairs:
+        # the probe's point, and z^2 / 2 of its no-branch bound (module notes)
+        z = a * SQRT2 * math.sqrt(tp)
+        if not (math.isfinite(a * crit * tp) and math.isfinite(0.5 * z * z)):
+            raise ValueError(f"probe (alpha={a!r}, t={tp!r}) has a point or a no-branch "
+                             f"bound beyond the floats")
 
-    px = pa * crit * pt  # each probe's point, as checked, read and written
+    px = pa * crit * pt  # each probe's point, as read and written
     v_min = float(pa.min(initial=0.0)) * crit
-    root_t = math.sqrt(t_final) if t_final > 0.0 else 0.0
+    root_t = math.sqrt(t_final)
+    # the grid the reads need (module notes); x_min and x_max only widen it
     left_margin = 20.0 * sigma * root_t if pairs or snapshot_times else 0.0
-    lo = x_min if x_min is not None else v_min * t_final - left_margin - 10.0 * sigma
-    hi = x_max if x_max is not None else crit * t_final + 20.0 * sigma
-    grid = Grid.build(lo, hi, dx, DEFAULT_DT if dt is None else dt)
-    for a, tp, xp in zip(pa.tolist(), pt.tolist(), px.tolist()):
-        if xp - 20.0 * sigma * math.sqrt(tp) < grid.x_min - 1e-9:
-            raise DomainOverflowError(
-                f"probe (alpha={a}, t={tp}) closer than 20*sigma*sqrt(t) to x_min"
-            )
-        if xp > grid.x_max + 1e-9:
-            raise DomainOverflowError(f"probe (alpha={a}, t={tp}) beyond x_max")
+    lo = v_min * t_final - left_margin - 10.0 * sigma
+    hi = crit * t_final + 20.0 * sigma
+    grid = Grid.build(lo if x_min is None else min(lo, x_min),
+                      hi if x_max is None else max(hi, x_max),
+                      dx, DEFAULT_DT if dt is None else dt)
+
+    front_set: set[float] = set()
+    if track_front:
+        front_set = {float(ts) for ts in np.linspace(0.0, t_final, front_samples + 1)}
+    probe_set, snap_set = set(pt.tolist()), set(snapshot_times)
+    events = sorted(front_set | probe_set | snap_set | {t_final})
+    # no step is longer than min(dt, t_final), and the intervals between
+    # events take at most t_final / dt + len(events) steps in all
+    s = math.sqrt(params.sigma2 * min(grid.dt, t_final)) / grid.dx
+    work = grid.n_points * (2 * _half_width(s) + 1) * (t_final / grid.dt + len(events))
+    if work > MAX_WORK:
+        raise ValueError(
+            f"solve needs {work:.3g} point-tap-steps (grid points x kernel taps x steps), "
+            f"above MAX_WORK = 2^37: raise dx or dt, or lower t")
 
     eps = smoothing_eps if smoothing_eps is not None else dx
     floor = TAIL_FLOOR
@@ -555,12 +583,6 @@ def solve(
         floor = min(TAIL_FLOOR, bound - t_final - 40.0)
     fld = init_field(grid, eps, floor)
 
-    front_set: set[float] = set()
-    if track_front:
-        front_set = {float(ts) for ts in np.linspace(0.0, t_final, front_samples + 1)}
-    probe_set, snap_set = set(pt.tolist()), set(snapshot_times)
-
-    events = sorted(front_set | probe_set | snap_set | {t_final})
     front_x: list[float] = []
     log_u = np.empty(pt.size)
     snapshots: dict[float, LogField] = {}

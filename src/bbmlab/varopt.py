@@ -88,9 +88,9 @@ class ObjectiveSpec:
         if not self.alpha < 1.0:
             raise ValueError(f"objective requires alpha < 1, got alpha={self.alpha!r}")
         # maximize adds two taus, and the maximum is at least the objective at
-        # tau = t, about -t - z^2 / 2 there
+        # tau = t, about -t - z^2 / 2 there, so the rate is at most about 1 + z^2 / (2 t)
         z_t = _z(self.t, self)
-        if not (math.isfinite(2.0 * self.t) and math.isfinite(0.5 * z_t * z_t)):
+        if not (math.isfinite(2.0 * self.t) and math.isfinite(0.5 * z_t * z_t / self.t)):
             raise ValueError(
                 f"horizon t={self.t!r} overflows the objective at alpha={self.alpha!r}")
 

@@ -120,7 +120,7 @@ def advance_reference(fld, t_end, sigma2):
     """fkpp.advance as a loop over heat_reference and react_reference, with
     separate finiteness and monotonicity checks after each step."""
     amount = t_end - fld.time
-    fld.validate(pinned_right=False)
+    fld.validate()
     grid = fld.grid
     L = fld.L.copy()
     worst = fld.max_violation

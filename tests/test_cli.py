@@ -195,9 +195,10 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind,settings,message", [
-        ("tau_opt", {"v": 0.0, "t": 10.0, "sigma2": 0}, "sigma2 must be a finite number > 0, got 0"),
+        ("tau_opt", {"v": 0.0, "t": 10.0, "sigma2": 0},
+         "sigma2 must be a number > 0 with sqrt(2 sigma2) finite, got 0"),
         ("fkpp_rate", {"alphas": [0.0], "t_list": [1.0], "sigma2": -math.inf},
-         "sigma2 must be a finite number > 0, got -inf"),
+         "sigma2 must be a number > 0 with sqrt(2 sigma2) finite, got -inf"),
         ("tau_opt", {"v": math.inf, "t": 10.0}, "v must be a finite number, got inf"),
         ("fkpp_rate", {"alphas": [0.0], "t_list": []},
          "t_list must be a non-empty, strictly increasing list of numbers, got []"),
@@ -216,7 +217,7 @@ class TestValidation:
         ("rate", {"alphas": [0.5], "workers": 0}, "workers must be an integer >= 1, got 0"),
         # JSON integers beyond the largest float would overflow in the run
         ("tau_opt", {"v": 0, "t": 10, "sigma2": 10**401},
-         f"sigma2 must be a finite number > 0, got {10**401}"),
+         f"sigma2 must be a number > 0 with sqrt(2 sigma2) finite, got {10**401}"),
         ("mc_tail", {"alphas": [0], "t": 10**400}, f"t must be a number, got {10**400}"),
         ("rate", {"alphas": [10**400]}, f"alphas must be a list of numbers, got [{10**400}]"),
     ], ids=["sigma2-0", "sigma2-neg-inf", "v-inf", "t-list-empty", "t-list-repeat",
@@ -276,6 +277,65 @@ class TestValidation:
         err = json.loads(line)
         assert err["error"] == "config-invalid" and err["message"].startswith(message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,config,message", [
+        (["fkpp-rate", "--alphas=-1.7e308", "--t-list", 1], None,
+         "alpha=-1.7e+308 at t=1.0: its point alpha sqrt(2 sigma2) t, or alpha sqrt(2) t in "
+         "units of sigma, is not a finite float"),
+        (["mc-tail", "--alphas=-1.7e308", "--t", 1, "--n-trials", 100], None,
+         "alpha=-1.7e+308 at t=1.0: its point"),
+        # a finite x, but alpha sqrt(2) t in units of sigma is not
+        (["mc-tail", "--alphas=-1.5e308", "--t", 1, "--n-trials", 100, "--sigma2", 1e-300], None,
+         "alpha=-1.5e+308 at t=1.0: its point"),
+        (["tau-opt", "--alphas=-1e308", "--t-list", 1, 2], None,
+         "alpha=-1e+308 at t=2.0: its point"),
+        (["fkpp-rate", "--alphas", 0, "--t-list", 1, "--sigma2", 1.7e308], None,
+         "sigma2 must be a number > 0 with sqrt(2 sigma2) finite, got 1.7e+308"),
+        (["tau-opt", "--alphas", 0, "--t", 1, "--sigma2", 1.7e308], None, "sigma2 must be"),
+        (["mc-tail", "--alphas", 0, "--t", 1, "--n-trials", 100, "--sigma2", 1.7e308], None,
+         "sigma2 must be"),
+        (["fkpp-rate", "--alphas", 0, "--t-list", 1, "--dt", 1e-300], None,
+         "solve needs 1.75e+304 point-tap-steps"),
+        (["fkpp-rate", "--alphas", 0, "--t-list", 1, "--dt", 1e-9], None,
+         "solve needs 1.75e+13 point-tap-steps"),
+        (["fkpp-rate"], {"sigma2": 1e8, "alphas": [1e-300], "t_list": [1e-8, 1], "dx": 1},
+         "solve needs 9.07e+11 point-tap-steps"),
+        (["fkpp-rate", "--alphas=-2e154", "--t-list", 1, "--sigma2", 1e-300], None,
+         "probe (alpha=-2e+154, t=1.0) has a point or a no-branch bound beyond the floats"),
+        (["tau-opt", "--v=-2.6e-150", "--t", 1.95e-194], None,
+         "horizon t=1.95e-194 overflows the objective"),
+    ], ids=["fkpp-rate-point", "mc-tail-point", "mc-tail-point-in-sigma", "tau-opt-point",
+            "fkpp-rate-sigma2", "tau-opt-sigma2", "mc-tail-sigma2", "dt-1e-300", "dt-1e-9",
+            "wide-kernel", "fkpp-rate-no-branch-bound", "tau-opt-rate"])
+    def test_input_beyond_the_floats_or_the_work_bound(self, tmp_path, capsys, argv, config,
+                                                       message):
+        # each exited 1 with a traceback, ran for hours, or wrote an inf or
+        # nan cell with exit 0; now each exits 2 naming the input, with no
+        # warning on the way and no CSV
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", path]
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([*argv, "--out", out]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config-invalid" and err["message"].startswith(message)
+        assert not out.exists()
+
+    def test_probes_at_steps_of_1e_300(self, tmp_path, capsys):
+        # the first step has h = 1e-300: its kernel's weights rounded to 0, a
+        # heat block of one summed nothing but them, and the run exited 3
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["fkpp-rate", "--alphas=-2.6e6", "--t-list", 1e-300, 1e-8,
+                            "--dt", 0.002, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in read(out).splitlines()[1:]]
+        assert len(rows) == 2 and all(math.isfinite(float(c)) for row in rows for c in row)
 
     def test_config_file_for_another_kind(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -25,7 +25,7 @@ def small_grid(dx=0.2, span=10.0):
 def lattice(size, grid):
     """A grid of size points with grid's dx and dt: the stepper reads no x."""
     k = size // 2
-    return fkpp.Grid(x_min=-grid.dx * k, x_max=grid.dx * (size - 1 - k), dx=grid.dx, dt=grid.dt)
+    return fkpp.Grid(x_min=-grid.dx * k, dx=grid.dx, n_points=size, dt=grid.dt)
 
 
 def heat(L, K):
@@ -49,19 +49,29 @@ def heat_steps(g, L, h, n):
 
 class TestGrid:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fkpp.Grid(x_min=1.0, x_max=2.0, dx=0.1, dt=0.001)  # does not straddle 0
-        with pytest.raises(ValueError):
-            fkpp.Grid(x_min=-1.0, x_max=1.0, dx=-0.1, dt=0.001)
-        with pytest.raises(ValueError):
-            fkpp.Grid(x_min=-1.0, x_max=1.0, dx=0.1, dt=0.0)
-        with pytest.raises(ValueError):
-            fkpp.Grid(x_min=-1.0, x_max=1.0, dx=0.3, dt=0.001)  # off-lattice span
+        with pytest.raises(ValueError, match="straddle"):
+            fkpp.Grid(x_min=1.0, dx=0.1, n_points=11, dt=0.001)
+        with pytest.raises(ValueError, match="straddle"):
+            fkpp.Grid(x_min=-1.0, dx=0.1, n_points=10, dt=0.001)  # ends at x = -0.1
+        with pytest.raises(ValueError, match="dx must be positive"):
+            fkpp.Grid(x_min=-1.0, dx=-0.1, n_points=21, dt=0.001)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            fkpp.Grid(x_min=-1.0, dx=0.1, n_points=21, dt=0.0)
         for dx in (math.inf, math.nan, -0.1):
             with pytest.raises(ValueError, match="dx must be positive"):
                 fkpp.Grid.build(-1.0, 1.0, dx, 0.001)
         with pytest.raises(ValueError, match="grid needs 8 to 4194304 points, got 7"):
-            fkpp.Grid(x_min=-0.3, x_max=0.3, dx=0.1, dt=0.001)
+            fkpp.Grid(x_min=-0.3, dx=0.1, n_points=7, dt=0.001)
+
+    @pytest.mark.parametrize("lo,hi,dx", [
+        (-math.inf, 1.0, 0.1), (-1.0, math.inf, 0.1), (math.nan, 1.0, 0.1), (-1.0, math.nan, 0.1),
+        (-1e308, 1.0, 1e-10),  # x_min / dx overflows
+        (-1.0, 1.7e308, 1e-300),  # the span in cells overflows
+        (-1.5e308, 1.0, 1e308),  # x_min snaps down to -inf
+    ])
+    def test_build_refuses_bounds_off_the_floats(self, lo, hi, dx):
+        with pytest.raises(ValueError, match="spans no finite count of dx"):
+            fkpp.Grid.build(lo, hi, dx, 0.001)
 
     def test_point_bound(self):
         # refused before anything of the grid's size is allocated
@@ -98,6 +108,16 @@ class TestKernel:
         assert np.max(np.abs(K[live] - ref[live]) / ref[live]) <= 1e-13
         # the cut at max(12 s, 8) cells drops tail variance of at most 9e-10
         assert (K * k * k).sum() == pytest.approx(s * s, rel=1e-9)
+
+
+    @pytest.mark.parametrize("s,taps", [(1e-300, 1), (1e-150, 3), (1e-30, 11), (1e-19, 15),
+                                        (3e-19, 17), (1e-8, 17)])
+    def test_short_step_kernel_keeps_no_weight_below_e_minus_700(self, s, taps):
+        # weights rounded to 0 (or nearly) are dropped: a heat block of one is
+        # shifted by its window's right end, whose term is the edge weight
+        K = fkpp._kernel(s)
+        assert K.size == taps and np.array_equal(K, K[::-1])
+        assert K.min() >= math.exp(-700.0) and K.sum() == pytest.approx(1.0, rel=1e-15)
 
 
 class TestInitField:
@@ -273,7 +293,8 @@ class TestSplitting:
                          snapshot_times=[80.0])
         assert res.steps == round(80.0 / h)
         assert res.max_violation <= 1e-12
-        res.snapshots[80.0].validate()  # still pinned at u = 1 on the right
+        res.snapshots[80.0].validate()
+        assert res.snapshots[80.0].L[-1] >= -1e-6  # still pinned at u = 1 on the right
         assert abs(res.front.position_at(80.0) - bramson_centering(80.0)) <= 2.5
 
     @pytest.mark.parametrize("dx,dt,slope", [(0.1, 0.0025, 200.0), (1.0, 0.01, 1e9)])
@@ -298,7 +319,7 @@ class TestSplitting:
         L = np.cumsum(jumps)
         L += top - L[-1]
         n = L.size
-        g = fkpp.Grid(x_min=-0.2 * (n // 2), x_max=0.2 * (n - 1 - n // 2), dx=0.2, dt=h)
+        g = fkpp.Grid(x_min=-0.2 * (n // 2), dx=0.2, n_points=n, dt=h)
         out = fkpp.advance(fkpp.LogField(L=L, time=0.0, grid=g), amount, P1.sigma2)
         assert np.all(out.L <= 0.0)
         assert np.all(np.diff(out.L) >= -1e-12 * max(1.0, float(np.max(np.abs(L)))))
@@ -328,7 +349,7 @@ class TestHeatPass:
     @staticmethod
     def assert_matches_reference(L, dx, h):
         n = L.size
-        g = fkpp.Grid(x_min=-dx * (n // 2), x_max=dx * (n - 1 - n // 2), dx=dx, dt=h)
+        g = fkpp.Grid(x_min=-dx * (n // 2), dx=dx, n_points=n, dt=h)
         K = fkpp._kernel(math.sqrt(P1.sigma2 * h) / g.dx)
         got, ref = heat(L, K), windowed_heat(L, K)
         assert np.all(np.isfinite(got))
@@ -356,6 +377,14 @@ class TestHeatPass:
         # thousands of e-folds apart
         L = np.minimum(0.0, slope * np.arange(-300.0, 100.0))
         self.assert_matches_reference(L, 0.1, 1e-16)
+
+
+    @pytest.mark.parametrize("h", [1e-300, 1e-60, 1e-40])
+    def test_steep_field_with_trimmed_kernel(self, h):
+        # every window spans 1,000 e-folds a cell, so every output is a block
+        # of one: kept, the weights that round to 0 left its sum 0 and its log -inf
+        L = np.minimum(0.0, 1000.0 * np.arange(-300.0, 100.0))
+        self.assert_matches_reference(L, 0.1, h)
 
 
 class TestReferenceStepper:
@@ -402,7 +431,7 @@ class TestReferenceStepper:
 
     def test_steep_field_with_near_delta_kernel(self, monkeypatch):
         calls = self.check_every_advance(monkeypatch)
-        g = fkpp.Grid(x_min=-30.0, x_max=9.9, dx=0.1, dt=1e-16)
+        g = fkpp.Grid(x_min=-30.0, dx=0.1, n_points=400, dt=1e-16)
         L = np.minimum(0.0, 100.0 * np.arange(-300.0, 100.0))
         fkpp.advance(fkpp.LogField(L=L, time=0.0, grid=g), 3e-16, P1.sigma2)
         assert calls == [(3e-16, 400, 3)]
@@ -728,17 +757,53 @@ class TestSolve:
         with pytest.raises(ValueError, match="snapshot time 3.0 outside"):
             fkpp.solve(P1, 2.0, dx=0.2, snapshot_times=[1.0, 3.0])
 
+    @pytest.mark.parametrize("alpha,tp", [(-2e154, 1.0), (-1e308, 2.0)],
+                             ids=["no-branch-bound", "point"])
+    def test_probe_beyond_the_floats_refused(self, alpha, tp):
+        # z^2 / 2 of the no-branch bound, z = alpha sqrt(2 t), or the point
+        # alpha sqrt(2 sigma2) t, is not a float
+        with pytest.raises(ValueError, match="beyond the floats"):
+            fkpp.solve(P1, 2.0, probes=[(alpha, tp)], dx=0.2, track_front=False)
+
+    def test_work_bound_refused_before_allocation(self, monkeypatch):
+        class Accepted(Exception):
+            pass
+
+        def accept(*args, **kwargs):
+            raise Accepted
+
+        # init_field allocates the first array of the grid's size
+        monkeypatch.setattr(fkpp, "init_field", accept)
+        with pytest.raises(Accepted):
+            fkpp.solve(P1, 400.0, dx=0.1)  # the t = 400 front: 4.25e9 point-tap-steps
+        for dt, work in [(1e-9, "1.75e\\+13"), (1e-300, "1.75e\\+304"), (5e-324, "inf")]:
+            with pytest.raises(ValueError, match=f"solve needs {work} point-tap-steps"):
+                fkpp.solve(P1, 1.0, probes=[(0.0, 1.0)], dt=dt, track_front=False)
+        # a kernel 33,943 taps wide on a grid of 514,143 points
+        with pytest.raises(ValueError, match="solve needs 9.07e\\+11 point-tap-steps"):
+            fkpp.solve(ModelParams(sigma2=1e8), 1.0, probes=[(1e-300, 1e-8), (1e-300, 1.0)],
+                       dx=1.0, track_front=False)
+
     def test_tail_for_unknown_alpha(self):
         res = fkpp.solve(P1, 1.0, probes=[(0.0, 1.0)], dx=0.2, track_front=False)
         assert res.tail_for(0.0).alpha == 0.0
         with pytest.raises(KeyError, match="alpha=0.5"):
             res.tail_for(0.5)
 
-    def test_probe_margin_enforced_with_override(self):
-        with pytest.raises(fkpp.DomainOverflowError):
-            fkpp.solve(P1, 4.0, probes=[(-1.0, 4.0)], dx=0.2, x_min=-10.0, x_max=10.0)
-        with pytest.raises(fkpp.DomainOverflowError, match="beyond x_max"):
-            fkpp.solve(P1, 4.0, probes=[(0.5, 4.0)], dx=0.2, x_min=-50.0, x_max=2.0)
+    @pytest.mark.parametrize("bounds", [
+        dict(x_min=-10.0), dict(x_max=2.0), dict(x_min=-10.0, x_max=2.0),
+        dict(x_min=0.0, x_max=0.0),
+    ], ids=["x_min", "x_max", "both", "at_origin"])
+    def test_bounds_only_widen_the_grid(self, bounds):
+        # bounds inside the grid the probes need change nothing: every probe
+        # lies on the grid by construction, so none is refused
+        probes = [(-1.0, 4.0), (0.5, 4.0), (0.5, 2.0)]
+        ref = fkpp.solve(P1, 4.0, probes=probes, dx=0.2)
+        res = fkpp.solve(P1, 4.0, probes=probes, dx=0.2, **bounds)
+        assert res.grid == ref.grid
+        for a, b in zip(res.tails, ref.tails, strict=True):
+            assert a.log_u.tobytes() == b.log_u.tobytes(), a.alpha
+        assert res.front.positions.tobytes() == ref.front.positions.tobytes()
 
     def test_small_solve_bounds_and_renewal(self):
         # sandwich at every probe: exp(-t) * no-branch mass below, and the

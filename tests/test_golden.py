@@ -54,10 +54,14 @@ def assert_same_numbers(got, want):
 
 @pytest.fixture(scope="module")
 def rerun(tmp_path_factory):
-    """Every example run in one directory, in the record's order (report reads tails)."""
+    """Every example run in one directory, in the record's order (report reads tails).
+
+    A .csv argument names an earlier example's output, and a .json argument a
+    config file kept beside the golden files."""
     out = tmp_path_factory.mktemp("golden")
     for name, argv in RECORD["examples"].items():
-        argv = [str(out / a) if a.endswith(".csv") else a for a in argv]
+        argv = [str(out / a) if a.endswith(".csv") else str(GOLDEN / a) if a.endswith(".json")
+                else a for a in argv]
         assert cli.main([*argv, "--out", str(out / name)]) == 0, name
     return out
 

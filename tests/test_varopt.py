@@ -143,6 +143,13 @@ class TestObjective:
         with pytest.raises(ValueError):
             ObjectiveSpec(alpha=0.0, t=0.0)
 
+    def test_refuses_a_rate_beyond_the_floats(self):
+        # the rate -log_value / t is about 1 + z^2 / (2 t); here z^2 / 2 is a
+        # float but z^2 / (2 t) is not, and tau-opt wrote empirical_rate = inf
+        alpha = -2.6e-150 / SQRT2
+        with pytest.raises(ValueError, match=r"horizon t=1.95e-194 overflows the objective"):
+            ObjectiveSpec(alpha=alpha, t=1.95e-194)
+
 
 class TestMaximize:
     def test_middle_regime_t500(self):
