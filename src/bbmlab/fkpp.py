@@ -60,8 +60,8 @@ Scheme notes (these are constraints, not history):
     rule above: the right pads are never written and stay at L = 0, and the
     left pad is refilled with L[0] before each H, because R moves L[0].
     One scratch array of N + 2w takes the exponentials and expm1 terms of H
-    and R, and one of N - 1 the differences of the step check, so a step
-    allocates nothing of the grid's size but np.correlate's outputs.
+    and R, so a step allocates nothing of the grid's size but np.correlate's
+    outputs.
   * Every grid contains x = 0: Grid.build snaps x_min down to a multiple of
     dx, so the initial step is sampled at the same phase whatever t_final,
     the probes or explicit bounds.  A probe's value then depends on the rest
@@ -101,14 +101,15 @@ Scheme notes (these are constraints, not history):
     probe margin of 20 sigma sqrt(T) (the README tails at t = 50 and 60 in
     their last bits, and two probes of a four-ray solve with a front by
     7.1e-15).  The tests compare windowed and whole-grid solves bit for bit.
-  * A non-finite value or a monotonicity defect above MONO_TOL after any step
-    raises SolverInstabilityError; smaller defects are rounding, recorded as
-    max_violation and left in place.  One pass finds both: viol, the largest
-    of 0 and every L[i] - L[i+1], is NaN if any value is NaN, and +inf or
-    NaN if any L[i] with i >= 1 is -inf, so only -inf at L[0] escapes it and
-    L[0] is tested alone.  +inf cannot arise, since H clips at L = 0 and R
-    only lowers L.  np.isfinite runs only once the check has failed, to
-    choose the message.
+  * Each field is checked once, when it is built: a LogField holds one
+    finite L <= 0 per grid point, nondecreasing but for rounding defects up
+    to MONO_TOL, which it keeps and folds into max_violation.  advance checks
+    its result, not each step, so every field that is read is checked, and a
+    refusal there is a SolverInstabilityError.  A NaN lasts to the result:
+    exp, np.correlate, log and np.minimum propagate it.  A -inf does not, as
+    H fills its cell from its neighbours, but the scheme makes none: H's sums
+    never underflow (above) and R subtracts finite amounts.  H clips at L = 0
+    and R only lowers L, so +inf cannot arise either.
   * The initial profile ln(Phi(x/eps)) is clipped at a floor, which raises u
     by at most e^floor.  Both sub-flows are order preserving and Lipschitz in
     u (H with constant 1, R with e^h), so the excess stays below
@@ -122,7 +123,7 @@ Scheme notes (these are constraints, not history):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -184,28 +185,22 @@ class Grid:
         cells = (x_max - start * dx) / dx - 1e-9  # not finite if a bound is off the floats
         if not math.isfinite(cells):
             raise ValueError(f"grid [{x_min!r}, {x_max!r}] spans no finite count of dx={dx!r}")
+        if x_min < 0.0 <= start:  # the snap down would put x_min at the origin
+            raise ValueError(f"dx={dx!r} is wider than the grid's {-x_min!r} left of 0: lower dx")
         return cls(x_min=start * dx, dx=dx, n_points=max(7, math.ceil(cells)) + 1, dt=dt)
 
 
 @dataclass
 class LogField:
-    """ln u sampled on a grid at one instant."""
+    """ln u sampled on a grid at one instant; checked once, when built (module notes)."""
 
     L: np.ndarray
     time: float
     grid: Grid
-    max_violation: float = 0.0  # worst monotonicity defect so far
+    max_violation: float = 0.0  # worst monotonicity defect of this field and those it came from
     steps: int = 0  # splitting steps taken so far
 
-    def log_u(self, x: float | np.ndarray) -> float | np.ndarray:
-        """ln u at x (a number or an array), interpolated in L, not in u (it underflows)."""
-        g = self.grid
-        lo, hi = float(np.min(x)), float(np.max(x))
-        if not (g.x_min <= lo and hi <= g.x_max):
-            raise DomainOverflowError(f"x in [{lo!r}, {hi!r}] leaves grid [{g.x_min}, {g.x_max}]")
-        return np.interp(x, g.xs(), self.L)
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.L.shape != (self.grid.n_points,):
             raise ValueError("field length does not match grid")
         if not np.all(np.isfinite(self.L)):
@@ -215,6 +210,15 @@ class LogField:
         viol = float(np.max(self.L[:-1] - self.L[1:], initial=0.0))
         if viol > MONO_TOL:
             raise ValueError(f"field is non-monotone by {viol:.3e}")
+        self.max_violation = max(self.max_violation, viol)
+
+    def log_u(self, x: float | np.ndarray) -> float | np.ndarray:
+        """ln u at x (a number or an array), interpolated in L, not in u (it underflows)."""
+        g = self.grid
+        lo, hi = float(np.min(x)), float(np.max(x))
+        if not (g.x_min <= lo and hi <= g.x_max):
+            raise DomainOverflowError(f"x in [{lo!r}, {hi!r}] leaves grid [{g.x_min}, {g.x_max}]")
+        return np.interp(x, g.xs(), self.L)
 
 
 def init_field(grid: Grid, smoothing_eps: float, floor: float = TAIL_FLOOR) -> LogField:
@@ -233,7 +237,6 @@ def init_field(grid: Grid, smoothing_eps: float, floor: float = TAIL_FLOOR) -> L
     np.maximum(L, floor, out=L)
     np.minimum(L, 0.0, out=L)
     fld = LogField(L=L, time=0.0, grid=grid)
-    fld.validate()
     if L[-1] < -1e-6:
         raise ValueError("right boundary is not pinned near u = 1; widen the domain")
     return fld
@@ -316,26 +319,21 @@ def advance(fld: LogField, t_end: float, sigma2: float, lo: int = 0,
     """The field at t_end, in ceil((t_end - fld.time) / dt) equal Strang steps
     of the window fld.L[lo:hi] alone; fld itself is left as it is.  The cells
     left of the window end at the value of its first cell and those right of
-    it at L = 0 (u = 1), the rules the steps apply beyond the window's ends."""
+    it at L = 0 (u = 1), the rules the steps apply beyond the window's ends.
+    Only the result is checked: a LogField it refuses is a SolverInstabilityError."""
     amount = t_end - fld.time
     if amount < 0.0:
         raise ValueError("cannot advance backwards")
-    fld.validate()
-    grid = fld.grid
-    worst = fld.max_violation
-    n = max(1, math.ceil(amount / grid.dt - 1e-9)) if amount > 0.0 else 0
+    n = max(1, math.ceil(amount / fld.grid.dt - 1e-9)) if amount > 0.0 else 0
     if not n:
-        return LogField(L=fld.L.copy(), time=t_end, grid=grid, max_violation=worst,
-                        steps=fld.steps)
+        return replace(fld, L=fld.L.copy(), time=t_end)
     h = amount / n
-    K = _kernel(math.sqrt(sigma2 * h) / grid.dx)
-    # two padded fields that swap roles each step (module notes), the
-    # heat and reaction scratch, and the differences of the step check
+    K = _kernel(math.sqrt(sigma2 * h) / fld.grid.dx)
+    # two padded fields that swap roles each step (module notes), and scratch
     window = fld.L[lo:hi]
     size, w = window.size, K.size // 2
     src, dst = np.zeros(size + 2 * w), np.zeros(size + 2 * w)
     E = np.empty(size + 2 * w)
-    d = np.empty(size - 1)
     L = src[w: w + size]
     L[:] = window
     # R(h/2) H(h) R(h/2) per step; adjacent reaction half-steps fuse
@@ -345,20 +343,14 @@ def advance(fld: LogField, t_end: float, sigma2: float, lo: int = 0,
         L = dst[w: w + size]
         _heat(src, L, K, E)
         _react(L, h if i < n - 1 else 0.5 * h, E)
-        np.subtract(L[:-1], L[1:], out=d)
-        viol = float(d.max(initial=0.0))
-        if not (viol <= MONO_TOL and L[0] > -math.inf):
-            if not np.all(np.isfinite(L)):
-                raise SolverInstabilityError("non-finite values after a step")
-            raise SolverInstabilityError(
-                f"monotonicity violated by {viol:.3e} (tolerance {MONO_TOL:g})"
-            )
-        worst = max(worst, viol)
         src, dst = dst, src
     out = np.zeros(fld.L.size)
     out[lo:lo + size] = L
     out[:lo] = L[0]
-    return LogField(L=out, time=t_end, grid=grid, max_violation=worst, steps=fld.steps + n)
+    try:
+        return replace(fld, L=out, time=t_end, steps=fld.steps + n)
+    except ValueError as err:
+        raise SolverInstabilityError(f"advance to t={t_end!r}: {err}") from err
 
 
 # -- measurements ------------------------------------------------------------
@@ -489,7 +481,7 @@ class SolveResult:
     smoothing_eps: float
     steps: int  # splitting steps taken
     point_steps: int  # cells stepped, summed over the steps
-    max_violation: float  # worst monotonicity defect seen (at most MONO_TOL)
+    max_violation: float  # worst monotonicity defect of the fields read (at most MONO_TOL)
 
     def tail_for(self, alpha: float) -> TailSeries:
         for series in self.tails:

@@ -337,6 +337,23 @@ class TestValidation:
         rows = [line.split(",") for line in read(out).splitlines()[1:]]
         assert len(rows) == 2 and all(math.isfinite(float(c)) for row in rows for c in row)
 
+    def test_tiny_sigma2_names_dx(self, tmp_path, capsys):
+        # the grid this solve needs reaches 4.9e-149 left of 0, under one
+        # cell of the default dx: exit 2 names dx, and a dx that fits runs
+        config = {"sigma2": 1e-300, "alphas": [-0.93, -0.33], "t_list": [3.0]}
+        path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+        path.write_text(json.dumps(config))
+        assert run_cli(["fkpp-rate", "--config", path, "--out", out]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config-invalid"
+        assert re.fullmatch(r"dx=0\.05 is wider than the grid's \S+ left of 0: lower dx",
+                            err["message"])
+        assert not out.exists()
+        path.write_text(json.dumps({**config, "dx": 1e-152}))
+        assert run_cli(["fkpp-rate", "--config", path, "--out", out]) == 0
+        rows = [line.split(",") for line in read(out).splitlines()[1:]]
+        assert len(rows) == 2 and all(math.isfinite(float(c)) for row in rows for c in row)
+
     def test_config_file_for_another_kind(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"kind": "rate", "alphas": [0.5]}))

@@ -63,6 +63,15 @@ class TestGrid:
         with pytest.raises(ValueError, match="grid needs 8 to 4194304 points, got 7"):
             fkpp.Grid(x_min=-0.3, dx=0.1, n_points=7, dt=0.001)
 
+    @pytest.mark.parametrize("x_min", [-1e-149, -4e-11, -5e-12])
+    def test_build_names_dx_when_the_left_part_is_under_one_cell(self, x_min):
+        # x_min would snap up to the origin: the message says which input to change
+        with pytest.raises(ValueError, match=r"^dx=0\.05 is wider than the grid's .* left of 0: "
+                                             r"lower dx$"):
+            fkpp.Grid.build(x_min, -x_min, 0.05, 0.001)
+        g = fkpp.Grid.build(x_min, -x_min, -x_min / 4.0, 0.001)
+        assert g.x_min < 0.0 < g.x_max
+
     @pytest.mark.parametrize("lo,hi,dx", [
         (-math.inf, 1.0, 0.1), (-1.0, math.inf, 0.1), (math.nan, 1.0, 0.1), (-1.0, math.nan, 0.1),
         (-1e308, 1.0, 1e-10),  # x_min / dx overflows
@@ -192,20 +201,22 @@ class TestStep:
         g = small_grid()
         L = np.linspace(-5.0, 0.0, g.n_points)
         L[5] = L[6] + 1e-8  # violation above tolerance
-        fld = fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g)
-        with pytest.raises(ValueError):
-            fkpp.advance(fld, g.dt, P1.sigma2)
+        with pytest.raises(ValueError, match="^field is non-monotone by 1.000e-08$"):
+            fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g)
 
     @pytest.mark.parametrize("edit,message", [
         (lambda L: L[:-1], "field length does not match grid"),
+        (lambda L: np.append(L, 0.0), "field length does not match grid"),
         (lambda L: np.where(np.arange(L.size) == 5, math.nan, L), "non-finite"),
+        # the one non-finite value no difference of neighbours shows
+        (lambda L: np.where(np.arange(L.size) == 0, -math.inf, L), "non-finite"),
         (lambda L: np.where(np.arange(L.size) == L.size - 1, 1e-9, L), "ln u must be <= 0"),
-    ], ids=["short", "nan", "positive"])
+        (lambda L: np.where(np.arange(L.size) == L.size - 1, 2e-12, L), "ln u must be <= 0"),
+    ], ids=["short", "long", "nan", "minus_inf_first", "positive", "positive_past_slack"])
     def test_rejects_malformed_input(self, edit, message):
         g = small_grid()
-        fld = fkpp.LogField(L=edit(np.linspace(-5.0, 0.0, g.n_points)), time=0.0, grid=g)
         with pytest.raises(ValueError, match=message):
-            fkpp.advance(fld, g.dt, P1.sigma2)
+            fkpp.LogField(L=edit(np.linspace(-5.0, 0.0, g.n_points)), time=0.0, grid=g)
 
     def test_tolerates_sub_tolerance_wiggle(self):
         g = small_grid()
@@ -214,6 +225,10 @@ class TestStep:
         fld = fkpp.LogField(L=np.minimum(L, 0.0), time=0.0, grid=g)
         out = fkpp.advance(fld, g.dt, P1.sigma2)
         assert np.all(np.diff(out.L) >= 0.0)
+        # recorded: the worst defect of a field and of the fields it came from
+        assert fld.max_violation == pytest.approx(1e-12, rel=1e-3)
+        assert out.max_violation == fld.max_violation
+        assert fkpp.LogField(L=fld.L, time=0.0, grid=g, max_violation=5e-10).max_violation == 5e-10
 
     def test_advance_keeps_grid_and_lands_on_t_end(self):
         g = small_grid()
@@ -293,7 +308,8 @@ class TestSplitting:
                          snapshot_times=[80.0])
         assert res.steps == round(80.0 / h)
         assert res.max_violation <= 1e-12
-        res.snapshots[80.0].validate()
+        snap = res.snapshots[80.0]
+        fkpp.LogField(L=snap.L, time=snap.time, grid=snap.grid)  # a valid field, rebuilt
         assert res.snapshots[80.0].L[-1] >= -1e-6  # still pinned at u = 1 on the right
         assert abs(res.front.position_at(80.0) - bramson_centering(80.0)) <= 2.5
 
@@ -483,24 +499,25 @@ class TestWindow:
         assert early.snapshots[4.0].L.tobytes() == ref.snapshots[4.0].L.tobytes()
 
 
-def corrupt_step_two(monkeypatch, corrupt):
-    """Apply corrupt(L, k) after the real flow of fkpp._react's third call, the
-    reaction that ends step 2; k is where L first reaches -5."""
+def corrupt_after_step(monkeypatch, corrupt, step=2):
+    """Apply corrupt(L, k) after the real flow of the reaction that ends the
+    given step, fkpp._react's call step + 1; k is where L first reaches -5."""
     real = fkpp._react
     calls = []
 
     def wrapped(L, h, *scratch):
         real(L, h, *scratch)
         calls.append(h)
-        if len(calls) == 3:
+        if len(calls) == step + 1:
             corrupt(L, int(np.searchsorted(L, -5.0)))
 
     monkeypatch.setattr(fkpp, "_react", wrapped)
 
 
 class TestInstability:
-    """The per-step check raises SolverInstabilityError on every non-finite
-    value and on a monotonicity defect above MONO_TOL."""
+    """advance checks its result, not each step: any non-finite value and a
+    monotonicity defect above MONO_TOL raise SolverInstabilityError, naming
+    the time the advance ends at."""
 
     @staticmethod
     def two_steps():
@@ -514,18 +531,30 @@ class TestInstability:
         def corrupt(L, k):
             L[0 if where == "first" else k] = value
 
-        corrupt_step_two(monkeypatch, corrupt)
-        with pytest.raises(fkpp.SolverInstabilityError, match="^non-finite values after a step$"):
+        corrupt_after_step(monkeypatch, corrupt)
+        with pytest.raises(fkpp.SolverInstabilityError,
+                           match=r"^advance to t=0\.04: field contains non-finite values$"):
+            self.two_steps()
+
+    @pytest.mark.parametrize("where", ["inside", "first"])
+    def test_nan_before_the_last_step_raises(self, monkeypatch, where):
+        # a NaN lasts to the result: exp, correlate, log and minimum propagate it
+        def corrupt(L, k):
+            L[0 if where == "first" else k] = math.nan
+
+        corrupt_after_step(monkeypatch, corrupt, step=1)
+        with pytest.raises(fkpp.SolverInstabilityError,
+                           match=r"^advance to t=0\.04: field contains non-finite values$"):
             self.two_steps()
 
     def test_monotonicity_defect_raises(self, monkeypatch):
         def corrupt(L, k):
             L[k] = L[k + 1] + 1e-6
 
-        corrupt_step_two(monkeypatch, corrupt)
+        corrupt_after_step(monkeypatch, corrupt)
         with pytest.raises(fkpp.SolverInstabilityError) as err:
             self.two_steps()
-        assert str(err.value) == "monotonicity violated by 1.000e-06 (tolerance 1e-09)"
+        assert str(err.value) == "advance to t=0.04: field is non-monotone by 1.000e-06"
 
     def test_rounding_defect_is_recorded(self, monkeypatch):
         defects = []
@@ -534,7 +563,7 @@ class TestInstability:
             L[k] = L[k + 1] + 1e-12
             defects.append(float(np.max(L[:-1] - L[1:])))
 
-        corrupt_step_two(monkeypatch, corrupt)
+        corrupt_after_step(monkeypatch, corrupt)
         out = self.two_steps()
         assert out.steps == 2 and out.max_violation == defects[0]
         assert defects[0] == pytest.approx(1e-12, rel=1e-3)
@@ -543,13 +572,13 @@ class TestInstability:
         def corrupt(L, k):
             L[k] = math.nan
 
-        corrupt_step_two(monkeypatch, corrupt)
+        corrupt_after_step(monkeypatch, corrupt)
         argv = ["fkpp-rate", "--alphas", "0", "-0.5", "--t-list", "1", "2",
                 "--dx", "0.2", "--out", str(tmp_path / "x.csv")]
         assert cli.main(argv) == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "solver-instability"
-        assert err["message"] == "non-finite values after a step"
+        assert err["message"] == "advance to t=1.0: field contains non-finite values"
 
 
 class TestDomain:
