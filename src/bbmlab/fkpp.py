@@ -12,18 +12,21 @@ Scheme notes (these are constraints, not history):
     monotone maps that fix u = 1, so the field stays nondecreasing and <= 0
     without repair or step-size limits; the splitting error is O(h^2).
     advance takes a field to a given time on its own grid, in equal steps
-    of at most dt; inside one advance the adjacent half-steps of R fuse.
+    of at most dt but none narrower than a cell (below); inside one advance
+    the adjacent half-steps of R fuse.
   * H convolves u with a positive lattice kernel of sum 1.  Where L < -1
     this is a log-sum-exp, one exp per grid point: the outputs are cut into
-    blocks that share one shift, the largest window maximum in the block,
-    and a block ends before that maximum would lie more than _SPAN = 500
-    e-folds above the center value of its first output.  Since L is
-    nondecreasing, each output then sums its own center term at no less than
+    blocks that share one shift, from the right.  The first block ends at
+    the L = -1 crossing, each next one where the last began; a block's shift
+    is its last window's maximum, that window's right end since L is
+    nondecreasing, and it reaches left while its center values lie within
+    _SPAN = 500 e-folds of that shift.  So no shift depends on where the
+    array starts.  Each output sums its own center term at no less than
     K_0 e^-500, unless its window is steeper than that: it is then a block
-    of one, shifted by its window's maximum, its right end, so it sums the
-    edge weight K_w times e^0, and _kernel drops weights below e^-700 (a
-    sampled Gaussian's all lie above e^-85 / (2.6 s), s its width in cells).
-    So no output's sum underflows, whatever the step h.  Bounding only the
+    of one, shifted by its window's maximum, so it sums the edge weight K_w
+    times e^0, and _kernel drops weights below e^-700 (a sampled Gaussian's
+    all lie above e^-85 / (2.6 s), s its width in cells).  So no output's
+    sum underflows, whatever the step h.  Bounding only the
     spread of the window maxima is not enough: for a kernel that is nearly a
     delta (h <= 1e-16) the sum is the center term alone, which can lie
     hundreds of e-folds below its window maximum and underflow.
@@ -47,7 +50,15 @@ Scheme notes (these are constraints, not history):
     dx/2; below dx the kernel is the discrete heat kernel e^{-2r} I_k(2r),
     r = sigma2 h / (2 dx^2), whose variance is exact at any h (to 1e-9
     after the cut at 8 cells); it is summed from the power series of I_k,
-    since 2r < 1 there.
+    since 2r < 1 there.  But its large deviations are wrong (at dx = 0.2 and
+    h = 0.02, ln u at alpha = -5, t = 5 read 13.7 above a dx = 0.025
+    reference), so an interval I takes ceil(I / dt) steps but at most
+    floor(I sigma2 / dx^2), and at least one: only an interval shorter than
+    dx^2 / sigma2 takes a step narrower than a cell.
+  * A probe's path drifts |alpha| sqrt(2 sigma2) h per step, and solve
+    refuses one that drifts more than half the kernel's reach, 6 sigma
+    sqrt(h) in the longest step: |alpha| > 30 at h = 0.02, where the sandwich
+    below held at |alpha| = 30 and failed by 1.8 to 3.5 e-folds at 50.
   * advance steps a window of N cells of the grid (solve picks it, below).
     Beyond them u is held at its value at the first of them on the left and
     at 1 on the right, and that is where advance leaves the cells outside:
@@ -62,29 +73,29 @@ Scheme notes (these are constraints, not history):
     One scratch array of N + 2w takes the exponentials and expm1 terms of H
     and R, so a step allocates nothing of the grid's size but np.correlate's
     outputs.
-  * Every grid contains x = 0: Grid.build snaps x_min down to a multiple of
-    dx, so the initial step is sampled at the same phase whatever t_final,
-    the probes or explicit bounds.  A probe's value then depends on the rest
-    of the solve only through the event times before it, which set the
-    splitting steps, and through the domain and window edges, by less than
-    1e-12.
-  * The grid is sized by what is read.  With probes or snapshots x_min is
-    v_min t - 20 sigma sqrt(t) - 10 sigma, v_min the lowest probe velocity
-    or 0; a front-only solve reads nothing left of its front and starts at
-    -10 sigma.  x_max is sqrt(2 sigma2) t + 20 sigma: 1 - u decays like
+  * Lattice point k is the float k * dx in every grid (a Grid holds the
+    integer start of its first point), and so is the initial data there.
+    With heat blocks cut from the right and a probe solve stepped from its
+    grid's left edge (below), a probe depends on the rest of the solve only
+    through the event times before it, which set the splitting steps:
+    widening x_min or x_max moves no probe's bits.
+  * The grid is sized by what is read.  With probes x_min is v_min t -
+    8 sigma sqrt(t) - 10 sigma, v_min the lowest probe velocity or 0, and
+    with snapshots, which are read anywhere, v_min t - 20 sigma sqrt(t) -
+    10 sigma; a front-only solve reads nothing left of its front and starts
+    at -10 sigma.  x_max is sqrt(2 sigma2) t + 20 sigma: 1 - u decays like
     e^{-sqrt 2 (x - front)/sigma} ahead of the front, so u = 1 to rounding
     at x_max (ln u = -1.4e-16 there at t = 80, dx = 0.1) and doubling that
     margin moves no probe by 1e-12.  Explicit bounds only widen this grid,
     so every probe (alpha, t_p <= t) lies on it by construction, at least
-    20 sigma sqrt(t_p) inside: alpha sqrt(2 sigma2) t_p >= v_min t, alpha < 1.
+    8 sigma sqrt(t_p) inside: alpha sqrt(2 sigma2) t_p >= v_min t, alpha < 1.
   * Each interval between events steps only the cells that a later read
     depends on.  For the interval that ends at T the window is [x_lo, x_hi]
-    clipped to the grid, with x_hi = sqrt(2 sigma2) T + 20 sigma + 4 sigma
-    sqrt(t_final), and x_lo the lowest of front(last front sample) - 20 sigma
-    when the front is tracked and v_min T - 30 sigma sqrt(T) - 10 sigma when
-    there are probes: the x_min rule above at T, with a wider margin.  A
-    snapshot reads the whole grid, so every interval that ends at or before
-    the last snapshot steps every cell.  Behind the front u is near its
+    clipped to the grid, in lattice coordinates, with x_hi = sqrt(2 sigma2)
+    T + 20 sigma + 4 sigma sqrt(t_final), and x_lo the grid's left edge, but
+    front(last front sample) - 20 sigma in a front-only solve.  A snapshot
+    reads the whole grid, so every interval that ends at or before the last
+    snapshot steps every cell.  Behind the front u is near its
     stable state 0, and a perturbation there decays toward the front like
     e^{-sqrt 2 y / sigma} (linearize to u_t = sigma2/2 u_xx - u); a probe
     at time s depends on a band around its optimal path, which lies on or
@@ -97,10 +108,8 @@ Scheme notes (these are constraints, not history):
     the fronts.  Margins that moved bits: on the right a fixed 40 sigma (the
     t = 400 front by up to 1.2e-3), a fixed 60 sigma (4.8e-8), 20 sigma + 3
     sigma sqrt(T) (the t = 200 front by 5.8e-10) and 20 sigma + 3 sigma
-    sqrt(t_final) (2 of 401 positions at t = 400, by 1.1e-13); on the left a
-    probe margin of 20 sigma sqrt(T) (the README tails at t = 50 and 60 in
-    their last bits, and two probes of a four-ray solve with a front by
-    7.1e-15).  The tests compare windowed and whole-grid solves bit for bit.
+    sqrt(t_final) (2 of 401 positions at t = 400, by 1.1e-13).  The tests
+    compare windowed and whole-grid solves bit for bit.
   * Each field is checked once, when it is built: a LogField holds one
     finite L <= 0 per grid point, nondecreasing but for rounding defects up
     to MONO_TOL, which it keeps and folds into max_violation.  advance checks
@@ -152,9 +161,9 @@ class DomainOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """n_points on the dx lattice from x_min, and the splitting step."""
+    """n_points of the dx lattice from start * dx, and dt, the splitting steps' bound."""
 
-    x_min: float
+    start: int
     dx: float
     n_points: int
     dt: float
@@ -166,19 +175,23 @@ class Grid:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not 8 <= self.n_points <= MAX_POINTS:
             raise ValueError(f"grid needs 8 to {MAX_POINTS} points, got {self.n_points}")
-        if not (self.x_min < 0.0 < self.x_max):
+        if not self.start < 0 < self.start + self.n_points - 1:
             raise ValueError(f"grid must straddle the origin, got [{self.x_min}, {self.x_max}]")
 
     @property
+    def x_min(self) -> float:
+        return self.start * self.dx
+
+    @property
     def x_max(self) -> float:
-        return self.x_min + (self.n_points - 1) * self.dx
+        return (self.start + self.n_points - 1) * self.dx
 
     def xs(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n_points)
+        return self.dx * np.arange(self.start, self.start + self.n_points)
 
     @classmethod
     def build(cls, x_min: float, x_max: float, dx: float, dt: float) -> "Grid":
-        """Grid on the dx lattice through x = 0: x_min snapped down, x_max up."""
+        """Grid on the dx lattice: x_min snapped down to it, x_max up."""
         if not (dx > 0.0 and math.isfinite(dx)):
             raise ValueError(f"dx must be positive, got {dx!r}")
         start = math.floor(x_min / dx + 1e-9) if math.isfinite(x_min / dx) else math.inf
@@ -187,7 +200,7 @@ class Grid:
             raise ValueError(f"grid [{x_min!r}, {x_max!r}] spans no finite count of dx={dx!r}")
         if x_min < 0.0 <= start:  # the snap down would put x_min at the origin
             raise ValueError(f"dx={dx!r} is wider than the grid's {-x_min!r} left of 0: lower dx")
-        return cls(x_min=start * dx, dx=dx, n_points=max(7, math.ceil(cells)) + 1, dt=dt)
+        return cls(start=start, dx=dx, n_points=max(7, math.ceil(cells)) + 1, dt=dt)
 
 
 @dataclass
@@ -280,20 +293,19 @@ def _heat(P: np.ndarray, out: np.ndarray, K: np.ndarray, E: np.ndarray) -> None:
     n, w = out.size, K.size // 2
     # searchsorted as a method: np.searchsorted's wrapper costs about a
     # microsecond a call, some percent of a step on a grid of 1,500 points
-    i1 = int(P[w: w + n].searchsorted(-1.0))
-    # log-sum-exp in blocks of outputs that share one shift: the largest
-    # window maximum in the block (window maxima are right ends, since L
-    # is nondecreasing), at most _SPAN above every center in the block
-    m = P[2 * w: i1 + 2 * w]
-    b0 = 0
-    while b0 < i1:
-        b1 = max(b0 + 1, int(m.searchsorted(P[b0 + w] + _SPAN, "right")))
-        shift = m[b1 - 1]
+    centers = P[w: w + n]
+    i1 = int(centers.searchsorted(-1.0))
+    # log-sum-exp in blocks cut from the right, each shifted by its last
+    # window's right end and reaching left while centers lie within _SPAN
+    b1 = i1
+    while b1 > 0:
+        shift = P[b1 - 1 + 2 * w]
+        b0 = min(b1 - 1, int(centers.searchsorted(shift - _SPAN)))
         e = np.subtract(P[b0: b1 + 2 * w], shift, out=E[: b1 - b0 + 2 * w])
         np.exp(e, out=e)
         np.log(np.correlate(e, K, "valid"), out=out[b0:b1])
         out[b0:b1] += shift
-        b0 = b1
+        b1 = b0
     if i1 < n:
         # near u = 1 convolve u - 1, which keeps its relative precision
         e = np.expm1(P[i1:], out=E[: P.size - i1])
@@ -314,21 +326,33 @@ def _react(L: np.ndarray, h: float, E: np.ndarray) -> None:
     L[i0:] -= e
 
 
+def _steps(amount: float, dt: float, sigma2: float, dx: float) -> tuple[int, float]:
+    """The equal steps of an interval of amount > 0 and their kernel's width s
+    in cells: ceil(amount / dt), but none with s < 1, _kernel's own test,
+    unless a single step is."""
+    width = lambda n: math.sqrt(sigma2 * (amount / n)) / dx
+    cells2 = amount * (math.sqrt(sigma2) / dx) ** 2  # the interval's variance in cells^2
+    n = max(1, math.ceil(min(amount / dt - 1e-9, cells2)))
+    while n > 1 and width(n) < 1.0:  # at most two passes, where cells2 rounds
+        n = max(1, min(n - 1, math.floor(cells2)))
+    return n, width(n)
+
+
 def advance(fld: LogField, t_end: float, sigma2: float, lo: int = 0,
             hi: int | None = None) -> LogField:
-    """The field at t_end, in ceil((t_end - fld.time) / dt) equal Strang steps
-    of the window fld.L[lo:hi] alone; fld itself is left as it is.  The cells
-    left of the window end at the value of its first cell and those right of
-    it at L = 0 (u = 1), the rules the steps apply beyond the window's ends.
-    Only the result is checked: a LogField it refuses is a SolverInstabilityError."""
+    """The field at t_end, in the equal Strang steps of _steps, of the window
+    fld.L[lo:hi] alone; fld itself is left as it is.  The cells left of the
+    window end at the value of its first cell and those right of it at L = 0
+    (u = 1), the rules the steps apply beyond the window's ends.  Only the
+    result is checked: a LogField it refuses is a SolverInstabilityError."""
     amount = t_end - fld.time
     if amount < 0.0:
         raise ValueError("cannot advance backwards")
-    n = max(1, math.ceil(amount / fld.grid.dt - 1e-9)) if amount > 0.0 else 0
-    if not n:
+    if amount == 0.0:
         return replace(fld, L=fld.L.copy(), time=t_end)
+    n, s = _steps(amount, fld.grid.dt, sigma2, fld.grid.dx)
     h = amount / n
-    K = _kernel(math.sqrt(sigma2 * h) / fld.grid.dx)
+    K = _kernel(s)
     # two padded fields that swap roles each step (module notes), and scratch
     window = fld.L[lo:hi]
     size, w = window.size, K.size // 2
@@ -366,7 +390,7 @@ def front_position(fld: LogField) -> float:
         return float(fld.grid.x_min)
     lo, hi = L[i - 1], L[i]
     frac = 0.0 if hi == lo else (_LN_HALF - lo) / (hi - lo)
-    return float(fld.grid.x_min + fld.grid.dx * (i - 1 + frac))
+    return float(fld.grid.dx * (fld.grid.start + i - 1 + frac))
 
 
 def renewal_quadrature(fld: LogField, x: float, tau: float, params: ModelParams) -> float:
@@ -510,13 +534,15 @@ def solve(
     sigma2)*t by linear interpolation of L.  The grid is sized by what is
     read (module notes), so every probe lies on it; x_min and x_max only
     widen it, and x_min is snapped down to the dx lattice through x = 0.
-    dt is the splitting step: each interval between consecutive probe,
+    dt bounds the splitting step: each interval between consecutive probe,
     snapshot and front-sample times is split into ceil(interval / dt) equal
-    steps, of the window of cells that later reads depend on (module
-    notes); point_steps counts the cells stepped.  A solve of more than
-    MAX_WORK grid points x kernel taps x steps is refused with ValueError
-    before anything is allocated.  The tails come in ascending alpha, each
-    in ascending t, whatever the order of the probes.
+    steps, but none narrower than a cell (module notes), of the window
+    of cells that later reads depend on; point_steps counts the cells
+    stepped.  A solve of more than MAX_WORK grid points x kernel taps x
+    steps, or with a probe that drifts more than 6 sigma sqrt(h) in a step
+    of h, is refused with ValueError before anything is allocated.  The
+    tails come in ascending alpha, each in ascending t, whatever the order
+    of the probes.
     """
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be nonnegative, got {t_final!r}")
@@ -541,10 +567,11 @@ def solve(
                              f"bound beyond the floats")
 
     px = pa * crit * pt  # each probe's point, as read and written
-    v_min = float(pa.min(initial=0.0)) * crit
+    a_min = float(pa.min(initial=0.0))  # the deepest probe's alpha, or 0
+    v_min = a_min * crit
     root_t = math.sqrt(t_final)
     # the grid the reads need (module notes); x_min and x_max only widen it
-    left_margin = 20.0 * sigma * root_t if pairs or snapshot_times else 0.0
+    left_margin = (20.0 if snapshot_times else 8.0 if pairs else 0.0) * sigma * root_t
     lo = v_min * t_final - left_margin - 10.0 * sigma
     hi = crit * t_final + 20.0 * sigma
     grid = Grid.build(lo if x_min is None else min(lo, x_min),
@@ -556,14 +583,24 @@ def solve(
         front_set = {float(ts) for ts in np.linspace(0.0, t_final, front_samples + 1)}
     probe_set, snap_set = set(pt.tolist()), set(snapshot_times)
     events = sorted(front_set | probe_set | snap_set | {t_final})
-    # no step is longer than min(dt, t_final), and the intervals between
-    # events take at most t_final / dt + len(events) steps in all
-    s = math.sqrt(params.sigma2 * min(grid.dt, t_final)) / grid.dx
-    work = grid.n_points * (2 * _half_width(s) + 1) * (t_final / grid.dt + len(events))
+    # each interval's steps and kernel, as advance takes them
+    work, h = 0, 0.0
+    for t0, t1 in zip([0.0, *events], events):
+        if t1 > t0:
+            n, s = _steps(t1 - t0, grid.dt, params.sigma2, grid.dx)
+            work += n * (2 * _half_width(s) + 1)
+            h = max(h, (t1 - t0) / n)
+    work *= grid.n_points
     if work > MAX_WORK:
         raise ValueError(
             f"solve needs {work:.3g} point-tap-steps (grid points x kernel taps x steps), "
             f"above MAX_WORK = 2^37: raise dx or dt, or lower t")
+    if -a_min * math.sqrt(2.0 * h) > 6.0:
+        # the kernel reaches 12 sigma sqrt(h): a probe's path may drift half that per step
+        raise ValueError(
+            f"probe alpha={a_min!r} drifts {-a_min * SQRT2 * h:.3g} sigma in a step of h={h:.3g}, "
+            f"above 6 sigma sqrt(h) = {6.0 * math.sqrt(h):.3g} sigma: lower dt, and dx, "
+            f"to steps of at most 18 / alpha^2 = {18.0 / (a_min * a_min):.3g}")
 
     eps = smoothing_eps if smoothing_eps is not None else dx
     floor = TAIL_FLOOR
@@ -587,12 +624,9 @@ def solve(
         if T > fld.time:
             lo, hi = 0, grid.n_points
             if T > last_snapshot:
-                edges = [front_x[-1] - 20.0 * sigma] if track_front else []
-                if pairs:
-                    edges.append(v_min * T - 30.0 * sigma * math.sqrt(T) - 10.0 * sigma)
-                if edges:
-                    lo = max(0, math.floor((min(edges) - grid.x_min) / grid.dx))
-                hi = min(hi, math.ceil((crit * T + right_margin - grid.x_min) / grid.dx) + 1)
+                if track_front and not pairs:
+                    lo = max(0, math.floor((front_x[-1] - 20.0 * sigma) / grid.dx) - grid.start)
+                hi = min(hi, math.ceil((crit * T + right_margin) / grid.dx) + 1 - grid.start)
             steps = fld.steps
             fld = advance(fld, T, params.sigma2, lo, hi)
             point_steps += (hi - lo) * (fld.steps - steps)

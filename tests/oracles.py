@@ -84,22 +84,23 @@ def heat_reference(L, K):
 
     The stepper before fkpp.advance kept two padded fields: every step pads
     L with np.concatenate and sums with np.convolve, and near u = 1 it
-    convolves 1 - u = -expm1(L).  fkpp's pass does the same arithmetic, so
-    the two agree bit for bit.
+    convolves 1 - u = -expm1(L).  Its log-sum-exp blocks are cut from the
+    right, as fkpp's: each block is shifted by its last window's maximum and
+    reaches left while its centers lie within _SPAN of it.  fkpp's pass does
+    the same arithmetic, so the two agree bit for bit.
     """
     n, w = L.size, K.size // 2
     P = np.concatenate([np.full(w, L[0]), L, np.zeros(w)])
     out = np.empty(n)
     i1 = int(np.searchsorted(L, -1.0))
-    m = P[2 * w: i1 + 2 * w]
-    b0 = 0
-    while b0 < i1:
-        b1 = max(b0 + 1, int(np.searchsorted(m, P[b0 + w] + fkpp._SPAN, "right")))
-        shift = m[b1 - 1]
+    b1 = i1
+    while b1 > 0:
+        shift = P[b1 - 1 + 2 * w]
+        b0 = min(b1 - 1, int(np.searchsorted(L, shift - fkpp._SPAN)))
         E = np.exp(P[b0: b1 + 2 * w] - shift)
         np.log(np.convolve(E, K, "valid"), out=out[b0:b1])
         out[b0:b1] += shift
-        b0 = b1
+        b1 = b0
     if i1 < n:
         c = np.convolve(-np.expm1(P[i1:]), K, "valid")
         np.log1p(-c, out=out[i1:])
@@ -122,8 +123,11 @@ def advance_reference(fld, t_end, sigma2):
     amount = t_end - fld.time
     grid = fld.grid
     L = fld.L.copy()
-    n = max(1, math.ceil(amount / grid.dt - 1e-9)) if amount > 0.0 else 0
-    if n:
+    n = 0
+    if amount > 0.0:
+        # ceil(amount / dt) steps, but at most one per cell^2 of variance, and at least one
+        cells2 = amount * (math.sqrt(sigma2) / grid.dx) ** 2
+        n = max(1, min(math.ceil(amount / grid.dt - 1e-9), math.floor(cells2)))
         h = amount / n
         K = fkpp._kernel(math.sqrt(sigma2 * h) / grid.dx)
         react_reference(L, 0.5 * h)

@@ -294,12 +294,13 @@ class TestValidation:
         (["tau-opt", "--alphas", 0, "--t", 1, "--sigma2", 1.7e308], None, "sigma2 must be"),
         (["mc-tail", "--alphas", 0, "--t", 1, "--n-trials", 100, "--sigma2", 1.7e308], None,
          "sigma2 must be"),
-        (["fkpp-rate", "--alphas", 0, "--t-list", 1, "--dt", 1e-300], None,
-         "solve needs 1.75e+304 point-tap-steps"),
-        (["fkpp-rate", "--alphas", 0, "--t-list", 1, "--dt", 1e-9], None,
-         "solve needs 1.75e+13 point-tap-steps"),
+        # no step is narrower than a cell: at dx = 0.001, 1e6 steps of any dt below 1e-6
+        (["fkpp-rate", "--alphas", 0, "--t-list", 1, "--dt", 1e-300, "--dx", 0.001], None,
+         "solve needs 9.85e+11 point-tap-steps"),
+        (["fkpp-rate", "--alphas", 0, "--t-list", 1, "--dt", 1e-9, "--dx", 0.001], None,
+         "solve needs 9.85e+11 point-tap-steps"),
         (["fkpp-rate"], {"sigma2": 1e8, "alphas": [1e-300], "t_list": [1e-8, 1], "dx": 1},
-         "solve needs 9.07e+11 point-tap-steps"),
+         "solve needs 6.69e+11 point-tap-steps"),
         (["fkpp-rate", "--alphas=-2e154", "--t-list", 1, "--sigma2", 1e-300], None,
          "probe (alpha=-2e+154, t=1.0) has a point or a no-branch bound beyond the floats"),
         (["tau-opt", "--v=-2.6e-150", "--t", 1.95e-194], None,
@@ -327,15 +328,16 @@ class TestValidation:
 
     def test_probes_at_steps_of_1e_300(self, tmp_path, capsys):
         # the first step has h = 1e-300: its kernel's weights rounded to 0, a
-        # heat block of one summed nothing but them, and the run exited 3
+        # heat block of one summed nothing but them, and the run exited 3.
+        # The probe at t = 1 clips the initial ln u at -945, so it is steep
         out = tmp_path / "x.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(["fkpp-rate", "--alphas=-2.6e6", "--t-list", 1e-300, 1e-8,
+            assert run_cli(["fkpp-rate", "--alphas=-30", "--t-list", 1e-300, 1e-8, 1,
                             "--dt", 0.002, "--out", out]) == 0
         assert capsys.readouterr().err == ""
         rows = [line.split(",") for line in read(out).splitlines()[1:]]
-        assert len(rows) == 2 and all(math.isfinite(float(c)) for row in rows for c in row)
+        assert len(rows) == 3 and all(math.isfinite(float(c)) for row in rows for c in row)
 
     def test_tiny_sigma2_names_dx(self, tmp_path, capsys):
         # the grid this solve needs reaches 4.9e-149 left of 0, under one
@@ -364,8 +366,8 @@ class TestValidation:
             "message": f"{path} is a config for 'rate', not for 'tau_opt'"}
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value,points", [("--dx", 1e-9, 51414213564),
-                                                   ("--sigma2", 1e20, 10282842712476)])
+    @pytest.mark.parametrize("flag,value,points", [("--dx", 1e-9, 39414213564),
+                                                   ("--sigma2", 1e20, 7882842712476)])
     def test_grid_too_large_is_config_invalid(self, tmp_path, capsys, flag, value, points):
         out = tmp_path / "x.csv"
         argv = ["fkpp-rate", "--alphas", 0, "--t-list", 1, flag, value, "--out", out]
@@ -969,7 +971,7 @@ class TestFkppAndFit:
         assert run_cli(["fkpp-rate", "--alphas", 0, "--t-list", 1, 2, "--dx", 0.2,
                         "--out", probe]) == 0
         stats = json.loads(read(str(probe) + ".manifest.json"))["stats"]
-        assert stats["steps"] == 100  # t = 2 in steps of the default 0.02
+        assert stats["steps"] == 50  # t = 2 in steps of dx^2 / sigma2 = 0.04, not of 0.02
         assert 0.0 <= stats["max_violation"] <= fkpp.MONO_TOL
         assert stats["grid_points"] > 0
 
@@ -984,13 +986,13 @@ class TestFkppAndFit:
         assert not (tmp_path / "f.csv").exists()
 
     def test_manifest_records_point_steps(self, tmp_path):
-        # the cells the solve stepped, summed over its steps: before t = 1 the
-        # window leaves out the cells left of -30 sigma sqrt(1) - 10 sigma
+        # the cells the solve stepped, summed over its steps: before t = 40 the
+        # window leaves out the cells right of sqrt(2) T + 20 sigma + 4 sigma sqrt(40)
         probe = tmp_path / "probe.csv"
-        assert run_cli(["fkpp-rate", "--alphas", 0, "--t-list", 1, 4, "--dx", 0.2,
+        assert run_cli(["fkpp-rate", "--alphas", 0, "--t-list", 1, 40, "--dx", 0.2,
                         "--out", probe]) == 0
         stats = json.loads(read(str(probe) + ".manifest.json"))["stats"]
-        res = fkpp.solve(ModelParams(), 4.0, probes=[(0.0, 1.0), (0.0, 4.0)], dx=0.2,
+        res = fkpp.solve(ModelParams(), 40.0, probes=[(0.0, 1.0), (0.0, 40.0)], dx=0.2,
                          track_front=False)
         assert stats["point_steps"] == res.point_steps
         assert stats["point_steps"] < stats["grid_points"] * stats["steps"]

@@ -6,10 +6,11 @@ process with every RuntimeWarning an error and an alarm against hangs.  The
 contract: the exit code is one of the table's; exit 0 prints nothing on
 stderr and every other exit one JSON line; and on exit 0 every float cell is
 finite, except the two cells the README names (`chen_lower_bound` at
-alpha >= 1, `log_p_hat` at zero hits).  Cost is bounded only by the
-horizon (t <= 3 where it costs work), n_trials <= 500, dx >= 0.05 sigma and
-dt either ordinary or small enough to be refused; alpha, sigma2 and tau
-range over their whole domains.
+alpha >= 1, `log_p_hat` at zero hits), and every `fkpp-rate` ln u lies within
+dx^2 / sigma2 of its closed-form sandwich.  Cost is bounded only by the
+horizon (t <= 3 where it costs work), n_trials <= 500 and dx >= 0.05 sigma
+(no splitting step is narrower than a cell, so a tiny dt costs at most
+t sigma2 / dx^2 steps); alpha, sigma2 and tau range over their whole domains.
 """
 
 import csv
@@ -21,6 +22,7 @@ import signal
 import warnings
 
 import pytest
+from scipy.special import log_ndtr
 
 from bbmlab import cli
 
@@ -102,47 +104,71 @@ def documented_non_finite(row, name):
     return False
 
 
+def assert_inside_sandwich(row, s2, cfg):
+    """ln u of an fkpp-rate row within dx^2 / sigma2 of its closed-form sandwich:
+    -t + ln Phi(z) <= ln u <= ln Phi(z), z the smoothed point x / sqrt(sigma2 t + eps^2)."""
+    t, x, lu, dx, eps = (float(row[k]) for k in ("t", "x_probe", "ln_u", "dx", "eps"))
+    upper = float(log_ndtr(x / math.sqrt(s2 * t + eps * eps)))
+    tol = dx * dx / s2
+    assert -t + upper - tol <= lu <= upper + tol, (row, -t + upper, upper, cfg)
+
+
 def on_alarm(signum, frame):
     raise Hung()
 
 
-@pytest.mark.parametrize("kind", ["rate", "tau_opt", "fkpp_rate", "mc_tail", "scenario_lb"])
-def test_contract_holds_on_drawn_configs(kind, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
-    rng = random.Random(f"{SEED}/{kind}")
-    previous = signal.signal(signal.SIGALRM, on_alarm)
+def assert_contract(kind, cfg, path, out, capsys):
+    """Run one config through cli.main under the alarm and check the contract."""
+    path.write_text(json.dumps(cfg))
+    signal.alarm(ALARM_S)
     try:
-        for i in range(DRAWS):
-            cfg = {"kind": kind, **draw(kind, rng)}
-            path, out = tmp_path / f"{i}.json", tmp_path / f"{i}.csv"
-            path.write_text(json.dumps(cfg))
-            signal.alarm(ALARM_S)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    code = cli.main([kind.replace("_", "-"), "--config", str(path),
-                                     "--out", str(out)])
-            except Hung:
-                pytest.fail(f"ran past {ALARM_S} s: {cfg}")
-            except Exception as exc:  # no row of the exit table: exit 1 with a traceback
-                pytest.fail(f"{exc!r} escaped: {cfg}")
-            finally:
-                signal.alarm(0)
-            err = capsys.readouterr().err
-            assert code in EXITS, (code, cfg)
-            if code:
-                lines = err.splitlines()
-                assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}, \
-                    (err, cfg)
-                continue
-            assert err == "", (err, cfg)
-            for row in csv.DictReader(io.StringIO(out.read_text())):
-                for name, cell in row.items():
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        continue  # a tag, not a number
-                    assert math.isfinite(value) or documented_non_finite(row, name), \
-                        (name, cell, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([kind.replace("_", "-"), "--config", str(path), "--out", str(out)])
+    except Hung:
+        pytest.fail(f"ran past {ALARM_S} s: {cfg}")
+    except Exception as exc:  # no row of the exit table: exit 1 with a traceback
+        pytest.fail(f"{exc!r} escaped: {cfg}")
     finally:
-        signal.signal(signal.SIGALRM, previous)
+        signal.alarm(0)
+    err = capsys.readouterr().err
+    assert code in EXITS, (code, cfg)
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}, (err, cfg)
+        return
+    assert err == "", (err, cfg)
+    for row in csv.DictReader(io.StringIO(out.read_text())):
+        if kind == "fkpp_rate":
+            assert_inside_sandwich(row, cfg["sigma2"], cfg)
+        for name, cell in row.items():
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a tag, not a number
+            assert math.isfinite(value) or documented_non_finite(row, name), (name, cell, cfg)
+
+
+@pytest.fixture
+def alarm(monkeypatch):
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    yield
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("kind", ["rate", "tau_opt", "fkpp_rate", "mc_tail", "scenario_lb"])
+def test_contract_holds_on_drawn_configs(kind, tmp_path, capsys, alarm):
+    rng = random.Random(f"{SEED}/{kind}")
+    for i in range(DRAWS):
+        cfg = {"kind": kind, **draw(kind, rng)}
+        assert_contract(kind, cfg, tmp_path / f"{i}.json", tmp_path / f"{i}.csv", capsys)
+
+
+@pytest.mark.parametrize("s2", [1.0, 4.0])
+def test_coarse_grid_probes_inside_their_sandwich(s2, tmp_path, capsys, alarm):
+    # at dx = 0.5 sigma the default step of 0.02 is narrower than a cell; its
+    # discrete kernel put ln u at alpha = -3, t = 3 1.0 above ln Phi(z)
+    cfg = {"kind": "fkpp_rate", "sigma2": s2, "alphas": [-3.0, -1.0, 0.0],
+           "t_list": [0.5, 1.0, 3.0], "dx": 0.5 * math.sqrt(s2)}
+    assert_contract("fkpp_rate", cfg, tmp_path / "cfg.json", tmp_path / "x.csv", capsys)

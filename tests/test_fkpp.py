@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
-from scipy.special import ive
+from scipy.special import ive, log_ndtr
 
 from bbmlab.model import SQRT2, ModelParams
 from bbmlab import cli, fkpp, mc
@@ -25,7 +25,7 @@ def small_grid(dx=0.2, span=10.0):
 def lattice(size, grid):
     """A grid of size points with grid's dx and dt: the stepper reads no x."""
     k = size // 2
-    return fkpp.Grid(x_min=-grid.dx * k, dx=grid.dx, n_points=size, dt=grid.dt)
+    return fkpp.Grid(start=-k, dx=grid.dx, n_points=size, dt=grid.dt)
 
 
 def heat(L, K):
@@ -50,18 +50,18 @@ def heat_steps(g, L, h, n):
 class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError, match="straddle"):
-            fkpp.Grid(x_min=1.0, dx=0.1, n_points=11, dt=0.001)
+            fkpp.Grid(start=10, dx=0.1, n_points=11, dt=0.001)
         with pytest.raises(ValueError, match="straddle"):
-            fkpp.Grid(x_min=-1.0, dx=0.1, n_points=10, dt=0.001)  # ends at x = -0.1
+            fkpp.Grid(start=-10, dx=0.1, n_points=10, dt=0.001)  # ends at x = -0.1
         with pytest.raises(ValueError, match="dx must be positive"):
-            fkpp.Grid(x_min=-1.0, dx=-0.1, n_points=21, dt=0.001)
+            fkpp.Grid(start=-10, dx=-0.1, n_points=21, dt=0.001)
         with pytest.raises(ValueError, match="dt must be positive"):
-            fkpp.Grid(x_min=-1.0, dx=0.1, n_points=21, dt=0.0)
+            fkpp.Grid(start=-10, dx=0.1, n_points=21, dt=0.0)
         for dx in (math.inf, math.nan, -0.1):
             with pytest.raises(ValueError, match="dx must be positive"):
                 fkpp.Grid.build(-1.0, 1.0, dx, 0.001)
         with pytest.raises(ValueError, match="grid needs 8 to 4194304 points, got 7"):
-            fkpp.Grid(x_min=-0.3, dx=0.1, n_points=7, dt=0.001)
+            fkpp.Grid(start=-3, dx=0.1, n_points=7, dt=0.001)
 
     @pytest.mark.parametrize("x_min", [-1e-149, -4e-11, -5e-12])
     def test_build_names_dx_when_the_left_part_is_under_one_cell(self, x_min):
@@ -231,7 +231,7 @@ class TestStep:
         assert fkpp.LogField(L=fld.L, time=0.0, grid=g, max_violation=5e-10).max_violation == 5e-10
 
     def test_advance_keeps_grid_and_lands_on_t_end(self):
-        g = small_grid()
+        g = small_grid(dx=0.05)
         fld = fkpp.init_field(g, smoothing_eps=0.2)
         before = fld.L.copy()
         mid = fkpp.advance(fld, 0.1, P1.sigma2)
@@ -335,7 +335,7 @@ class TestSplitting:
         L = np.cumsum(jumps)
         L += top - L[-1]
         n = L.size
-        g = fkpp.Grid(x_min=-0.2 * (n // 2), dx=0.2, n_points=n, dt=h)
+        g = fkpp.Grid(start=-(n // 2), dx=0.2, n_points=n, dt=h)
         out = fkpp.advance(fkpp.LogField(L=L, time=0.0, grid=g), amount, P1.sigma2)
         assert np.all(out.L <= 0.0)
         assert np.all(np.diff(out.L) >= -1e-12 * max(1.0, float(np.max(np.abs(L)))))
@@ -365,7 +365,7 @@ class TestHeatPass:
     @staticmethod
     def assert_matches_reference(L, dx, h):
         n = L.size
-        g = fkpp.Grid(x_min=-dx * (n // 2), dx=dx, n_points=n, dt=h)
+        g = fkpp.Grid(start=-(n // 2), dx=dx, n_points=n, dt=h)
         K = fkpp._kernel(math.sqrt(P1.sigma2 * h) / g.dx)
         got, ref = heat(L, K), windowed_heat(L, K)
         assert np.all(np.isfinite(got))
@@ -434,7 +434,7 @@ class TestReferenceStepper:
         (1.0, 40.0, dict(dx=0.1, front_samples=40)),
         (1.0, 8.0, dict(probes=[(a, t) for a in (0.05, -0.3, -0.9, -1.8) for t in (2.0, 4.0, 8.0)],
                         dx=0.05, smoothing_eps=0.05, track_front=False)),
-        (1.0, 0.5, dict(dx=0.2, dt=0.001, front_samples=5)),  # sigma sqrt(h) < dx
+        (1.0, 0.5, dict(dx=0.2, dt=0.001, front_samples=25)),  # sigma sqrt(h) < dx
         (4.0, 5.0, dict(probes=[(-0.5, 2.0), (-0.5, 5.0)], dx=0.1, front_samples=10)),
         (1.0, 3.0, dict(probes=[(-0.5, 0.0012), (-0.5, 2.3)], dx=0.1, front_samples=3,
                         snapshot_times=[0.0005, 0.003, 0.5, 2.99])),
@@ -447,10 +447,10 @@ class TestReferenceStepper:
 
     def test_steep_field_with_near_delta_kernel(self, monkeypatch):
         calls = self.check_every_advance(monkeypatch)
-        g = fkpp.Grid(x_min=-30.0, dx=0.1, n_points=400, dt=1e-16)
+        g = fkpp.Grid(start=-300, dx=0.1, n_points=400, dt=1e-16)
         L = np.minimum(0.0, 100.0 * np.arange(-300.0, 100.0))
         fkpp.advance(fkpp.LogField(L=L, time=0.0, grid=g), 3e-16, P1.sigma2)
-        assert calls == [(3e-16, 400, 3)]
+        assert calls == [(3e-16, 400, 1)]  # one step: no splitting step is narrower than a cell
 
 
 def whole_grid(monkeypatch):
@@ -469,8 +469,9 @@ class TestWindow:
 
     @pytest.mark.parametrize("t_final,kw,ratio", [
         (40.0, dict(dx=0.1, front_samples=40), 0.74),
-        (8.0, dict(probes=RAYS, dx=0.05, smoothing_eps=0.05, track_front=False), 0.93),
-        (8.0, dict(probes=RAYS, dx=0.05, smoothing_eps=0.05, front_samples=40), 0.88),
+        # probe solves step every cell left of the window's right edge
+        (8.0, dict(probes=RAYS, dx=0.05, smoothing_eps=0.05, track_front=False), 1.0),
+        (8.0, dict(probes=RAYS, dx=0.05, smoothing_eps=0.05, front_samples=40), 1.0),
         (200.0, dict(dx=0.1, front_samples=400), 0.32),
     ], ids=["front", "four_rays", "four_rays_and_front", "front_200"])
     def test_window_keeps_every_bit(self, monkeypatch, t_final, kw, ratio):
@@ -488,14 +489,13 @@ class TestWindow:
 
     def test_snapshot_solve_steps_every_cell(self, monkeypatch):
         # a snapshot reads the whole grid, so every interval up to the last
-        # snapshot steps every cell, and the window starts after it
-        res = fkpp.solve(P1, 8.0, probes=RAYS, dx=0.05, front_samples=40, snapshot_times=[8.0])
+        # snapshot steps every cell, and the front's window starts after it
+        res = fkpp.solve(P1, 8.0, dx=0.05, front_samples=40, snapshot_times=[8.0])
         assert res.point_steps == res.grid.n_points * res.steps
-        early = fkpp.solve(P1, 8.0, probes=RAYS, dx=0.05, front_samples=40,
-                           snapshot_times=[4.0])
+        early = fkpp.solve(P1, 8.0, dx=0.05, front_samples=40, snapshot_times=[4.0])
         assert early.point_steps < res.point_steps
         whole_grid(monkeypatch)
-        ref = fkpp.solve(P1, 8.0, probes=RAYS, dx=0.05, front_samples=40, snapshot_times=[4.0])
+        ref = fkpp.solve(P1, 8.0, dx=0.05, front_samples=40, snapshot_times=[4.0])
         assert early.snapshots[4.0].L.tobytes() == ref.snapshots[4.0].L.tobytes()
 
 
@@ -521,7 +521,7 @@ class TestInstability:
 
     @staticmethod
     def two_steps():
-        g = small_grid()
+        g = small_grid(dx=0.1)
         return fkpp.advance(fkpp.init_field(g, smoothing_eps=0.2), 2 * g.dt, P1.sigma2)
 
     @pytest.mark.parametrize("where,value", [
@@ -602,6 +602,24 @@ class TestDomain:
         wide = fkpp.solve(P1, 80.0, dx=0.1, x_min=-188.9, x_max=292.0)
         assert wide.grid.n_points == 4810
         assert np.max(np.abs(res.front.positions - wide.front.positions)) <= 1e-12
+
+    @pytest.mark.parametrize("alphas,times,eps", [
+        ((-1.8, -0.9328, -0.3497, 0.0525), (4.0, 8.0, 12.0, 16.0, 20.0), 0.05),
+        ((0.0, -0.5), (10.0, 20.0, 30.0, 40.0, 50.0, 60.0), None),
+    ], ids=["benchmark_tails", "readme_tails"])
+    @pytest.mark.parametrize("bound", ["x_min", "x_max"])
+    def test_grid_extent_moves_no_probe_bit(self, alphas, times, eps, bound):
+        # lattice points are integer multiples of dx, heat blocks are cut from
+        # the right and a probe solve steps its grid from the left edge, so a
+        # wider grid computes the same arithmetic on every cell a probe reads
+        probes = [(a, t) for a in alphas for t in times]
+        kw = dict(dx=0.05, smoothing_eps=eps, track_front=False)
+        ref = fkpp.solve(P1, times[-1], probes=probes, **kw)
+        edge = {"x_min": ref.grid.x_min - 20.0, "x_max": ref.grid.x_max + 20.0}[bound]
+        res = fkpp.solve(P1, times[-1], probes=probes, **{bound: edge}, **kw)
+        assert res.grid.n_points == ref.grid.n_points + 400
+        for a, b in zip(res.tails, ref.tails, strict=True):
+            assert a.log_u.tobytes() == b.log_u.tobytes(), a.alpha
 
     def test_right_margin_suffices_for_tail_probes(self):
         probes = [(a, t) for a in (0.05, -0.3, -0.9, -1.8) for t in (4.0, 8.0, 12.0, 16.0, 20.0)]
@@ -804,12 +822,14 @@ class TestSolve:
         # init_field allocates the first array of the grid's size
         monkeypatch.setattr(fkpp, "init_field", accept)
         with pytest.raises(Accepted):
-            fkpp.solve(P1, 400.0, dx=0.1)  # the t = 400 front: 4.25e9 point-tap-steps
-        for dt, work in [(1e-9, "1.75e\\+13"), (1e-300, "1.75e\\+304"), (5e-324, "inf")]:
-            with pytest.raises(ValueError, match=f"solve needs {work} point-tap-steps"):
-                fkpp.solve(P1, 1.0, probes=[(0.0, 1.0)], dt=dt, track_front=False)
-        # a kernel 33,943 taps wide on a grid of 514,143 points
-        with pytest.raises(ValueError, match="solve needs 9.07e\\+11 point-tap-steps"):
+            fkpp.solve(P1, 400.0, dx=0.1)  # the t = 400 front: 4.17e9 point-tap-steps
+        # no step is narrower than a cell, so at dx = 0.001 any dt below
+        # 1e-6 takes 1e6 steps of 25 taps on 39,400 points
+        for dt in (1e-9, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="solve needs 9.85e\\+11 point-tap-steps"):
+                fkpp.solve(P1, 1.0, probes=[(0.0, 1.0)], dx=0.001, dt=dt, track_front=False)
+        # 50 steps of a kernel 33,943 taps wide on a grid of 394,142 points
+        with pytest.raises(ValueError, match="solve needs 6.69e\\+11 point-tap-steps"):
             fkpp.solve(ModelParams(sigma2=1e8), 1.0, probes=[(1e-300, 1e-8), (1e-300, 1.0)],
                        dx=1.0, track_front=False)
 
@@ -859,6 +879,28 @@ class TestSolve:
             q = fkpp.renewal_quadrature(half, xq, 1.5, P1)
             assert q <= final.log_u(xq) + math.log(1.0 + 1e-3)
 
+    @pytest.mark.parametrize("alpha", [-100.0, -50.0, -30.0, -20.0, -5.0, -1.0, -(SQRT2 - 1.0),
+                                       0.0, 0.5, 0.99])
+    def test_deep_probes_inside_their_sandwich_or_refused(self, alpha, tmp_path, capsys):
+        # at the default dx = 0.05 and dt = 0.02 a probe drifts |alpha| sqrt(2) h
+        # per step, within the 6 sqrt(h) the kernel resolves up to |alpha| = 30;
+        # deeper ones exit 2.  Inside: -t + ln Phi(z) <= ln u <= ln Phi(z) to
+        # within dx^2, z the smoothed point x / sqrt(t + eps^2)
+        out = tmp_path / "x.csv"
+        code = cli.main(["fkpp-rate", f"--alphas={alpha!r}", "--t-list", "0.5", "1", "5",
+                         "--out", str(out)])
+        if abs(alpha) > 30.0:
+            assert code == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["message"].startswith(f"probe alpha={alpha!r} drifts ")
+            return
+        assert code == 0
+        tol = 0.05**2
+        for line in out.read_text().splitlines()[1:]:
+            _, t, x, lu, _, _, eps = map(float, line.split(","))
+            upper = float(log_ndtr(x / math.sqrt(t + eps * eps)))
+            assert -t + upper - tol <= lu <= upper + tol, (t, lu, -t + upper, upper)
+
     def test_solver_tail_matches_monte_carlo(self):
         res = fkpp.solve(P1, 3.0, probes=[(0.0, 3.0)], dx=0.1)
         ln_u = res.tails[0].log_u[0]
@@ -876,6 +918,17 @@ class TestSolve:
             a, b = vals[0.1][alpha], vals[0.05][alpha]
             if abs(b) >= 1.0:
                 assert abs(a - b) / abs(b) < 0.01
+
+    def test_coarse_dx_matches_fine_reference(self):
+        # at dx = 0.2 a step of the default dt = 0.02 would be narrower than a
+        # cell, and its discrete kernel has the wrong large deviations: ln u at
+        # alpha = -5, t = 5 read 13.7 above a dx = 0.025 reference.  Steps of at
+        # least a cell keep within item 9's measured dx error, 0.8 dx^2 / sigma2
+        probes = [(a, t) for a in (-5.0, -1.8) for t in (0.5, 1.0, 5.0)]
+        fine, coarse = (fkpp.solve(P1, 5.0, probes=probes, dx=dx, smoothing_eps=0.1,
+                                   track_front=False) for dx in (0.025, 0.2))
+        for a, b in zip(coarse.tails, fine.tails, strict=True):
+            assert np.all(np.abs(a.log_u - b.log_u) <= 0.8 * 0.2**2), (a.alpha, a.log_u - b.log_u)
 
     def test_brownian_scaling_in_sigma(self):
         # doubling sigma doubles lengths: u_{sigma=2}(2x, t) == u_{sigma=1}(x, t),
