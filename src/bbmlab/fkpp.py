@@ -11,74 +11,51 @@ Scheme notes (these are constraints, not history):
     R, the logistic flow L <- L - log1p(-expm1(h) expm1(L)).  Both are
     monotone maps that fix u = 1, so the field stays nondecreasing and <= 0
     without repair or step-size limits; the splitting error is O(h^2).
-    advance takes a field to a given time on its own grid, in equal steps
-    of at most dt but none narrower than a cell (below); inside one advance
-    the adjacent half-steps of R fuse.
-  * H convolves u with a positive lattice kernel of sum 1.  Where L < -1
-    this is a log-sum-exp, one exp per grid point: the outputs are cut into
-    blocks that share one shift, from the right.  The first block ends at
-    the L = -1 crossing, each next one where the last began; a block's shift
-    is its last window's maximum, that window's right end since L is
-    nondecreasing, and it reaches left while its center values lie within
-    _SPAN = 500 e-folds of that shift.  So no shift depends on where the
-    array starts.  Each output sums its own center term at no less than
-    K_0 e^-500, unless its window is steeper than that: it is then a block
-    of one, shifted by its window's maximum, so it sums the edge weight K_w
-    times e^0, and _kernel drops weights below e^-700 (a sampled Gaussian's
-    all lie above e^-85 / (2.6 s), s its width in cells).  So no output's
-    sum underflows, whatever the step h.  Bounding only the
-    spread of the window maxima is not enough: for a kernel that is nearly a
-    delta (h <= 1e-16) the sum is the center term alone, which can lie
-    hundreds of e-folds below its window maximum and underflow.
+  * A solve steps one lattice of times t_k = k h, h = max(dt, dx^2 / sigma2),
+    so every step spans at least a cell, sigma sqrt(h) >= dx.  Adjacent
+    half-steps of R fuse, so the trajectory carries a pending R(h/2), and
+    every read branches off it on a copy.  A read at T = k h (to 1e-12 T,
+    the rounding of decimal times) finishes R(h/2).  Any other T takes the
+    field at the last lattice time at least dx^2 / sigma2 before T to T in
+    one Strang step, fused with R(h/2); below dx^2 / sigma2 it is the exact
+    heat flow of the smoothed start, ln Phi(x / sqrt(eps^2 + sigma2 T))
+    clipped at the floor (below), then R(T).  No read changes the
+    trajectory, so a read depends on its own time alone.  Front samples are
+    lattice times; advance is one read from a given field.
+  * H convolves u with the Gaussian of variance sigma2 h sampled on the
+    lattice out to max(12 s, 8) cells each side, s = sigma sqrt(h) / dx >= 1:
+    its variance, which every step adds, is exact to 2.2e-7, and its every
+    weight lies above e^-85 / (2.6 s).  Where L < -1 this is a log-sum-exp,
+    one exp per grid point, in blocks that share one shift, cut from the
+    right.  The first block ends at the L = -1 crossing, each next one where
+    the last began; a block's shift is its last window's maximum (its right
+    end), and it reaches left while its center values lie within _SPAN = 500
+    e-folds of that shift.  So no shift depends on where the array starts,
+    and each output sums its own center term at no less than K_0 e^-500, or,
+    in a block of one where its window is steeper, K_w e^0: none underflows.
   * Where L >= -1, H convolves u - 1 = expm1(L) instead.  u = 1 is an
-    unstable state of R, which multiplies 1 - u by e^h per step; a
-    log-space sum there rounds at 1e-16 absolute, not relative to 1 - u, and
-    R grows that noise like e^t, into monotonicity defects or a slide of the
-    whole leading edge off u = 1.  Summing u - 1 rather than 1 - u changes
-    no bit: rounding to nearest is symmetric in sign, so every product and
-    partial sum is the exact negative of the other's, and log1p of the sum
-    equals log1p of minus the other.  Where u = 1 only the sign of a zero
-    result differs (-0.0 from 1 - u, +0.0 from u - 1), and the clip at L = 0,
-    np.minimum(out, 0.0), writes +0.0 for both.
-  * Both sums are np.correlate with the kernel, which is symmetric, so this
-    is np.convolve's own computation: one dot product per output, whose
-    order of additions sets the rounding.
-  * The kernel's variance must be exactly sigma2 h: every step adds it, so a
-    per-step deficit accumulates over thousands of short steps (between
-    closely spaced events).  A sampled Gaussian is exact to 2e-7 once
-    sigma sqrt(h) >= dx but loses 14% of the variance at sigma sqrt(h) =
-    dx/2; below dx the kernel is the discrete heat kernel e^{-2r} I_k(2r),
-    r = sigma2 h / (2 dx^2), whose variance is exact at any h (to 1e-9
-    after the cut at 8 cells); it is summed from the power series of I_k,
-    since 2r < 1 there.  But its large deviations are wrong (at dx = 0.2 and
-    h = 0.02, ln u at alpha = -5, t = 5 read 13.7 above a dx = 0.025
-    reference), so an interval I takes ceil(I / dt) steps but at most
-    floor(I sigma2 / dx^2), and at least one: only an interval shorter than
-    dx^2 / sigma2 takes a step narrower than a cell.
+    unstable state of R, which grows the absolute rounding of a log-space
+    sum like e^t, into monotonicity defects or a slide of the leading edge
+    off u = 1.  Summing u - 1 rather than 1 - u changes no bit but the sign
+    of a zero (rounding is symmetric in sign), which the clip np.minimum(out,
+    0.0) writes as +0.0.  Both sums are np.correlate with the symmetric
+    kernel, np.convolve's own computation.
   * A probe's path drifts |alpha| sqrt(2 sigma2) h per step, and solve
     refuses one that drifts more than half the kernel's reach, 6 sigma
-    sqrt(h) in the longest step: |alpha| > 30 at h = 0.02, where the sandwich
-    below held at |alpha| = 30 and failed by 1.8 to 3.5 e-folds at 50.
-  * advance steps a window of N cells of the grid (solve picks it, below).
-    Beyond them u is held at its value at the first of them on the left and
-    at 1 on the right, and that is where advance leaves the cells outside:
-    a cell that a later window takes in starts from the value the steps
-    assumed for it.  Probes and quadrature nodes read ln u through
-    LogField.log_u, linear in L, which refuses any x off the grid.
-  * advance keeps two fields of N + 2w points, w the kernel's half-width,
-    and swaps them each step: H reads one and writes the N inner points of
-    the other, and R works on those in place.  The pads carry the boundary
-    rule above: the right pads are never written and stay at L = 0, and the
-    left pad is refilled with L[0] before each H, because R moves L[0].
-    One scratch array of N + 2w takes the exponentials and expm1 terms of H
-    and R, so a step allocates nothing of the grid's size but np.correlate's
-    outputs.
+    sqrt(h), in its widest step, branch steps included: |alpha| > 30 at h =
+    0.02 (the probe sandwich failed by 1.8 to 3.5 e-folds at 50).
+  * A run of steps covers a window of N cells of the grid.  Beyond them u is
+    held at its value at the first of them on the left and at 1 on the
+    right, and that is where the run leaves the cells outside.  It swaps two
+    fields of N + 2w points, w the kernel's half-width, whose pads carry that
+    rule: the right ones stay at L = 0, and the left ones are refilled with
+    L[0] before each H, because R moves L[0].  Probes and quadrature nodes
+    read ln u through LogField.log_u, linear in L, which refuses any x off
+    the grid.
   * Lattice point k is the float k * dx in every grid (a Grid holds the
     integer start of its first point), and so is the initial data there.
     With heat blocks cut from the right and a probe solve stepped from its
-    grid's left edge (below), a probe depends on the rest of the solve only
-    through the event times before it, which set the splitting steps:
-    widening x_min or x_max moves no probe's bits.
+    grid's left edge (below), widening x_min or x_max moves no probe's bits.
   * The grid is sized by what is read.  With probes x_min is v_min t -
     8 sigma sqrt(t) - 10 sigma, v_min the lowest probe velocity or 0, and
     with snapshots, which are read anywhere, v_min t - 20 sigma sqrt(t) -
@@ -89,36 +66,27 @@ Scheme notes (these are constraints, not history):
     margin moves no probe by 1e-12.  Explicit bounds only widen this grid,
     so every probe (alpha, t_p <= t) lies on it by construction, at least
     8 sigma sqrt(t_p) inside: alpha sqrt(2 sigma2) t_p >= v_min t, alpha < 1.
-  * Each interval between events steps only the cells that a later read
-    depends on.  For the interval that ends at T the window is [x_lo, x_hi]
-    clipped to the grid, in lattice coordinates, with x_hi = sqrt(2 sigma2)
-    T + 20 sigma + 4 sigma sqrt(t_final), and x_lo the grid's left edge, but
-    front(last front sample) - 20 sigma in a front-only solve.  A snapshot
-    reads the whole grid, so every interval that ends at or before the last
-    snapshot steps every cell.  Behind the front u is near its
-    stable state 0, and a perturbation there decays toward the front like
-    e^{-sqrt 2 y / sigma} (linearize to u_t = sigma2/2 u_xx - u); a probe
-    at time s depends on a band around its optimal path, which lies on or
-    right of its ray.  Ahead of it the front is pulled: it feels its leading
-    edge out to several sigma sqrt(t), so the right margin grows with
-    t_final.  These margins are chosen from measurement, not from a bound.
-    At dx 0.1 with 401 front samples, the fronts to t = 80, 200 and 400, the
-    README's tails and four-ray solves with and without a front keep every
-    bit of a whole-grid solve, in 0.52, 0.31 and 0.21 of its point-steps for
-    the fronts.  Margins that moved bits: on the right a fixed 40 sigma (the
-    t = 400 front by up to 1.2e-3), a fixed 60 sigma (4.8e-8), 20 sigma + 3
-    sigma sqrt(T) (the t = 200 front by 5.8e-10) and 20 sigma + 3 sigma
-    sqrt(t_final) (2 of 401 positions at t = 400, by 1.1e-13).  The tests
-    compare windowed and whole-grid solves bit for bit.
+  * Each run of lattice steps, and each branch, steps only the cells that a
+    later read depends on.  For one that ends at time T the window is
+    [x_lo, x_hi] clipped to the grid, in lattice coordinates, with x_hi =
+    sqrt(2 sigma2) T + 20 sigma + 4 sigma sqrt(t_final), and x_lo the grid's
+    left edge, but front(last front sample) - 20 sigma in a front-only
+    solve.  A snapshot reads the whole grid, so every run to a lattice time
+    at or before the last snapshot's, and every branch off one, steps every
+    cell.  Behind the front a perturbation decays toward it like e^{-sqrt 2
+    y / sigma}, and ahead of it the pulled front feels its leading edge out
+    to several sigma sqrt(t).  These margins are measured, not bounds: the
+    fronts to t = 80, 200 and 400 (dx 0.1, 401 samples) keep every bit of a
+    whole-grid solve in 0.52, 0.31 and 0.21 of its point-steps, where 20
+    sigma + 3 sigma sqrt(t_final) moved 2 positions at t = 400 by 1.1e-13;
+    the tests compare windowed and whole-grid solves bit for bit.
   * Each field is checked once, when it is built: a LogField holds one
     finite L <= 0 per grid point, nondecreasing but for rounding defects up
-    to MONO_TOL, which it keeps and folds into max_violation.  advance checks
-    its result, not each step, so every field that is read is checked, and a
-    refusal there is a SolverInstabilityError.  A NaN lasts to the result:
-    exp, np.correlate, log and np.minimum propagate it.  A -inf does not, as
-    H fills its cell from its neighbours, but the scheme makes none: H's sums
-    never underflow (above) and R subtracts finite amounts.  H clips at L = 0
-    and R only lowers L, so +inf cannot arise either.
+    to MONO_TOL, which it keeps and folds into max_violation.  Every read is
+    checked, not each step, and a refusal there is a SolverInstabilityError.
+    A NaN lasts to the reads after it.  A -inf would not, but the scheme
+    makes none: H's sums never underflow (above) and R subtracts finite
+    amounts; H clips at L = 0 and R only lowers L, so +inf cannot arise.
   * The initial profile ln(Phi(x/eps)) is clipped at a floor, which raises u
     by at most e^floor.  Both sub-flows are order preserving and Lipschitz in
     u (H with constant 1, R with e^h), so the excess stays below
@@ -142,13 +110,12 @@ from .varopt import log_normal_cdf
 
 _LN_HALF = math.log(0.5)
 
-DEFAULT_DT = 0.02  # splitting step; the exact sub-flows impose no diffusive bound
+DEFAULT_DT = 0.02  # splitting step, unless a cell's dx^2 / sigma2 is longer
 MONO_TOL = 1e-9  # a monotonicity defect above this aborts the run
 _SPAN = 500.0  # e-folds from a heat block's shift down to its lowest center value
 TAIL_FLOOR = -700.0  # highest clip of the initial ln u (module notes)
 MAX_POINTS = 2**22  # largest grid (32 MiB per field), refused before anything is allocated
 MAX_WORK = 2**37  # largest nominal point-tap-steps of a solve, refused before anything is allocated
-_MIN_WEIGHT = math.exp(-700.0)  # least weight a short-step kernel keeps
 
 
 class SolverInstabilityError(RuntimeError):
@@ -161,7 +128,8 @@ class DomainOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """n_points of the dx lattice from start * dx, and dt, the splitting steps' bound."""
+    """n_points of the dx lattice from start * dx, and dt, the splitting step asked for:
+    a solve steps max(dt, dx^2 / sigma2) (module notes)."""
 
     start: int
     dx: float
@@ -246,42 +214,30 @@ def init_field(grid: Grid, smoothing_eps: float, floor: float = TAIL_FLOOR) -> L
             f"smoothing_eps must lie in [dx/2, 4*dx] = "
             f"[{0.5 * grid.dx}, {4.0 * grid.dx}], got {smoothing_eps!r}"
         )
-    L = log_normal_cdf(grid.xs() / smoothing_eps)
-    np.maximum(L, floor, out=L)
-    np.minimum(L, 0.0, out=L)
+    L = _smoothed_step(grid, smoothing_eps, floor)
     fld = LogField(L=L, time=0.0, grid=grid)
     if L[-1] < -1e-6:
         raise ValueError("right boundary is not pinned near u = 1; widen the domain")
     return fld
 
 
+def _smoothed_step(grid: Grid, width: float, floor: float) -> np.ndarray:
+    """ln Phi(x / width) on the grid, clipped at floor and at 0."""
+    L = np.maximum(log_normal_cdf(grid.xs() / width), floor)
+    return np.minimum(L, 0.0, out=L)
+
+
 def _half_width(s: float) -> int:
-    """Half-width in cells of the kernel of standard deviation s cells, before any trim."""
+    """Half-width in cells of the kernel of standard deviation s cells."""
     return max(math.ceil(12.0 * s), 8)
 
 
 def _kernel(s: float) -> np.ndarray:
-    """Positive lattice kernel of sum 1 and variance s^2, s in cells."""
+    """The Gaussian of standard deviation s >= 1 cells sampled on the lattice, of sum 1."""
     w = _half_width(s)
-    k = np.arange(-w, w + 1, dtype=float)
-    if s >= 1.0:
-        K = np.exp(-0.5 * (k / s) ** 2)
-    else:
-        # discrete heat kernel e^{-s^2} I_|k|(s^2), exact variance where a
-        # sampled Gaussian has too little; the factor e^{-s^2} cancels below.
-        # I_j(s^2) = sum_m a^(2m+j) / (m! (m+j)!), a = s^2/2 < 1/2: its
-        # m-th term is below 4^-m / (m!)^2 of the first, so 12 terms suffice
-        a = 0.5 * s * s
-        j = np.abs(k)
-        term = a ** j / np.array([math.factorial(int(i)) for i in j])
-        K = term.copy()
-        for m in range(1, 12):
-            term *= a * a / (m * (m + j))
-            K += term
+    K = np.exp(-0.5 * (np.arange(-w, w + 1, dtype=float) / s) ** 2)
     K /= K.sum()
-    # the edge weight carries a heat block of one (module notes): drop those
-    # below _MIN_WEIGHT, which only a short step's kernel has
-    return K[K >= _MIN_WEIGHT]
+    return K
 
 
 def _heat(P: np.ndarray, out: np.ndarray, K: np.ndarray, E: np.ndarray) -> None:
@@ -326,55 +282,77 @@ def _react(L: np.ndarray, h: float, E: np.ndarray) -> None:
     L[i0:] -= e
 
 
-def _steps(amount: float, dt: float, sigma2: float, dx: float) -> tuple[int, float]:
-    """The equal steps of an interval of amount > 0 and their kernel's width s
-    in cells: ceil(amount / dt), but none with s < 1, _kernel's own test,
-    unless a single step is."""
-    width = lambda n: math.sqrt(sigma2 * (amount / n)) / dx
-    cells2 = amount * (math.sqrt(sigma2) / dx) ** 2  # the interval's variance in cells^2
-    n = max(1, math.ceil(min(amount / dt - 1e-9, cells2)))
-    while n > 1 and width(n) < 1.0:  # at most two passes, where cells2 rounds
-        n = max(1, min(n - 1, math.floor(cells2)))
-    return n, width(n)
-
-
-def advance(fld: LogField, t_end: float, sigma2: float, lo: int = 0,
-            hi: int | None = None) -> LogField:
-    """The field at t_end, in the equal Strang steps of _steps, of the window
-    fld.L[lo:hi] alone; fld itself is left as it is.  The cells left of the
-    window end at the value of its first cell and those right of it at L = 0
-    (u = 1), the rules the steps apply beyond the window's ends.  Only the
-    result is checked: a LogField it refuses is a SolverInstabilityError."""
-    amount = t_end - fld.time
-    if amount < 0.0:
-        raise ValueError("cannot advance backwards")
+def _lattice(amount: float, dt: float, cell: float) -> tuple[float, int, float]:
+    """The step h = max(dt, cell), cell = dx^2 / sigma2, and for a read amount after
+    the start the lattice index j it branches off and its step from there (module
+    notes): 0 on the lattice, else at least cell, and amount where j = -1."""
+    h = max(dt, cell)
     if amount == 0.0:
-        return replace(fld, L=fld.L.copy(), time=t_end)
-    n, s = _steps(amount, fld.grid.dt, sigma2, fld.grid.dx)
-    h = amount / n
-    K = _kernel(s)
+        return h, 0, 0.0
+    if amount < cell:
+        return h, -1, amount
+    k = round(amount / h)
+    if abs(amount - k * h) <= 1e-12 * amount:
+        return h, k, 0.0
+    j = math.floor((amount - cell) / h)
+    return h, j, amount - j * h
+
+
+def _strang(field: np.ndarray, lo: int, hi: int | None, K: np.ndarray | None, h: float,
+            n: int, first: float, last: float) -> np.ndarray:
+    """R(first) H(h) R(h) ... H(h) R(last), n >= 0 heat passes of the kernel K
+    (None if n = 0), of the window field[lo:hi] alone, as a new array of field's
+    size: the cells left of the window end at the value of its first cell and
+    those right of it at L = 0, the rules the steps apply beyond its ends."""
+    window = field[lo:hi]
+    size, w = window.size, K.size // 2 if n else 0
     # two padded fields that swap roles each step (module notes), and scratch
-    window = fld.L[lo:hi]
-    size, w = window.size, K.size // 2
     src, dst = np.zeros(size + 2 * w), np.zeros(size + 2 * w)
     E = np.empty(size + 2 * w)
     L = src[w: w + size]
     L[:] = window
-    # R(h/2) H(h) R(h/2) per step; adjacent reaction half-steps fuse
-    _react(L, 0.5 * h, E)
+    _react(L, first, E)
     for i in range(n):
+        if i:
+            _react(L, h, E)
         src[:w] = L[0]
         L = dst[w: w + size]
         _heat(src, L, K, E)
-        _react(L, h if i < n - 1 else 0.5 * h, E)
         src, dst = dst, src
-    out = np.zeros(fld.L.size)
+    if last:
+        _react(L, last, E)
+    out = np.zeros(field.size)
     out[lo:lo + size] = L
     out[:lo] = L[0]
+    return out
+
+
+def _branch(start: LogField, L: np.ndarray, time: float, steps: int) -> LogField:
+    """The read L at time, steps after start; a refused LogField is a SolverInstabilityError."""
     try:
-        return replace(fld, L=out, time=t_end, steps=fld.steps + n)
+        return replace(start, L=L, time=time, steps=start.steps + steps)
     except ValueError as err:
-        raise SolverInstabilityError(f"advance to t={t_end!r}: {err}") from err
+        raise SolverInstabilityError(f"advance to t={time!r}: {err}") from err
+
+
+def advance(fld: LogField, t_end: float, sigma2: float, lo: int = 0,
+            hi: int | None = None) -> LogField:
+    """The field at t_end, read off the lattice of steps h after fld.time as solve
+    reads its start (module notes), stepping the window fld.L[lo:hi] alone
+    (_strang); fld itself is left as it is.  A t_end less than dx^2 / sigma2
+    after fld.time is refused.  Only the result is checked."""
+    amount = t_end - fld.time
+    if amount < 0.0:
+        raise ValueError("cannot advance backwards")
+    cell = (fld.grid.dx / math.sqrt(sigma2)) ** 2
+    h, j, tau = _lattice(amount, fld.grid.dt, cell)
+    if j < 0:
+        raise ValueError(f"cannot advance by {amount!r}: no step is narrower than a cell")
+    pending = 0.5 * h if j else 0.0
+    L = _strang(fld.L, lo, hi, _kernel(math.sqrt(h / cell)), h, j, pending, 0.0)
+    K = _kernel(math.sqrt(tau / cell)) if tau else None
+    L = _strang(L, lo, hi, K, tau, int(tau > 0.0), pending + 0.5 * tau, 0.5 * tau)
+    return _branch(fld, L, t_end, j + (tau > 0.0))
 
 
 # -- measurements ------------------------------------------------------------
@@ -397,14 +375,18 @@ def renewal_quadrature(fld: LogField, x: float, tau: float, params: ModelParams)
     """log of exp(-tau) * E[u(x - G, fld.time)] with G ~ N(0, sigma2 * tau).
 
     Trapezoid quadrature on the field's own lattice, carried out in log
-    space.  Serves both the renewal inequality check and as the independent
-    reference for the scenario estimator.
+    space, so the Gaussian must be at least a cell wide.  Serves both the
+    renewal inequality check and as the independent reference for the
+    scenario estimator.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
     sig2t = params.sigma2 * tau
     half = 12.0 * math.sqrt(sig2t)
     dy = fld.grid.dx
+    if math.sqrt(sig2t) < dy:
+        raise ValueError(f"tau={tau!r} gives a Gaussian of width {math.sqrt(sig2t):.3g}, "
+                         f"narrower than a cell of dx={dy!r}")
     n = int(math.ceil(2.0 * half / dy)) + 1
     y = -half + dy * np.arange(n)
     log_gauss = -0.5 * y * y / sig2t - 0.5 * math.log(2.0 * math.pi * sig2t)
@@ -534,18 +516,20 @@ def solve(
     sigma2)*t by linear interpolation of L.  The grid is sized by what is
     read (module notes), so every probe lies on it; x_min and x_max only
     widen it, and x_min is snapped down to the dx lattice through x = 0.
-    dt bounds the splitting step: each interval between consecutive probe,
-    snapshot and front-sample times is split into ceil(interval / dt) equal
-    steps, but none narrower than a cell (module notes), of the window
-    of cells that later reads depend on; point_steps counts the cells
-    stepped.  A solve of more than MAX_WORK grid points x kernel taps x
-    steps, or with a probe that drifts more than 6 sigma sqrt(h) in a step
-    of h, is refused with ValueError before anything is allocated.  The
-    tails come in ascending alpha, each in ascending t, whatever the order
-    of the probes.
+    It steps one lattice of times k h, h = max(dt, dx^2 / sigma2), and every
+    probe, snapshot and front sample branches off it (module notes); front
+    samples are the lattice times at or before front_samples + 1 even ones
+    from 0 to t_final.  point_steps counts the cells stepped.  A solve of
+    more than MAX_WORK grid points x kernel taps of its widest step x steps
+    (the lattice's plus one per read off it), or with a probe that drifts
+    more than 6 sigma sqrt(h) in a step of h, is refused with ValueError
+    before anything is allocated.  The tails come in ascending alpha, each
+    in ascending t, whatever the order of the probes.
     """
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be nonnegative, got {t_final!r}")
+    if track_front and front_samples < 1:
+        raise ValueError(f"front_samples must be at least 1, got {front_samples!r}")
     crit = params.critical_velocity
     sigma = params.sigma
     # the probes as columns, in tail order: ascending alpha, then ascending t
@@ -578,29 +562,25 @@ def solve(
                       hi if x_max is None else max(hi, x_max),
                       dx, DEFAULT_DT if dt is None else dt)
 
-    front_set: set[float] = set()
-    if track_front:
-        front_set = {float(ts) for ts in np.linspace(0.0, t_final, front_samples + 1)}
-    probe_set, snap_set = set(pt.tolist()), set(snapshot_times)
-    events = sorted(front_set | probe_set | snap_set | {t_final})
-    # each interval's steps and kernel, as advance takes them
-    work, h = 0, 0.0
-    for t0, t1 in zip([0.0, *events], events):
-        if t1 > t0:
-            n, s = _steps(t1 - t0, grid.dt, params.sigma2, grid.dx)
-            work += n * (2 * _half_width(s) + 1)
-            h = max(h, (t1 - t0) / n)
-    work *= grid.n_points
+    # each read's lattice index and branch step (module notes); front samples add none
+    sigma2, dx, cell = params.sigma2, grid.dx, (grid.dx / sigma) ** 2
+    reads = {T: _lattice(T, grid.dt, cell)[1:] for T in {*pt.tolist(), *snapshot_times, t_final}}
+    h, k_front, tau = _lattice(t_final, grid.dt, cell)
+    k_front = math.floor(t_final / h) if tau else k_front  # the last lattice time <= t_final
+    n_lattice = max(k_front if track_front else 0, *(j for j, _ in reads.values()))
+    steps = n_lattice + sum(tau > 0.0 for _, tau in reads.values())
+    widest = max([h] * (n_lattice > 0) + [tau for _, tau in reads.values()])
+    work = grid.n_points * (2 * _half_width(math.sqrt(widest / cell)) + 1) * steps
     if work > MAX_WORK:
         raise ValueError(
             f"solve needs {work:.3g} point-tap-steps (grid points x kernel taps x steps), "
             f"above MAX_WORK = 2^37: raise dx or dt, or lower t")
-    if -a_min * math.sqrt(2.0 * h) > 6.0:
+    if -a_min * math.sqrt(2.0 * widest) > 6.0:
         # the kernel reaches 12 sigma sqrt(h): a probe's path may drift half that per step
         raise ValueError(
-            f"probe alpha={a_min!r} drifts {-a_min * SQRT2 * h:.3g} sigma in a step of h={h:.3g}, "
-            f"above 6 sigma sqrt(h) = {6.0 * math.sqrt(h):.3g} sigma: lower dt, and dx, "
-            f"to steps of at most 18 / alpha^2 = {18.0 / (a_min * a_min):.3g}")
+            f"probe alpha={a_min!r} drifts {-a_min * SQRT2 * widest:.3g} sigma in a step of "
+            f"h={widest:.3g}, above 6 sigma sqrt(h) = {6.0 * math.sqrt(widest):.3g} sigma: "
+            f"lower dt, and dx, to steps of at most 18 / alpha^2 = {18.0 / (a_min * a_min):.3g}")
 
     eps = smoothing_eps if smoothing_eps is not None else dx
     floor = TAIL_FLOOR
@@ -610,27 +590,46 @@ def solve(
         tp = pt[timed]
         bound = float(np.min(-tp + log_normal_cdf(pa[timed] * SQRT2 * np.sqrt(tp))))
         floor = min(TAIL_FLOOR, bound - t_final - 40.0)
-    fld = init_field(grid, eps, floor)
+    start = init_field(grid, eps, floor)
 
-    front_x: list[float] = []
-    log_u = np.empty(pt.size)
+    front_k: dict[float, int] = {}  # each front sample's lattice index
+    if track_front:
+        m = max(1, min(front_samples, k_front))
+        front_k = {(t_final if k == k_front and not tau else k * h): k
+                   for k in (np.arange(m + 1) * k_front // m).tolist()}
+        reads.update({T: (k, 0.0) for T, k in front_k.items()})
+    probe_set, snap_set = set(pt.tolist()), set(snapshot_times)
+    front_x, log_u = [], np.empty(pt.size)
     snapshots: dict[float, LogField] = {}
 
-    # each interval steps only the cells its reads depend on (module notes)
-    last_snapshot = max(snapshot_times, default=-math.inf)
+    # each run of steps and each branch covers the cells its reads depend on (module notes)
+    last_snapshot = max((reads[T][0] for T in snapshot_times), default=-1)
     right_margin = 20.0 * sigma + 4.0 * sigma * root_t
-    point_steps = 0
-    for T in events:
-        if T > fld.time:
-            lo, hi = 0, grid.n_points
-            if T > last_snapshot:
-                if track_front and not pairs:
-                    lo = max(0, math.floor((front_x[-1] - 20.0 * sigma) / grid.dx) - grid.start)
-                hi = min(hi, math.ceil((crit * T + right_margin) / grid.dx) + 1 - grid.start)
-            steps = fld.steps
-            fld = advance(fld, T, params.sigma2, lo, hi)
-            point_steps += (hi - lo) * (fld.steps - steps)
-        if T in front_set:
+    K = _kernel(math.sqrt(h / cell)) if n_lattice else None
+    L, k, pending = start.L, 0, 0.0
+    point_steps, worst = 0, start.max_violation
+    for T, (j, tau) in sorted(reads.items(), key=lambda read: read[1]):
+        if j < 0:
+            # before the first lattice time a cell from T: the exact heat flow, then R(T)
+            out = _smoothed_step(grid, math.sqrt(eps * eps + sigma2 * T), floor)
+            _react(out, T, np.empty(out.size))
+            point_steps += grid.n_points
+        else:
+            whole = j <= last_snapshot
+            lo = 0 if whole or pairs or not front_x else max(
+                0, math.floor((front_x[-1] - 20.0 * sigma) / dx) - grid.start)
+            hi = lambda t: grid.n_points if whole else min(
+                grid.n_points, math.ceil((crit * t + right_margin) / dx) + 1 - grid.start)
+            if j > k:
+                L = _strang(L, lo, hi(j * h), K, h, j - k, pending + 0.5 * h, 0.0)
+                point_steps += (hi(j * h) - lo) * (j - k)
+                k, pending = j, 0.5 * h
+            K_T = _kernel(math.sqrt(tau / cell)) if tau else None
+            out = _strang(L, lo, hi(T), K_T, tau, int(tau > 0.0), pending + 0.5 * tau, 0.5 * tau)
+            point_steps += (hi(T) - lo) * (tau > 0.0)
+        fld = _branch(start, out, T, k + (tau > 0.0))
+        worst = max(worst, fld.max_violation)
+        if T in front_k:
             front_x.append(front_position(fld))
         if T in probe_set:
             at = pt == T
@@ -640,7 +639,7 @@ def solve(
 
     front = None
     if track_front:
-        front = FrontTrace(times=np.array(sorted(front_set)), positions=np.asarray(front_x))
+        front = FrontTrace(times=np.array(sorted(front_k)), positions=np.asarray(front_x))
         window_lo = max(1.0, 0.1 * t_final)
         if np.count_nonzero(front.times >= window_lo) >= 8:
             front.fitted_speed, front.log_coeff, _ = front.fit_window(window_lo, t_final)
@@ -649,6 +648,5 @@ def solve(
              for a in dict.fromkeys(pa.tolist()) for at in [pa == a]]
     return SolveResult(
         front=front, tails=tails, snapshots=snapshots, grid=grid,
-        smoothing_eps=eps, steps=fld.steps, point_steps=point_steps,
-        max_violation=fld.max_violation,
+        smoothing_eps=eps, steps=steps, point_steps=point_steps, max_violation=worst,
     )

@@ -350,8 +350,10 @@ def upper_tail_first_moment(t: float, alpha: float) -> float:
     By Markov's inequality its exponential upper-bounds P(x_max > alpha
     sqrt(2) t); per unit time it approaches 1 - alpha^2 for large t.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t!r}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     return t + log_normal_cdf(-alpha * SQRT2 * math.sqrt(t))
 
 

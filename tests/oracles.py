@@ -118,24 +118,31 @@ def react_reference(L, h):
 
 
 def advance_reference(fld, t_end, sigma2):
-    """fkpp.advance as a loop over heat_reference and react_reference; its
-    result is checked once, as every LogField is when it is built."""
-    amount = t_end - fld.time
+    """fkpp.advance as a loop over heat_reference and react_reference.
+
+    The steps are h = max(dt, dx^2 / sigma2) from fld.time to t_end if t_end is
+    one of them, to 1e-12 of t_end - fld.time, and otherwise to the last of them at least
+    dx^2 / sigma2 before t_end and then one step of the rest; the reaction
+    half-steps of adjacent steps fuse.  The result is checked once, as every
+    LogField is when it is built."""
     grid = fld.grid
+    cell = (grid.dx / math.sqrt(sigma2)) ** 2
+    h = max(grid.dt, cell)
+    amount = t_end - fld.time
+    n = round(amount / h)
+    steps = [h] * n
+    if abs(amount - n * h) > 1e-12 * amount:
+        n = math.floor((amount - cell) / h)
+        steps = [h] * n + [amount - n * h]
     L = fld.L.copy()
-    n = 0
-    if amount > 0.0:
-        # ceil(amount / dt) steps, but at most one per cell^2 of variance, and at least one
-        cells2 = amount * (math.sqrt(sigma2) / grid.dx) ** 2
-        n = max(1, min(math.ceil(amount / grid.dt - 1e-9), math.floor(cells2)))
-        h = amount / n
-        K = fkpp._kernel(math.sqrt(sigma2 * h) / grid.dx)
-        react_reference(L, 0.5 * h)
-        for i in range(n):
-            L = heat_reference(L, K)
-            react_reference(L, h if i < n - 1 else 0.5 * h)
+    before = 0.0  # the half reaction a step owes the next
+    for step in steps:
+        react_reference(L, before + 0.5 * step)
+        L = heat_reference(L, fkpp._kernel(math.sqrt(step / cell)))
+        before = 0.5 * step
+    react_reference(L, before)
     return fkpp.LogField(L=L, time=t_end, grid=grid, max_violation=fld.max_violation,
-                         steps=fld.steps + n)
+                         steps=fld.steps + len(steps))
 
 
 class SerialPool:

@@ -300,7 +300,7 @@ class TestValidation:
         (["fkpp-rate", "--alphas", 0, "--t-list", 1, "--dt", 1e-9, "--dx", 0.001], None,
          "solve needs 9.85e+11 point-tap-steps"),
         (["fkpp-rate"], {"sigma2": 1e8, "alphas": [1e-300], "t_list": [1e-8, 1], "dx": 1},
-         "solve needs 6.69e+11 point-tap-steps"),
+         "solve needs 6.82e+11 point-tap-steps"),  # 50 lattice steps and a branch to t = 1e-8
         (["fkpp-rate", "--alphas=-2e154", "--t-list", 1, "--sigma2", 1e-300], None,
          "probe (alpha=-2e+154, t=1.0) has a point or a no-branch bound beyond the floats"),
         (["tau-opt", "--v=-2.6e-150", "--t", 1.95e-194], None,
@@ -1145,10 +1145,11 @@ class TestSweepAndReplay:
         # 0.8.0 wrote fkpp-rate's x_probe as (t alpha) sqrt(2 sigma2);
         # 0.9.0 bracketed tau-opt's tau_star with a 2048-point scan;
         # 0.10.0 recorded every kind's fields and a top-level seed in every manifest;
-        # 0.11.0 lost the inverse Mills ratio's precision in tau-opt's slope below z = -20
+        # 0.11.0 lost the inverse Mills ratio's precision in tau-opt's slope below z = -20;
+        # 0.12.0 and 0.13.0 let fkpp's read times set its splitting steps
         manifest["config"]["margin"] = -1.0
         for version in ("0.0.1", "0.3.0", "0.4.0", "0.5.0", "0.6.0", "0.7.0", "0.8.0", "0.9.0",
-                        "0.10.0", "0.11.0"):
+                        "0.10.0", "0.11.0", "0.12.0", "0.13.0"):
             manifest["version"] = version
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh)

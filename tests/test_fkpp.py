@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
-from scipy.special import ive, log_ndtr
+from scipy.special import log_ndtr
 
 from bbmlab.model import SQRT2, ModelParams
 from bbmlab import cli, fkpp, mc
 from bbmlab.rates import bramson_centering
 from bbmlab.varopt import log_normal_cdf
 
-from oracles import advance_reference
+from oracles import advance_reference, react_reference
 
 P1 = ModelParams(sigma2=1.0)
 LN_HALF = math.log(0.5)
 
 
-def small_grid(dx=0.2, span=10.0):
+def small_grid(dx=0.1, span=10.0):
+    """A grid on which a step of DEFAULT_DT spans a cell: the lattice steps DEFAULT_DT."""
     return fkpp.Grid.build(-span, span, dx, fkpp.DEFAULT_DT)
 
 
@@ -103,30 +104,16 @@ class TestGrid:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("s", np.logspace(-8.0, math.log10(0.999), 25))
-    def test_short_step_kernel_matches_scaled_bessel(self, s):
-        # below one cell per step the kernel is e^{-s^2} I_|k|(s^2), s the
-        # step's standard deviation in cells, normalized to sum 1
-        g = small_grid(dx=0.2)
+    @pytest.mark.parametrize("s", [1.0, 1.0000000000000002, 1.01, 2.5, 12.7, 1414.2])
+    def test_sampled_gaussian_of_a_step_of_at_least_a_cell(self, s):
+        # every step spans at least a cell, s >= 1 (module notes): the sampled
+        # Gaussian's variance is s^2 to 2.2e-7, and its every weight lies above
+        # e^-85 / (2.6 s), the edge weight a heat block of one sums
         K = fkpp._kernel(s)
         k = np.arange(K.size) - K.size // 2
-        ref = ive(np.abs(k), s * s)
-        ref /= ref.sum()
-        live = ref > 0.0
-        assert np.all(K >= 0.0) and K.sum() == pytest.approx(1.0, rel=1e-15)
-        assert np.max(np.abs(K[live] - ref[live]) / ref[live]) <= 1e-13
-        # the cut at max(12 s, 8) cells drops tail variance of at most 9e-10
-        assert (K * k * k).sum() == pytest.approx(s * s, rel=1e-9)
-
-
-    @pytest.mark.parametrize("s,taps", [(1e-300, 1), (1e-150, 3), (1e-30, 11), (1e-19, 15),
-                                        (3e-19, 17), (1e-8, 17)])
-    def test_short_step_kernel_keeps_no_weight_below_e_minus_700(self, s, taps):
-        # weights rounded to 0 (or nearly) are dropped: a heat block of one is
-        # shifted by its window's right end, whose term is the edge weight
-        K = fkpp._kernel(s)
-        assert K.size == taps and np.array_equal(K, K[::-1])
-        assert K.min() >= math.exp(-700.0) and K.sum() == pytest.approx(1.0, rel=1e-15)
+        assert np.array_equal(K, K[::-1]) and K.sum() == pytest.approx(1.0, rel=1e-15)
+        assert (K * k * k).sum() == pytest.approx(s * s, rel=2.2e-7)
+        assert K.min() >= math.exp(-85.0) / (2.6 * s)
 
 
 class TestInitField:
@@ -264,17 +251,6 @@ class TestSplitting:
             assert coarse >= 3.0 * fine, errs
         assert errs[-1] <= 1e-4, errs
 
-    def test_heat_variance_exact_for_short_steps(self):
-        # events every 0.0005 make sigma sqrt(h) smaller than dx, where a
-        # sampled Gaussian would lose 29% of the variance per step
-        dx = 0.05
-        g = fkpp.Grid.build(-30.0, 15.0, dx, fkpp.DEFAULT_DT)
-        L = heat_steps(g, fkpp.init_field(g, smoothing_eps=dx).L, 0.0005, 20000)
-        xs = g.xs()
-        sel = (xs >= -20.0) & (xs <= 5.0)
-        ref = log_normal_cdf(xs[sel] / math.sqrt(dx * dx + 10.0))
-        assert float(np.max(np.abs(L[sel] - ref) / np.abs(ref))) <= 1e-2
-
     def test_heat_exact_for_resolved_steps(self):
         dx = 0.05
         g = fkpp.Grid.build(-30.0, 15.0, dx, fkpp.DEFAULT_DT)
@@ -316,10 +292,11 @@ class TestSplitting:
     @pytest.mark.parametrize("dx,dt,slope", [(0.1, 0.0025, 200.0), (1.0, 0.01, 1e9)])
     def test_steep_step_needs_no_subcycling(self, dx, dt, slope):
         # profiles that once tripped the step-jump limit or exhausted the
-        # subcycle budget: exact sub-flows take them in one step
+        # subcycle budget: exact sub-flows take them in one lattice step,
+        # here dx^2 / sigma2, longer than dt
         g = fkpp.Grid.build(-10.0, 10.0, dx, dt)
         fld = fkpp.LogField(L=np.minimum(0.0, slope * g.xs()), time=0.0, grid=g)
-        out = fkpp.advance(fld, g.dt, P1.sigma2)
+        out = fkpp.advance(fld, dx * dx, P1.sigma2)
         assert out.steps == 1
         assert np.all(np.isfinite(out.L)) and np.all(out.L <= 0.0)
         assert np.all(np.diff(out.L) >= 0.0)
@@ -329,7 +306,7 @@ class TestSplitting:
         jumps=st.lists(st.floats(0.0, 60.0), min_size=8, max_size=60),
         top=st.floats(-5.0, 0.0),
         h=st.floats(1e-3, 1.0),
-        amount=st.floats(0.0, 1.0),
+        amount=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),  # none under a cell's time
     )
     def test_advance_keeps_monotone_and_nonpositive(self, jumps, top, h, amount):
         L = np.cumsum(jumps)
@@ -376,7 +353,7 @@ class TestHeatPass:
         for _ in range(200):
             n = int(rng.integers(20, 800))
             dx = 10.0 ** rng.uniform(-2.0, math.log10(0.2))
-            h = 10.0 ** rng.uniform(-7.0, 0.0)
+            h = max(10.0 ** rng.uniform(-7.0, 0.0), dx * dx)  # a step spans a cell
             L = np.cumsum(10.0 ** rng.uniform(-4.0, 2.0) * rng.exponential(1.0, n))
             L = np.minimum(L - L[int(rng.integers(0, n))], 0.0)
             self.assert_matches_reference(L, dx, h)
@@ -387,77 +364,99 @@ class TestHeatPass:
         self.assert_matches_reference(fkpp.init_field(g, smoothing_eps=0.05).L, 0.05, h)
 
     @pytest.mark.parametrize("slope", [60.0, 100.0])
-    def test_steep_field_with_near_delta_kernel(self, slope):
+    def test_steep_field_with_one_cell_kernel(self, slope):
         # a block's shift stays within 500 e-folds of every center value, so
         # no output's own term underflows even when the window maxima are
         # thousands of e-folds apart
         L = np.minimum(0.0, slope * np.arange(-300.0, 100.0))
-        self.assert_matches_reference(L, 0.1, 1e-16)
+        self.assert_matches_reference(L, 0.1, 0.01)
 
-
-    @pytest.mark.parametrize("h", [1e-300, 1e-60, 1e-40])
-    def test_steep_field_with_trimmed_kernel(self, h):
+    @pytest.mark.parametrize("s", [1.0, 3.0, 30.0])
+    def test_steep_field_in_blocks_of_one(self, s):
         # every window spans 1,000 e-folds a cell, so every output is a block
-        # of one: kept, the weights that round to 0 left its sum 0 and its log -inf
+        # of one, which sums the kernel's edge weight times e^0
         L = np.minimum(0.0, 1000.0 * np.arange(-300.0, 100.0))
-        self.assert_matches_reference(L, 0.1, h)
+        self.assert_matches_reference(L, 0.1, (0.1 * s) ** 2)
 
 
 class TestReferenceStepper:
-    """fkpp.advance against the allocating stepper it replaced: the arithmetic
-    is unchanged, so every advance must agree bit for bit with the reference
-    run on the cells it steps, and leave the value of the first of them to
-    their left and L = 0 to their right."""
+    """Every read of a solve against the allocating stepper run from the start
+    to the read's time alone: a read depends on its own time and on no other
+    (module notes), so with every run stepping the whole grid each must agree
+    bit for bit with the reference read, and one before the first lattice
+    time a cell from it with the exact heat flow of the smoothed start."""
 
     @staticmethod
-    def check_every_advance(monkeypatch):
-        real = fkpp.advance
-        calls = []
+    def record_reads(monkeypatch):
+        """The start field of each solve, and every field it reads."""
+        starts, reads = [], []
+        real_init, real_branch = fkpp.init_field, fkpp._branch
 
-        def checked(fld, t_end, sigma2, lo=0, hi=None):
-            got = real(fld, t_end, sigma2, lo, hi)
-            window = fld.L[lo:hi]
-            ref = advance_reference(fkpp.LogField(
-                L=window.copy(), time=fld.time, grid=lattice(window.size, fld.grid),
-                max_violation=fld.max_violation, steps=fld.steps), t_end, sigma2)
-            end = lo + window.size
-            assert got.L[lo:end].tobytes() == ref.L.tobytes(), (fld.time, t_end)
-            assert np.all(got.L[:lo] == ref.L[0]) and np.all(got.L[end:] == 0.0)
-            assert (got.steps, got.max_violation) == (ref.steps, ref.max_violation)
-            calls.append((t_end, window.size, got.steps - fld.steps))
-            return got
+        def init_field(*args):
+            starts.append(real_init(*args))
+            return starts[-1]
 
-        monkeypatch.setattr(fkpp, "advance", checked)
-        return calls
+        def branch(*args):
+            reads.append(real_branch(*args))
+            return reads[-1]
+
+        monkeypatch.setattr(fkpp, "init_field", init_field)
+        monkeypatch.setattr(fkpp, "_branch", branch)
+        return starts, reads
 
     @pytest.mark.parametrize("sigma2,t_final,kw", [
-        (1.0, 40.0, dict(dx=0.1, front_samples=40)),
+        (1.0, 20.0, dict(dx=0.1, front_samples=20)),
         (1.0, 8.0, dict(probes=[(a, t) for a in (0.05, -0.3, -0.9, -1.8) for t in (2.0, 4.0, 8.0)],
                         dx=0.05, smoothing_eps=0.05, track_front=False)),
-        (1.0, 0.5, dict(dx=0.2, dt=0.001, front_samples=25)),  # sigma sqrt(h) < dx
         (4.0, 5.0, dict(probes=[(-0.5, 2.0), (-0.5, 5.0)], dx=0.1, front_samples=10)),
         (1.0, 3.0, dict(probes=[(-0.5, 0.0012), (-0.5, 2.3)], dx=0.1, front_samples=3,
                         snapshot_times=[0.0005, 0.003, 0.5, 2.99])),
-    ], ids=["front", "four_rays", "short_steps", "sigma2_4", "uneven_events"])
+    ], ids=["front", "four_rays", "sigma2_4", "uneven_events"])
     def test_solve_advances_match(self, monkeypatch, sigma2, t_final, kw):
-        calls = self.check_every_advance(monkeypatch)
+        whole_grid(monkeypatch)
+        starts, reads = self.record_reads(monkeypatch)
         res = fkpp.solve(ModelParams(sigma2=sigma2), t_final, **kw)
-        assert len(calls) >= 3
-        assert res.point_steps == sum(size * n for _, size, n in calls)
+        [start] = starts
+        g = start.grid
+        assert len(reads) >= 3
+        for got in reads:
+            if 0.0 < got.time < g.dx * g.dx / sigma2:
+                # the exact heat flow of the smoothed start, clipped at its floor, then R(T)
+                width = math.sqrt(res.smoothing_eps * res.smoothing_eps + sigma2 * got.time)
+                L = np.minimum(np.maximum(log_normal_cdf(g.xs() / width), start.L.min()), 0.0)
+                react_reference(L, got.time)
+                ref = fkpp.LogField(L=L, time=got.time, grid=g, steps=1)
+            else:
+                ref = advance_reference(start, got.time, sigma2)
+            assert got.L.tobytes() == ref.L.tobytes(), got.time
+            assert (got.steps, got.max_violation) == (ref.steps, ref.max_violation), got.time
+        assert res.max_violation == max(got.max_violation for got in reads)
 
-    def test_steep_field_with_near_delta_kernel(self, monkeypatch):
-        calls = self.check_every_advance(monkeypatch)
-        g = fkpp.Grid(start=-300, dx=0.1, n_points=400, dt=1e-16)
-        L = np.minimum(0.0, 100.0 * np.arange(-300.0, 100.0))
-        fkpp.advance(fkpp.LogField(L=L, time=0.0, grid=g), 3e-16, P1.sigma2)
-        assert calls == [(3e-16, 400, 1)]  # one step: no splitting step is narrower than a cell
+    @pytest.mark.parametrize("t_end", [0.0, 0.02, 0.5, 0.5 + 1e-12, 0.503, 0.51, 0.537])
+    def test_windowed_advance_matches(self, t_end):
+        # advance steps its window alone: the reference run on a grid of the
+        # window's cells, the value of its first cell to its left and L = 0
+        # to its right
+        g = fkpp.Grid.build(-30.0, 15.0, 0.05, fkpp.DEFAULT_DT)
+        fld = fkpp.init_field(g, smoothing_eps=0.05)
+        lo, hi = 150, 700
+        got = fkpp.advance(fld, t_end, P1.sigma2, lo, hi)
+        ref = advance_reference(fkpp.LogField(L=fld.L[lo:hi].copy(), time=0.0,
+                                              grid=lattice(hi - lo, g)), t_end, P1.sigma2)
+        assert got.L[lo:hi].tobytes() == ref.L.tobytes()
+        assert np.all(got.L[:lo] == ref.L[0]) and np.all(got.L[hi:] == 0.0)
+        assert (got.time, got.steps) == (t_end, ref.steps)
+
+    def test_advance_refuses_a_step_under_a_cell(self):
+        fld = fkpp.init_field(small_grid(dx=0.2), smoothing_eps=0.2)
+        with pytest.raises(ValueError, match="no step is narrower than a cell"):
+            fkpp.advance(fld, 0.02, P1.sigma2)
 
 
 def whole_grid(monkeypatch):
-    """Make every advance step the whole grid, as solve did before its window."""
-    real = fkpp.advance
-    monkeypatch.setattr(fkpp, "advance", lambda fld, t_end, sigma2, lo=0, hi=None:
-                        real(fld, t_end, sigma2))
+    """Make every run of steps cover the whole grid, as solve did before its window."""
+    real = fkpp._strang
+    monkeypatch.setattr(fkpp, "_strang", lambda field, lo, hi, *args: real(field, 0, None, *args))
 
 
 RAYS = [(a, t) for a in (0.05, -0.3, -0.9, -1.8) for t in (2.0, 4.0, 8.0)]
@@ -488,8 +487,9 @@ class TestWindow:
         assert (res.steps, res.max_violation) == (ref.steps, ref.max_violation)
 
     def test_snapshot_solve_steps_every_cell(self, monkeypatch):
-        # a snapshot reads the whole grid, so every interval up to the last
-        # snapshot steps every cell, and the front's window starts after it
+        # a snapshot reads the whole grid, so every run of steps up to the last
+        # snapshot's lattice time steps every cell, and the front's window
+        # starts after it
         res = fkpp.solve(P1, 8.0, dx=0.05, front_samples=40, snapshot_times=[8.0])
         assert res.point_steps == res.grid.n_points * res.steps
         early = fkpp.solve(P1, 8.0, dx=0.05, front_samples=40, snapshot_times=[4.0])
@@ -515,9 +515,9 @@ def corrupt_after_step(monkeypatch, corrupt, step=2):
 
 
 class TestInstability:
-    """advance checks its result, not each step: any non-finite value and a
+    """Every read is checked, not each step: any non-finite value and a
     monotonicity defect above MONO_TOL raise SolverInstabilityError, naming
-    the time the advance ends at."""
+    the time of the read."""
 
     @staticmethod
     def two_steps():
@@ -631,6 +631,61 @@ class TestDomain:
             assert np.max(np.abs(diff)) <= 1e-12, a
 
 
+class TestLattice:
+    """A solve steps one lattice of times and every read branches off it
+    (module notes), so a read depends on its own time and on no other."""
+
+    BASE = [(-1.0, 10.0), (0.0, 10.0), (-0.3, 5.0)]
+
+    @staticmethod
+    def read_base(probes, **kw):
+        res = fkpp.solve(P1, 10.0, probes=probes, dx=0.05, **{"track_front": False, **kw})
+        return np.array([res.tail_for(a).log_u[res.tail_for(a).times.tolist().index(t)]
+                         for a, t in TestLattice.BASE])
+
+    @pytest.mark.parametrize("extra,kw", [
+        ([(-1.0, 3.33), (-1.0, 7.77)], {}),
+        ([(-1.0, 9.999)], {}),
+        ([(0.0, 2.0), (-0.3, 0.001), (-1.0, 10.0 - 1e-12)], {}),
+        ([], dict(snapshot_times=[2.5, 9.999])),
+        ([(0.0, 9.999)], dict(snapshot_times=[10.0])),
+        ([], dict(track_front=True)),
+        ([], dict(track_front=True, front_samples=1000)),
+    ], ids=["off_lattice", "a_cell_before", "on_lattice_and_before_a_cell", "snapshots",
+            "final_snapshot", "front", "dense_front"])
+    def test_probe_bits_do_not_depend_on_other_reads(self, extra, kw):
+        # before, probes at 3.33 and 7.77 moved ln u at (alpha = -1, t = 10)
+        # by -1.3e-6, and one at 9.999 moved it by +4.3e-7
+        got = self.read_base(self.BASE + extra, **kw)
+        assert got.tobytes() == self.read_base(self.BASE).tobytes(), got - self.read_base(self.BASE)
+
+    def test_front_bits_do_not_depend_on_the_sample_count(self):
+        # at dx = 0.2 the lattice steps dx^2 / sigma2 = 0.04, so 4000 samples
+        # read each of its 1001 times to t = 40 and 400 read every 2.5 steps;
+        # before, their fronts at t = 40 read 51.285 and 51.139
+        a, b = (fkpp.solve(P1, 40.0, dx=0.2, front_samples=n).front for n in (400, 4000))
+        assert (a.times.size, b.times.size) == (401, 1001)
+        assert a.times[-1] == b.times[-1] == 40.0
+        at = dict(zip(b.times.tolist(), b.positions.tolist()))
+        assert a.positions.tolist() == [at[t] for t in a.times.tolist()]
+
+    def test_front_samples_are_lattice_times(self):
+        # 400 samples of a t = 80 front on a lattice of 4000 steps: every 10th
+        res = fkpp.solve(P1, 80.0, dx=0.1, front_samples=400)
+        assert res.steps == 4000
+        assert res.front.times.tolist() == [10 * i * fkpp.DEFAULT_DT for i in range(401)]
+        # a horizon off the lattice: the last sample is the last lattice time before it
+        res = fkpp.solve(P1, 1.01, dx=0.1, front_samples=4)
+        assert res.front.times.tolist() == [k * fkpp.DEFAULT_DT for k in (0, 12, 25, 37, 50)]
+
+    def test_drift_bound_covers_branch_steps(self):
+        # a read at t = 1.002 branches off t = 0.98, the last lattice time a
+        # cell's time (0.0025 at dx = 0.05) before it, in a step of 0.022
+        fkpp.solve(P1, 1.0, probes=[(-29.0, 1.0)], track_front=False)
+        with pytest.raises(ValueError, match=r"drifts .* in a step of h=0\.022,"):
+            fkpp.solve(P1, 1.002, probes=[(-29.0, 1.002)], track_front=False)
+
+
 class TestMeasurements:
     def test_front_position_of_initial_step(self):
         g = small_grid(dx=0.2)
@@ -678,8 +733,10 @@ class TestMeasurements:
             with pytest.raises(fkpp.DomainOverflowError):
                 fkpp.renewal_quadrature(fld, x, 1.0, P1)
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, 1e-300, 1e-6, 0.0099])
     def test_renewal_quadrature_requires_finite_positive_tau(self, tau):
+        # a Gaussian narrower than a cell is refused: on the dx lattice its
+        # trapezoid read ln = +269.1 at tau = 1e-300
         fld = fkpp.init_field(small_grid(), smoothing_eps=0.2)
         with pytest.raises(ValueError, match="tau"):
             fkpp.renewal_quadrature(fld, 0.0, tau, P1)
@@ -828,10 +885,19 @@ class TestSolve:
         for dt in (1e-9, 1e-300, 5e-324):
             with pytest.raises(ValueError, match="solve needs 9.85e\\+11 point-tap-steps"):
                 fkpp.solve(P1, 1.0, probes=[(0.0, 1.0)], dx=0.001, dt=dt, track_front=False)
-        # 50 steps of a kernel 33,943 taps wide on a grid of 394,142 points
-        with pytest.raises(ValueError, match="solve needs 6.69e\\+11 point-tap-steps"):
+        # 50 lattice steps and a branch to t = 1e-8, one cell's time, each
+        # costed at the widest kernel, 33,943 taps, on a grid of 394,142 points
+        with pytest.raises(ValueError, match="solve needs 6.82e\\+11 point-tap-steps"):
             fkpp.solve(ModelParams(sigma2=1e8), 1.0, probes=[(1e-300, 1e-8), (1e-300, 1.0)],
                        dx=1.0, track_front=False)
+
+    @pytest.mark.parametrize("front_samples", [0, -1])
+    def test_front_samples_at_least_one(self, front_samples):
+        # front_samples=-1 raised IndexError from the empty list of positions
+        with pytest.raises(ValueError, match=f"front_samples must be at least 1, got {front_samples}"):
+            fkpp.solve(P1, 2.0, dx=0.2, front_samples=front_samples)
+        fkpp.solve(P1, 2.0, probes=[(0.0, 2.0)], dx=0.2, track_front=False,
+                   front_samples=front_samples)
 
     def test_tail_for_unknown_alpha(self):
         res = fkpp.solve(P1, 1.0, probes=[(0.0, 1.0)], dx=0.2, track_front=False)
@@ -921,9 +987,9 @@ class TestSolve:
 
     def test_coarse_dx_matches_fine_reference(self):
         # at dx = 0.2 a step of the default dt = 0.02 would be narrower than a
-        # cell, and its discrete kernel has the wrong large deviations: ln u at
-        # alpha = -5, t = 5 read 13.7 above a dx = 0.025 reference.  Steps of at
-        # least a cell keep within item 9's measured dx error, 0.8 dx^2 / sigma2
+        # cell, where a kernel has the wrong large deviations: ln u at alpha =
+        # -5, t = 5 read 13.7 above a dx = 0.025 reference.  Steps of at least
+        # a cell keep within the measured dx error, 0.8 dx^2 / sigma2
         probes = [(a, t) for a in (-5.0, -1.8) for t in (0.5, 1.0, 5.0)]
         fine, coarse = (fkpp.solve(P1, 5.0, probes=probes, dx=dx, smoothing_eps=0.1,
                                    track_front=False) for dx in (0.025, 0.2))

@@ -370,7 +370,13 @@ class TestFirstMoment:
         val = mc.upper_tail_first_moment(400.0, 0.0)
         assert val / 400.0 == pytest.approx(1.0, abs=0.01)
 
-    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_requires_positive_t(self, t):
         with pytest.raises(ValueError, match="t must be positive"):
             mc.upper_tail_first_moment(t, 0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_requires_finite_alpha(self, alpha):
+        # alpha = nan returned nan with no warning
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            mc.upper_tail_first_moment(1.0, alpha)
