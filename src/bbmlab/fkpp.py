@@ -344,7 +344,7 @@ def advance(fld: LogField, t_end: float, sigma2: float, lo: int = 0,
     amount = t_end - fld.time
     if amount < 0.0:
         raise ValueError("cannot advance backwards")
-    cell = (fld.grid.dx / math.sqrt(sigma2)) ** 2
+    cell = (fld.grid.dx / math.sqrt(sigma2)) * (fld.grid.dx / math.sqrt(sigma2))
     h, j, tau = _lattice(amount, fld.grid.dt, cell)
     if j < 0:
         raise ValueError(f"cannot advance by {amount!r}: no step is narrower than a cell")
@@ -563,7 +563,7 @@ def solve(
                       dx, DEFAULT_DT if dt is None else dt)
 
     # each read's lattice index and branch step (module notes); front samples add none
-    sigma2, dx, cell = params.sigma2, grid.dx, (grid.dx / sigma) ** 2
+    sigma2, dx, cell = params.sigma2, grid.dx, (grid.dx / sigma) * (grid.dx / sigma)
     reads = {T: _lattice(T, grid.dt, cell)[1:] for T in {*pt.tolist(), *snapshot_times, t_final}}
     h, k_front, tau = _lattice(t_final, grid.dt, cell)
     k_front = math.floor(t_final / h) if tau else k_front  # the last lattice time <= t_final
@@ -611,7 +611,7 @@ def solve(
     for T, (j, tau) in sorted(reads.items(), key=lambda read: read[1]):
         if j < 0:
             # before the first lattice time a cell from T: the exact heat flow, then R(T)
-            out = _smoothed_step(grid, math.sqrt(eps * eps + sigma2 * T), floor)
+            out = _smoothed_step(grid, math.hypot(eps, sigma * math.sqrt(T)), floor)
             _react(out, T, np.empty(out.size))
             point_steps += grid.n_points
         else:

@@ -126,7 +126,7 @@ def advance_reference(fld, t_end, sigma2):
     half-steps of adjacent steps fuse.  The result is checked once, as every
     LogField is when it is built."""
     grid = fld.grid
-    cell = (grid.dx / math.sqrt(sigma2)) ** 2
+    cell = (grid.dx / math.sqrt(sigma2)) * (grid.dx / math.sqrt(sigma2))
     h = max(grid.dt, cell)
     amount = t_end - fld.time
     n = round(amount / h)

@@ -422,7 +422,7 @@ class TestReferenceStepper:
         for got in reads:
             if 0.0 < got.time < g.dx * g.dx / sigma2:
                 # the exact heat flow of the smoothed start, clipped at its floor, then R(T)
-                width = math.sqrt(res.smoothing_eps * res.smoothing_eps + sigma2 * got.time)
+                width = math.hypot(res.smoothing_eps, math.sqrt(sigma2) * math.sqrt(got.time))
                 L = np.minimum(np.maximum(log_normal_cdf(g.xs() / width), start.L.min()), 0.0)
                 react_reference(L, got.time)
                 ref = fkpp.LogField(L=L, time=got.time, grid=g, steps=1)
@@ -677,6 +677,18 @@ class TestLattice:
         # a horizon off the lattice: the last sample is the last lattice time before it
         res = fkpp.solve(P1, 1.01, dx=0.1, front_samples=4)
         assert res.front.times.tolist() == [k * fkpp.DEFAULT_DT for k in (0, 12, 25, 37, 50)]
+
+    def test_reads_at_a_subnormal_sigma2(self):
+        # eps^2 and sigma2 T underflow to 0 here, so the exact start's width is
+        # hypot(eps, sigma sqrt(T)); a sum of squares divided by 0
+        res = fkpp.solve(ModelParams(sigma2=5e-324), 0.5, probes=[(-0.34, 1e-8), (-0.34, 0.5)],
+                         dx=1.1e-163, track_front=False)
+        assert np.all(np.isfinite(res.tails[0].log_u)) and res.tails[0].log_u[1] < LN_HALF
+        # dx^2 / sigma2 overflows to inf, so every read lies before the first
+        # lattice step; squaring with ** raised OverflowError
+        with pytest.raises(ValueError, match="drifts"):
+            fkpp.solve(ModelParams(sigma2=5e-324), 1.35, probes=[(-1e154, 0.07), (0.83, 1.35)],
+                       dt=1e-9, track_front=False)
 
     def test_drift_bound_covers_branch_steps(self):
         # a read at t = 1.002 branches off t = 0.98, the last lattice time a
